@@ -21,6 +21,7 @@ from .domain import (
     IntervalEnv,
     NEG_INF,
     POS_INF,
+    concretize_bounded,
     letter_accepts,
     letter_join,
     letter_leq,
@@ -29,6 +30,7 @@ from .domain import (
     loc_sort_key,
     meet_guard,
 )
+from .graph import live, path_lengths, reachable
 
 
 @dataclass(frozen=True)
@@ -52,9 +54,6 @@ class LatticeAutomaton:
     @property
     def is_trivially_empty(self) -> bool:
         return not self.initial
-
-    def out_edges(self, q):
-        return [(s, l, t) for (s, l, t) in self.transitions if s == q]
 
     def sorted_transitions(self):
         return sorted(self.transitions, key=lambda t: (t[0], t[1].sort_key(), t[2]))
@@ -127,16 +126,6 @@ class Builder:
             states.add(a)
             states.add(b)
 
-        def closure(q):
-            seen = {q}
-            stack = [q]
-            while stack:
-                for nxt in succ.get(stack.pop(), ()):
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-            return seen
-
         out_by_src = {}
         for (s, l, t) in self.trans:
             out_by_src.setdefault(s, []).append((l, t))
@@ -144,7 +133,7 @@ class Builder:
         final = set(self.final)
         # only epsilon sources gain lifted transitions / finality
         for s0 in succ:
-            reach = closure(s0)
+            reach = reachable({s0}, succ)
             for s in reach:
                 if s != s0:
                     for (l, t) in out_by_src.get(s, ()):
@@ -158,30 +147,14 @@ class Builder:
 
 def trim(a: LatticeAutomaton) -> LatticeAutomaton:
     """Drop states that are unreachable or cannot reach a final state."""
-    fwd = {}
-    bwd = {}
-    for (s, _, t) in a.transitions:
-        fwd.setdefault(s, set()).add(t)
-        bwd.setdefault(t, set()).add(s)
-
-    def reach(seeds, edges):
-        seen = set(seeds)
-        stack = list(seeds)
-        while stack:
-            for nxt in edges.get(stack.pop(), ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen
-
-    live = reach(a.initial & a.states, fwd) & reach(a.final & a.states, bwd)
-    if not live:
+    keep = live(a.transitions, a.initial & a.states, a.final & a.states)
+    if not keep:
         return LatticeAutomaton.empty()
     return LatticeAutomaton(
-        frozenset(live),
-        frozenset(a.initial & live),
-        frozenset(a.final & live),
-        frozenset((s, l, t) for (s, l, t) in a.transitions if s in live and t in live),
+        frozenset(keep),
+        frozenset(a.initial & keep),
+        frozenset(a.final & keep),
+        frozenset((s, l, t) for (s, l, t) in a.transitions if s in keep and t in keep),
     )
 
 
@@ -445,58 +418,17 @@ def map_labels(fn: Callable, a: LatticeAutomaton) -> LatticeAutomaton:
 # shape and widening
 
 
-@dataclass(frozen=True)
-class Shape:
-    """Finite automaton over partition keys obtained by erasing labels."""
-
-    states: frozenset
-    initial: frozenset
-    final: frozenset
-    transitions: frozenset  # (src, key, dst)
-
-
-def shape(a: LatticeAutomaton) -> Shape:
-    return Shape(
-        a.states, a.initial, a.final,
-        frozenset((s, l.loc, t) for (s, l, t) in a.transitions),
-    )
+def shape(a: LatticeAutomaton):
+    """The automaton over partition keys obtained by erasing labels, as a
+    (states, initial, final, transitions) tuple."""
+    return (a.states, a.initial, a.final,
+            frozenset((s, l.loc, t) for (s, l, t) in a.transitions))
 
 
 def _length_bound(a: LatticeAutomaton):
-    """Longest accepted word length, or None when unbounded (contains a
-    useful cycle).  The automaton must be trimmed."""
-    a = trim(a)
-    if not a.states:
-        return 0
-    adj = {}
-    for (s, _, t) in a.transitions:
-        adj.setdefault(s, set()).add(t)
-    color = {}
-    order = []
-
-    def dfs(u):
-        color[u] = 1
-        for v in adj.get(u, ()):
-            if color.get(v, 0) == 1:
-                return False
-            if color.get(v, 0) == 0 and not dfs(v):
-                return False
-        color[u] = 2
-        order.append(u)
-        return True
-
-    for q in sorted(a.states, key=repr):
-        if color.get(q, 0) == 0 and not dfs(q):
-            return None
-    dist = {q: (0 if q in a.initial else None) for q in a.states}
-    for u in reversed(order):
-        if dist.get(u) is None:
-            continue
-        for (s, _, t) in a.transitions:
-            if s == u and (dist.get(t) is None or dist[t] < dist[u] + 1):
-                dist[t] = dist[u] + 1
-    best = [dist[q] for q in a.final if dist.get(q) is not None]
-    return max(best) if best else 0
+    """Longest accepted word length, or None when unbounded (a useful
+    cycle)."""
+    return path_lengths(a.transitions, a.initial, a.final)[1]
 
 
 def _signature_quotient(a: LatticeAutomaton, k: int) -> LatticeAutomaton:
@@ -509,19 +441,17 @@ def _signature_quotient(a: LatticeAutomaton, k: int) -> LatticeAutomaton:
     for (s, l, t) in a.transitions:
         preds[t].add((s, l.loc))
 
-    def history(q, depth):
-        if depth == 0:
-            return frozenset({()})
-        out = set()
-        if q in a.initial:
-            out.add(())
-        for (p, key) in preds[q]:
-            for h in history(p, depth - 1):
-                out.add((h + (key,))[-depth:])
-        return frozenset(out)
-
+    # after round d, history[q] holds the last d keys of every path into q,
+    # or the whole key word of a shorter path from an initial state
+    history = dict.fromkeys(a.states, frozenset({()}))
+    for _ in range(k):
+        history = {
+            q: frozenset({h + (key,) for (p, key) in preds[q] for h in history[p]}
+                         | ({()} if q in a.initial else set()))
+            for q in a.states
+        }
     sig = {
-        q: (q in a.initial, q in a.final, history(q, k))
+        q: (q in a.initial, q in a.final, history[q])
         for q in a.states
     }
     classes = {}
@@ -604,8 +534,6 @@ def accepts_concrete(ctx: DomainContext, a: LatticeAutomaton, word) -> bool:
 def bounded_language(ctx: DomainContext, a: LatticeAutomaton, max_len: int, universe):
     """Enumerate the accepted atom words up to a length bound over a finite
     value universe (test oracle; exponential, keep the inputs tiny)."""
-    from .domain import concretize_bounded
-
     out = set()
     frontier = [((), q) for q in a.initial]
     while frontier:
@@ -708,10 +636,6 @@ def from_json(d) -> LatticeAutomaton:
     )
 
 
-def _env_str(env) -> str:
-    return str(env)
-
-
 def to_dot(a: LatticeAutomaton, name="reach") -> str:
     lines = [f"digraph {name} {{", "  rankdir=LR;"]
     for q in sorted(a.states):
@@ -720,7 +644,7 @@ def to_dot(a: LatticeAutomaton, name="reach") -> str:
     for i, q in enumerate(sorted(a.initial)):
         lines.append(f'  "init{i}" [shape=point]; "init{i}" -> "{q}";')
     for (s, l, t) in a.sorted_transitions():
-        label = f"{l.pid} | {l.loc} | {_env_str(l.env)}"
+        label = f"{l.pid} | {l.loc} | {l.env}"
         label = label.replace('"', "'")
         lines.append(f'  "{s}" -> "{t}" [label="{label}"];')
     lines.append("}")

@@ -983,7 +983,10 @@ def _apply_comparison(ctx, s, cmp_expr, sink=None) -> Optional[AbstractLocalStat
             coeffs = {n: k for n, k in coeffs.items() if k != 0}
             s2 = s
             if op == "==":
-                env = s.env.meet(AffineEnv.from_rows(s.env.vars, [(coeffs, const)]))
+                row = AffineEnv.from_rows(s.env.vars, [(coeffs, const)])
+                if row is None:  # a false constant equation such as 1 == 0
+                    return None
+                env = s.env.meet(row)
                 if env is None:
                     return None
                 s2 = s.with_env(env)

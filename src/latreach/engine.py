@@ -7,6 +7,7 @@ heads, the entry location of creating programs, and collector locations.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -23,12 +24,15 @@ from .automaton import (
 from .domain import (
     AbstractLocalState,
     AlarmSink,
+    Interval,
+    IntervalEnv,
+    is_finite,
     loc_sort_key,
     meet_guard,
 )
 from .frontend import CompiledSemantics
 from .rules import apply_rule
-from .transducer import apply_transducer
+from .transducer import apply_transducer, eval_letter_out
 
 
 @dataclass(frozen=True)
@@ -194,23 +198,32 @@ class DeadlockWitness:
 
 def _candidate_paths(reach: LatticeAutomaton, blocking: frozenset, limit: int = 4096):
     """Accepting paths whose labels all sit at blocking/exit locations;
-    each transition is used at most twice (one loop unrolling)."""
+    each transition is used at most twice (one loop unrolling).  Paths come
+    in depth-first order over sorted transitions, at most limit of them."""
     out = []
-    edges = [e for e in reach.sorted_transitions() if e[1].loc in blocking]
-
-    def dfs(q, word, used):
-        if len(out) >= limit:
-            return
-        if q in reach.final and word:
-            out.append(word)
-        for e in edges:
-            if e[0] == q and used.get(e, 0) < 2:
-                used[e] = used.get(e, 0) + 1
-                dfs(e[2], word + (e[1],), used)
-                used[e] -= 1
-
-    for q in sorted(reach.initial, key=repr):
-        dfs(q, (), {})
+    succ = {}
+    for e in reach.sorted_transitions():
+        if e[1].loc in blocking:
+            succ.setdefault(e[0], []).append(e)
+    for q0 in sorted(reach.initial, key=repr):
+        used = {}
+        stack = [((), iter(succ.get(q0, ())), None)]  # (word, edges left, edge in)
+        while stack:
+            word, edges, _ = stack[-1]
+            for e in edges:
+                if used.get(e, 0) < 2:
+                    if len(out) >= limit:
+                        return out
+                    used[e] = used.get(e, 0) + 1
+                    longer = word + (e[1],)
+                    if e[2] in reach.final:
+                        out.append(longer)
+                    stack.append((longer, iter(succ.get(e[2], ())), e))
+                    break
+            else:
+                _, _, e = stack.pop()
+                if e is not None:
+                    used[e] -= 1
     return out
 
 
@@ -233,8 +246,6 @@ def _transducer_moves_letter(sem, word) -> bool:
             matched = meet_guard(sem.ctx, letter, rule.guard[0])
             if matched is None:
                 continue
-            from .transducer import eval_letter_out
-
             img = eval_letter_out(sem.ctx, rule.outputs[0], (matched,))
             if img is not None:
                 return True
@@ -244,30 +255,26 @@ def _transducer_moves_letter(sem, word) -> bool:
 def _atom_refinements(sem, word, cap: int = 512):
     """Split every letter of the word into single-id, single-value letters
     when the value ranges are small and finite; [] when infeasible."""
-    from .domain import Interval, IntervalEnv
-
     per_letter = []
     for letter in word:
         options = []
         pid = letter.pid
-        if pid.lo == float("-inf") or pid.hi == float("inf") or pid.hi - pid.lo > 8:
+        if not (is_finite(pid.lo) and is_finite(pid.hi)) or pid.hi - pid.lo > 8:
             return []
         if not isinstance(letter.env, IntervalEnv):
             return []
         ids = [pid.lo + i for i in range(int(pid.hi - pid.lo) + 1)]
         var_choices = []
         for name, itv in letter.env.items:
-            if itv.lo == float("-inf") or itv.hi == float("inf"):
+            if not (is_finite(itv.lo) and is_finite(itv.hi)):
                 var_choices.append([(name, None)])
                 continue
             if itv.hi - itv.lo > 4 or (itv.hi - itv.lo).denominator != 1:
                 var_choices.append([(name, None)])
                 continue
             var_choices.append([(name, itv.lo + k) for k in range(int(itv.hi - itv.lo) + 1)])
-        import itertools as it
-
         for pid_v in ids:
-            for combo in it.product(*var_choices) if var_choices else [()]:
+            for combo in itertools.product(*var_choices):
                 env = dict(letter.env.items)
                 for name, val in combo:
                     if val is not None:
@@ -283,9 +290,7 @@ def _atom_refinements(sem, word, cap: int = 512):
             total *= len(opts)
         if total > cap:
             return []
-    import itertools as it
-
-    return [tuple(w) for w in it.product(*per_letter)]
+    return [tuple(w) for w in itertools.product(*per_letter)]
 
 
 def check_deadlock(sem: CompiledSemantics, result: AnalysisResult) -> List[DeadlockWitness]:

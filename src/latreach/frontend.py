@@ -515,9 +515,6 @@ class Cfg:
     exit: str
     loop_heads: frozenset
 
-    def instr_edges(self):
-        return self.edges
-
 
 class _CfgBuilder:
     def __init__(self):
@@ -658,14 +655,10 @@ def initial_automaton(ctx: DomainContext, entry: str, procs) -> LatticeAutomaton
     return normalize(LatticeAutomaton.from_word(letters))
 
 
-def compile_program(ast_or_cfg, domain: str, procs) -> CompiledSemantics:
+def compile_program(ast: Ast, domain: str, procs) -> CompiledSemantics:
     """Compile into local-step transducer, communication rules and the
     initial automaton.  Every CFG edge lands in exactly one of the two."""
-    if isinstance(ast_or_cfg, Ast):
-        ast = ast_or_cfg
-        cfg = build_cfg(ast)
-    else:
-        raise TypeError("compile_program expects an Ast")
+    cfg = build_cfg(ast)
     if domain not in ("interval", "affine"):
         raise CompileError(f"unknown domain {domain!r}")
     if procs not in ("unbounded", "any") and (not isinstance(procs, int) or procs < 1):

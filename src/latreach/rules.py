@@ -18,7 +18,6 @@ from .automaton import (
     LatticeAutomaton,
     matches,
     normalize,
-    trim,
     union_all,
 )
 from .domain import (
@@ -31,6 +30,7 @@ from .domain import (
     meet_guard,
     relational_updates,
 )
+from .graph import live, path_lengths
 from .transducer import (
     InstanceInfo,
     LetterOut,
@@ -122,23 +122,8 @@ def _segment(ctx, a, guard, starts, ends, h: HRewrite, matched, sink):
         if img is None:
             continue
         trans.append((s, img, t))
-    fwd, bwd = {}, {}
-    for (s, _, t) in trans:
-        fwd.setdefault(s, set()).add(t)
-        bwd.setdefault(t, set()).add(s)
-
-    def reach(seeds, edges):
-        seen = set(seeds)
-        stack = list(seeds)
-        while stack:
-            for nxt in edges.get(stack.pop(), ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen
-
-    live = reach(starts, fwd) & reach(ends, bwd)
-    kept = tuple((s, l, t) for (s, l, t) in trans if s in live and t in live)
+    keep = live(trans, starts, ends)
+    kept = tuple((s, l, t) for (s, l, t) in trans if s in keep and t in keep)
     if kept or (starts & ends):
         return kept
     return None
@@ -148,53 +133,8 @@ def _path_lengths(trans, starts, ends):
     """(shortest, static) path length between the state sets over the kept
     transitions; static is None when lengths differ or a cycle is
     reachable (then word lengths through the segment are unbounded)."""
-    adj = {}
-    for (s, _, t) in trans:
-        adj.setdefault(s, set()).add(t)
-    dist = {q: 0 for q in starts}
-    queue = list(starts)
-    while queue:
-        cur = queue.pop(0)
-        for nxt in adj.get(cur, ()):
-            if nxt not in dist:
-                dist[nxt] = dist[cur] + 1
-                queue.append(nxt)
-    finite = [dist[q] for q in ends if q in dist]
-    shortest = min(finite) if finite else 0
-    color = {}
-    acyclic = True
-    for root in sorted({s for s, _, _ in trans} | set(starts), key=repr):
-        if color.get(root, 0) != 0:
-            continue
-        stack = [(root, iter(sorted(adj.get(root, ()), key=repr)))]
-        color[root] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for v in it:
-                if color.get(v, 0) == 1:
-                    acyclic = False
-                elif color.get(v, 0) == 0:
-                    color[v] = 1
-                    stack.append((v, iter(sorted(adj.get(v, ()), key=repr))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                stack.pop()
-    if not acyclic:
-        return (shortest, None)
-    longest = {q: 0 for q in starts}
-    changed = True
-    while changed:
-        changed = False
-        for (s, _, t) in trans:
-            if s in longest and (t not in longest or longest[t] < longest[s] + 1):
-                longest[t] = longest[s] + 1
-                changed = True
-    far = [longest[q] for q in ends if q in longest]
-    lng = max(far) if far else 0
-    return (shortest, shortest if shortest == lng else None)
+    shortest, longest = path_lengths(trans, starts, ends)
+    return (shortest, shortest if shortest == longest else None)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +250,7 @@ def _apply_instance(ctx, rule, a, combo, flat, q0s, qfs, sink):
         bld.add_path(combo[i].begin, f_words[i + 1], combo[i].end, tag=f"f{i+1}")
     for qf in sorted(qfs, key=repr):
         bld.add_path(qf, f_words[n + 1], end_state, tag=f"f{n+1}")
-    return trim(bld.build())
+    return bld.build()
 
 
 # ---------------------------------------------------------------------------

@@ -13,15 +13,27 @@ from fractions import Fraction
 from typing import Optional
 
 from . import expr as E
-from .automaton import Builder, LatticeAutomaton, normalize, path_labels
+from .automaton import (
+    Builder,
+    LatticeAutomaton,
+    env_from_json,
+    env_to_json,
+    interval_from_json,
+    interval_to_json,
+    normalize,
+    path_labels,
+)
 from .domain import (
     AbstractLocalState,
     AlarmSink,
+    Constraint,
     DomainContext,
+    GuardAtom,
     GuardElement,
     Interval,
     POS_INF,
     joint_refine,
+    meet_guard,
     relational_updates,
     transfer_assign,
     transfer_filter,
@@ -185,12 +197,6 @@ class LatticeTransducer:
         return sorted(self.rules, key=lambda r: (repr(r[0]), r[1].name, repr(r[2])))
 
 
-def path_enumerate(a: LatticeAutomaton, q, n: int):
-    """All length-n label paths of the automaton starting at q."""
-    assert n >= 1
-    return set(path_labels(a, q, n))
-
-
 def apply_transducer(ctx: DomainContext, t: LatticeTransducer, a: LatticeAutomaton,
                      sink: AlarmSink = None) -> LatticeAutomaton:
     """Image of the automaton under the transducer (sound: contains the
@@ -214,8 +220,6 @@ def apply_transducer(ctx: DomainContext, t: LatticeTransducer, a: LatticeAutomat
                 matched = []
                 ok = True
                 for letter, g in zip(labels, rule.guard):
-                    from .domain import meet_guard
-
                     m = meet_guard(ctx, letter, g, sink)
                     if m is None:
                         ok = False
@@ -243,8 +247,6 @@ def apply_transducer(ctx: DomainContext, t: LatticeTransducer, a: LatticeAutomat
 
 
 def guard_atom_to_json(atom):
-    from .automaton import interval_to_json, env_to_json
-
     return {
         "id": interval_to_json(atom.pid),
         "env": None if atom.env is None else env_to_json(atom.env),
@@ -299,8 +301,6 @@ def transducer_to_json(t: LatticeTransducer):
 
 
 def guard_atom_from_json(d):
-    from .automaton import interval_from_json, env_from_json
-    from .domain import Constraint, GuardAtom
     from .frontend import parse_expr
 
     return GuardAtom(

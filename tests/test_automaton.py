@@ -3,6 +3,7 @@ from fractions import Fraction
 
 from latreach.automaton import (
     LatticeAutomaton,
+    _length_bound,
     accepts_concrete,
     bounded_language,
     includes,
@@ -258,11 +259,17 @@ def test_widen_upper_bounds_union_random():
 # shape, export, membership
 
 
+def test_length_bound_long_chain():
+    """Word length is not limited by the interpreter's recursion limit."""
+    chain = LatticeAutomaton.from_word([iv(i, i) for i in range(3000)])
+    assert _length_bound(chain) == 3000
+
+
 def test_shape_erases_labels():
     a = normalize(auto([(0, iv(0, 4, "l2"), 1)]))
-    sh = shape(a)
-    assert {(s, k, t) for (s, k, t) in sh.transitions} == \
-        {(s, l.loc, t) for (s, l, t) in a.transitions}
+    states, initial, final, keyed = shape(a)
+    assert (states, initial, final) == (a.states, a.initial, a.final)
+    assert keyed == {(s, l.loc, t) for (s, l, t) in a.transitions}
 
 
 def test_json_round_trip_bit_exact():

@@ -69,6 +69,17 @@ def test_exit_zero_without_deadlock_flag(tmp_path, capsys):
     assert code == 0
 
 
+def test_affine_constant_condition(tmp_path):
+    """A constant loop condition under the affine domain is a false
+    equation on the exit branch, not a crash."""
+    prog = tmp_path / "spin.prog"
+    prog.write_text("x := 0;\nwhile (1)\n  x := x + 1;\n", encoding="utf-8")
+    r = subprocess.run([sys.executable, "-m", "latreach", "analyze", str(prog),
+                        "--domain", "affine"], capture_output=True, text=True)
+    assert r.returncode == 0
+    assert "Traceback" not in r.stderr
+
+
 def test_exit_three_parse_error(tmp_path, capsys):
     prog = tmp_path / "broken.prog"
     prog.write_text("x := ;", encoding="utf-8")

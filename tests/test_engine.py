@@ -5,8 +5,11 @@ import pytest
 
 from latreach.automaton import accepts_concrete, bounded_language, includes, is_empty, normalize
 from latreach.concrete import config_word, initial_config, is_stuck, reach_bounded
+from latreach.automaton import LatticeAutomaton
+from latreach.domain import Interval
 from latreach.engine import (
     AnalysisConfig,
+    AnalysisResult,
     BudgetExhausted,
     PropertyLocationError,
     check_deadlock,
@@ -35,8 +38,6 @@ def analyze(text, domain="interval", procs=1, budget=200, **cfg):
 
 def test_step_empty_is_empty():
     sem = compile_program(parse("x := 1;"), "interval", 1)
-    from latreach.automaton import LatticeAutomaton
-
     assert is_empty(step(sem, LatticeAutomaton.empty()))
 
 
@@ -190,6 +191,14 @@ def test_deadlock_random_two_procs():
 
 def test_no_communication_no_deadlock():
     ast, sem, res = analyze("x := 1; y := 2;", procs=2)
+    assert check_deadlock(sem, res) == []
+
+
+def test_deadlock_check_long_word():
+    """A 3000-process word at the exit is walked without recursion."""
+    sem = compile_program(parse("x := 1;"), "interval", 1)
+    word = [sem.ctx.zero_letter(Interval.point(i), sem.cfg.exit) for i in range(3000)]
+    res = AnalysisResult(LatticeAutomaton.from_word(word), 1, [])
     assert check_deadlock(sem, res) == []
 
 

@@ -1,0 +1,58 @@
+"""Pinned report and --json bytes for five cheap analyses.
+
+The programs are named by paths relative to the repository root because
+the report's first line echoes the path.  Together these runs exercise
+the length bound and the signature quotient of the widening, the path
+lengths of create rules, and the deadlock candidate search."""
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from latreach.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+P = "demos/programs/"
+
+CASES = [
+    pytest.param(
+        (P + "deadlock_random.prog", "--procs", "2", "--deadlock"), 2,
+        "69da3d5edaf043295896d48c9ff25e23fcd6e875153f47f4ef2a7f0129f782a9",
+        "81afd1d538babb9e61f37329967d7581b6a87f6f7c6c616764369b1f22cb95f3",
+        id="deadlock_random-interval"),
+    pytest.param(
+        (P + "deadlock_random.prog", "--procs", "2", "--deadlock", "--domain", "affine"), 2,
+        "dfe662e1b3a200c28e513e8b6191aa245f86634ec2c18dc388f142d4917d07dd",
+        "65355954141e197c19b6a49457f371671ad3b53a0dd23367a0d560c7e63caeb5",
+        id="deadlock_random-affine"),
+    pytest.param(
+        (P + "create_chain.prog", "--procs", "unbounded", "--domain", "affine",
+         "--property", P + "chain_end_value.bad"), 0,
+        "2bf4f4cbc2116f1329e19d56bc00bf436eebdd07456fc5f21f3ad33acb4965d7",
+        "fa3386f27e9c5f7e5655feff12ab468075c709d5772602b0f841350f8ed99198",
+        id="create_chain-property"),
+    pytest.param(
+        (P + "create_chain.prog", "--procs", "unbounded", "--domain", "affine",
+         "--shape-k", "3", "--deadlock"), 0,
+        "9ebada23efe3127eb188b5eec30048643a22b51146251e58c2a7dad3cab30cba",
+        "fa3386f27e9c5f7e5655feff12ab468075c709d5772602b0f841350f8ed99198",
+        id="create_chain-shape_k3"),
+    pytest.param(
+        (P + "sum_reduce.prog", "--procs", "4", "--domain", "affine", "--deadlock"), 0,
+        "3f16598d14d7242ab3c00f15d8fd66ae92d7f19e7f822b34ec1e6287ce8b1d2a",
+        "0d135bfb72ad55419ada79a569682c5b5d333c840454af24b6cec1704a948182",
+        id="sum_reduce-affine"),
+]
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("args,code,report,reach", CASES)
+def test_golden_outputs(args, code, report, reach, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    js = tmp_path / "reach.json"
+    assert main(["analyze", *args, "--json", str(js)]) == code
+    assert sha(capsys.readouterr().out.encode()) == report
+    assert sha(js.read_bytes()) == reach
