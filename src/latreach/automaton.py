@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable
 
 from .domain import (
@@ -54,6 +55,16 @@ class LatticeAutomaton:
     @property
     def is_trivially_empty(self) -> bool:
         return not self.initial
+
+    @cached_property
+    def out_by_src(self) -> dict:
+        """state -> [(letter, dst)], built once and in the iteration order
+        of the transitions, so walks over it see paths in the same order
+        as a scan of the transitions would."""
+        out = {}
+        for (s, l, t) in self.transitions:
+            out.setdefault(s, []).append((l, t))
+        return out
 
     def sorted_transitions(self):
         return sorted(self.transitions, key=lambda t: (t[0], t[1].sort_key(), t[2]))
@@ -176,9 +187,7 @@ def normalize(a: LatticeAutomaton) -> LatticeAutomaton:
 
     # subset construction over keys
     start = frozenset(a.initial)
-    by_src = {}
-    for (s, l, t) in a.transitions:
-        by_src.setdefault(s, []).append((l, t))
+    by_src = a.out_by_src
     det_states = {start}
     det_trans = {}  # (S, key) -> (label, T)
     queue = [start]
@@ -332,6 +341,7 @@ def includes(big: LatticeAutomaton, small: LatticeAutomaton) -> bool:
     big_out = {}
     for (s, l, t) in big.transitions:
         big_out[(s, l.loc)] = (l, t)
+    small_out = small.out_by_src
     pairs = {(next(iter(small.initial)), next(iter(big.initial)))}
     seen = set()
     while pairs:
@@ -341,9 +351,7 @@ def includes(big: LatticeAutomaton, small: LatticeAutomaton) -> bool:
         seen.add((qs, qb))
         if qs in small.final and qb not in big.final:
             return False
-        for (s, l, t) in small.transitions:
-            if s != qs:
-                continue
+        for (l, t) in small_out.get(qs, ()):
             hit = big_out.get((qb, l.loc))
             if hit is None:
                 return False
@@ -367,14 +375,10 @@ class MatchTriple:
 
 def path_labels(a: LatticeAutomaton, q, n: int):
     """All (label sequence, end state) for paths of length n from q."""
+    out = a.out_by_src
     acc = [((), q)]
     for _ in range(n):
-        nxt = []
-        for labels, cur in acc:
-            for (s, l, t) in a.transitions:
-                if s == cur:
-                    nxt.append((labels + (l,), t))
-        acc = nxt
+        acc = [(labels + (l,), t) for labels, cur in acc for (l, t) in out.get(cur, ())]
     return acc
 
 

@@ -85,7 +85,7 @@ def eval_expr(e, pid: int, rho: dict, rat_vars=frozenset()) -> Optional[Fraction
         if e.op == "^":
             if b.denominator != 1:
                 return None
-            if a == 0 and b < 0:
+            if a == 0 and b < 0 or E.pow_too_big(a, int(b)):
                 return None
             return a ** int(b)
         if e.op == "min":

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Union
 
 from . import expr as E
@@ -624,6 +625,17 @@ class AbstractLocalState:
     def __post_init__(self):
         assert not self.pid.is_bottom
 
+    def __hash__(self):
+        # the dataclass hash, computed once: letters are rehashed whenever
+        # a transition set is built, and hashing Fractions is costly.  The
+        # cache lives outside the fields, so == and repr never see it.
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.pid, self.loc, self.env))
+            object.__setattr__(self, "_hash", h)
+            return h
+
     def with_env(self, env) -> Optional["AbstractLocalState"]:
         if env is None:
             return None
@@ -706,6 +718,12 @@ class GuardAtom:
     env: Optional[Env] = None  # None = top
     constraints: tuple = ()
 
+    @cached_property
+    def is_trivial(self) -> bool:
+        """True when the atom constrains nothing, so that meeting a letter
+        with it gives the letter back."""
+        return self.pid.is_top and self.env is None and not self.constraints
+
 
 @dataclass(frozen=True)
 class GuardElement:
@@ -785,7 +803,8 @@ class DomainContext:
 
 
 class AlarmSink:
-    """Collects division alarms raised inside transfer functions."""
+    """Collects division and power alarms raised inside transfer
+    functions."""
 
     def __init__(self):
         self.alarms = set()
@@ -793,14 +812,24 @@ class AlarmSink:
     def division(self, where: str) -> None:
         self.alarms.add(("division", where))
 
+    def power(self, where: str) -> None:
+        """A power too large to compute (see expr.MAX_POW_BITS)."""
+        self.alarms.add(("power", where))
+
 
 def eval_interval(ctx: DomainContext, letter: AbstractLocalState, e, sink=None,
                   resolver=None) -> Interval:
     """Interval evaluation of e against a letter (id resolves to its pid).
 
     resolver, when given, maps a PosVar to an interval; division by an
-    interval containing zero yields top and records an alarm.
+    interval containing zero, and a power past expr.MAX_POW_BITS, yield
+    top and record an alarm.
     """
+
+    def too_big(node) -> Interval:
+        if sink is not None:
+            sink.power(E.to_source(node))
+        return Interval.top()
 
     def ev(node) -> Interval:
         if isinstance(node, E.Const):
@@ -855,6 +884,8 @@ def eval_interval(ctx: DomainContext, letter: AbstractLocalState, e, sink=None,
                             if sink is not None:
                                 sink.division(E.to_source(node))
                             return Interval.top()
+                        if E.pow_too_big(base, k):
+                            return too_big(node)
                         return Interval.point(base ** k)
                 if a.is_point and is_finite(a.lo) and a.lo >= 1 and not b.is_bottom:
                     base = a.lo
@@ -868,6 +899,9 @@ def eval_interval(ctx: DomainContext, letter: AbstractLocalState, e, sink=None,
                         if exp.denominator == 1:
                             return base ** int(exp)
                         return None
+                    if any(is_finite(x) and x.denominator == 1
+                           and E.pow_too_big(base, int(x)) for x in (lo, hi)):
+                        return too_big(node)
                     plo, phi = pw(lo), pw(hi)
                     if plo is not None and phi is not None:
                         return Interval(plo, phi)
@@ -1044,10 +1078,18 @@ def meet_guard(ctx: DomainContext, s: AbstractLocalState, g: GuardElement,
 
     Constraint refinement is only as strong as the letter's own domain, so
     the result over-approximates the exact meet; that is the sound side for
-    every use (matching and property intersection)."""
+    every use (matching and property intersection).
+
+    A trivial atom (top id, no environment, no constraints), as in
+    TOP_GUARD or GuardElement.at(loc), gives back the letter itself:
+    meeting its id with top leaves the bounds as they are.  Rule
+    application also memoizes whole star images (rules.StarImages), so
+    most letters meet each star guard once per automaton."""
     atom = g.atom_for(s.loc)
     if atom is None:
         return None
+    if atom.is_trivial:
+        return s
     pid = s.pid.meet(atom.pid)
     if pid.is_bottom:
         return None

@@ -106,6 +106,19 @@ Expr = object  # Const | Var | PosVar | NProcs | FreshId | Neg | BinOp | Nondet
 COMPARISONS = ("<", "<=", "==", "!=", ">=", ">")
 ARITH_OPS = ("+", "-", "*", "/", "%", "^")
 
+# Bit-size cap on the result of a power: a larger base ** k is never
+# computed (top, with an alarm, in the abstract domains; undefined in the
+# concrete interpreter), so a user's 2 ^ 1000000000 cannot build the number.
+MAX_POW_BITS = 4096
+
+
+def pow_too_big(base: Fraction, k: int) -> bool:
+    """True when the numerator or denominator of base ** k has more than
+    MAX_POW_BITS bits, estimated from below as |k| * (bit length - 1), so
+    a power that passes has at most about twice that many bits."""
+    size = max(abs(base.numerator).bit_length(), base.denominator.bit_length())
+    return abs(k) * (size - 1) > MAX_POW_BITS
+
 
 def is_comparison(e) -> bool:
     return isinstance(e, BinOp) and e.op in COMPARISONS

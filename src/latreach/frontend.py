@@ -35,6 +35,11 @@ from .transducer import (
 )
 
 
+# Longest number literal accepted; longer ones are parse errors, so no
+# user literal builds an unbounded number.
+MAX_LITERAL_DIGITS = 1000
+
+
 class ParseError(Exception):
     def __init__(self, message, line, col):
         super().__init__(f"{line}:{col}: {message}")
@@ -246,6 +251,8 @@ class _Parser:
     def _atom(self):
         t = self.peek()
         if t.kind == "num":
+            if len(t.text) > MAX_LITERAL_DIGITS:
+                self.error(f"number literal longer than {MAX_LITERAL_DIGITS} digits")
             self.next()
             return E.Const(Fraction(int(t.text)))
         if t.kind == "ident":

@@ -101,32 +101,55 @@ class RewriteRule:
 
 
 # ---------------------------------------------------------------------------
-# segment extraction
+# star images and segment extraction
 
 
-def _segment(ctx, a, guard, starts, ends, h: HRewrite, matched, sink):
-    """The (g)* segment between two state sets: transitions with a
-    non-bottom meet against g, rewritten by h, restricted to states lying
-    on some start-to-end path.
+class StarImages:
+    """Memo of the star images of one rule application.
 
-    Returns the kept transitions, or None when no word (not even the empty
-    one) fits; the empty word fits whenever a start is also an end."""
-    if guard is None:  # segment that must stay empty
-        return () if starts & ends else None
-    trans = []
-    for (s, l, t) in a.transitions:
-        m = meet_guard(ctx, l, guard, sink)
-        if m is None:
-            continue
-        img = h.apply(ctx, m, matched, sink)
-        if img is None:
-            continue
-        trans.append((s, img, t))
-    keep = live(trans, starts, ends)
-    kept = tuple((s, l, t) for (s, l, t) in trans if s in keep and t in keep)
-    if kept or (starts & ends):
-        return kept
-    return None
+    The star image of (g, h) is the automaton's transitions whose letters
+    meet g to non-bottom, rewritten by h.  It depends on the matched tuple
+    only when h assigns from it (the broadcast copy), so only then is the
+    tuple part of the key.  Images are built on first use, so the meets
+    that run (and the alarms they raise) are those of building every
+    segment afresh, each run once."""
+
+    def __init__(self, ctx: DomainContext, a: LatticeAutomaton, sink: AlarmSink = None):
+        self.ctx = ctx
+        self.a = a
+        self.sink = sink
+        self._memo = {}
+
+    def image(self, guard, h: HRewrite, matched):
+        key = (guard, h, matched if h.updates else ())
+        trans = self._memo.get(key)
+        if trans is None:
+            trans = []
+            for (s, l, t) in self.a.transitions:
+                m = meet_guard(self.ctx, l, guard, self.sink)
+                if m is None:
+                    continue
+                img = h.apply(self.ctx, m, matched, self.sink)
+                if img is not None:
+                    trans.append((s, img, t))
+            self._memo[key] = trans
+        return trans
+
+    def segment(self, guard, h: HRewrite, starts, ends, matched):
+        """The (g)* segment between two state sets: the star image
+        restricted to states lying on some start-to-end path.
+
+        Returns the kept transitions, or None when no word (not even the
+        empty one) fits; the empty word fits whenever a start is also an
+        end."""
+        if guard is None:  # segment that must stay empty
+            return () if starts & ends else None
+        trans = self.image(guard, h, matched)
+        keep = live(trans, starts, ends)
+        kept = tuple((s, l, t) for (s, l, t) in trans if s in keep and t in keep)
+        if kept or (starts & ends):
+            return kept
+        return None
 
 
 def _path_lengths(trans, starts, ends):
@@ -151,7 +174,12 @@ def apply_rule(ctx: DomainContext, rule: RewriteRule, a: LatticeAutomaton,
     match words and the inserted f-images, and the per-combination
     automata are unioned.  An instance whose f- or h-image contains a
     bottom letter contributes nothing, which is what enforces
-    communication partner conditions."""
+    communication partner conditions.
+
+    The guard meets and h-rewrites of the stars do not depend on the
+    instance (except a copy rewriter's on the matched tuple), so one
+    StarImages memo per call computes each star image once; an instance
+    only restricts the images to its own start and end states."""
     a = normalize(a)
     if a.is_trivially_empty:
         return LatticeAutomaton.empty()
@@ -159,11 +187,12 @@ def apply_rule(ctx: DomainContext, rule: RewriteRule, a: LatticeAutomaton,
     if any(not ms for ms in match_sets):
         return LatticeAutomaton.empty()
 
+    stars = StarImages(ctx, a, sink)
     results = []
     for combo in _combinations(match_sets):
         flat = tuple(v for m in combo for v in m.labels)
-        for qfs in _final_groups(ctx, rule, a, combo, sink):
-            auto = _apply_instance(ctx, rule, a, combo, flat, a.initial, qfs, sink)
+        for qfs in _final_groups(stars, rule, combo):
+            auto = _apply_instance(stars, rule, combo, flat, qfs)
             if auto is not None and not auto.is_trivially_empty:
                 results.append(auto)
     if not results:
@@ -180,17 +209,16 @@ def _combinations(match_sets):
     return out
 
 
-def _final_groups(ctx, rule, a, combo, sink):
+def _final_groups(stars: StarImages, rule, combo):
     """Final-state grouping: rules that resolve fresh identifiers get one
     instance per static-suffix class (the suffix length feeds the
     identifier); everything else takes all final states at once."""
     if not rule.track_length or not combo:
-        return [frozenset(a.final)]
+        return [stars.a.final]
     last_end = combo[-1].end
     groups = {}
-    for qf in sorted(a.final, key=repr):
-        seg = _segment(ctx, a, rule.stars[-1], {last_end}, {qf},
-                       rule.h_specs[-1], (), sink)
+    for qf in sorted(stars.a.final, key=repr):
+        seg = stars.segment(rule.stars[-1], rule.h_specs[-1], {last_end}, {qf}, ())
         if seg is None:
             continue
         key = _path_lengths(seg, {last_end}, {qf})
@@ -198,19 +226,18 @@ def _final_groups(ctx, rule, a, combo, sink):
     return [frozenset(g) for _, g in sorted(groups.items(), key=lambda kv: repr(kv))]
 
 
-def _apply_instance(ctx, rule, a, combo, flat, q0s, qfs, sink):
+def _apply_instance(stars: StarImages, rule, combo, flat, qfs):
+    ctx, sink = stars.ctx, stars.sink
     n = len(rule.words)
-    q0s = frozenset(q0s)
-    qfs = frozenset(qfs)
+    q0s = stars.a.initial
     segments = []
     for i in range(n + 1):
-        starts = q0s if i == 0 else {combo[i - 1].end}
-        ends = {combo[i].begin} if i < n else qfs
-        seg = _segment(ctx, a, rule.stars[i], frozenset(starts), frozenset(ends),
-                       rule.h_specs[i], flat, sink)
+        starts = q0s if i == 0 else frozenset({combo[i - 1].end})
+        ends = frozenset({combo[i].begin}) if i < n else qfs
+        seg = stars.segment(rule.stars[i], rule.h_specs[i], starts, ends, flat)
         if seg is None:
             return None
-        segments.append((seg, frozenset(starts), frozenset(ends)))
+        segments.append((seg, starts, ends))
 
     inst = InstanceInfo()
     if rule.track_length:

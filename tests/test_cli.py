@@ -89,6 +89,33 @@ def test_exit_three_parse_error(tmp_path, capsys):
     assert main(["analyze"]) == 3  # usage error
 
 
+def test_huge_power_is_top_with_alarm(tmp_path, capsys):
+    """A power past MAX_POW_BITS is never built: top plus an alarm, under
+    both domains, where it used to end in a traceback."""
+    prog = tmp_path / "pow.prog"
+    prog.write_text("int x;\nx := 2 ^ 20000;\nx := 3 ^ 1000000000;\n", encoding="utf-8")
+    for domain in ("interval", "affine"):
+        code, out = run_cli(capsys, "analyze", str(prog), "--procs", "2",
+                            "--domain", domain, "--deadlock")
+        assert code == 0
+        assert "alarm[power]: (2 ^ 20000)" in out
+        assert "alarm[power]: (3 ^ 1000000000)" in out
+
+
+def test_exit_three_overlong_literal(chain_prog, tmp_path, capsys):
+    digits = "7" * 5000
+    prog = tmp_path / "lit.prog"
+    prog.write_text(f"int x;\nx := {digits};\n", encoding="utf-8")
+    assert main(["analyze", str(prog)]) == 3
+    assert "number literal longer than" in capsys.readouterr().err
+    chain, _ = chain_prog
+    bad = tmp_path / "lit.bad"
+    bad.write_text(f"state a initial\nstate b final\na -> b : x == {digits}\n",
+                   encoding="utf-8")
+    assert main(["analyze", str(chain), "--property", str(bad)]) == 3
+    assert "number literal longer than" in capsys.readouterr().err
+
+
 def test_exit_three_property_location_mismatch(chain_prog, tmp_path, capsys):
     prog, _ = chain_prog
     bad = tmp_path / "odd.bad"

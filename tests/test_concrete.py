@@ -102,6 +102,10 @@ def test_eval_expr_c_conventions():
     assert eval_expr(parse_expr("1 / 2"), 0, {}) == F(1, 2)
     assert eval_expr(parse_expr("1 / 0"), 0, {}) is None
     assert eval_expr(parse_expr("2 ^ 3"), 0, {}) == 8
+    assert eval_expr(parse_expr("2 ^ 4096"), 0, {}) == 2 ** 4096
+    assert eval_expr(parse_expr("2 ^ 20000"), 0, {}) is None  # past MAX_POW_BITS
+    assert eval_expr(parse_expr("(1 / 3) ^ (-20000)"), 0, {}) is None
+    assert eval_expr(parse_expr("1 ^ 1000000000"), 0, {}) == 1
     assert eval_expr(parse_expr("id + 1"), 4, {}) == 5
 
 

@@ -1,5 +1,10 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -255,6 +260,21 @@ def test_transfer_assign_division_alarm():
     assert any(kind == "division" for kind, _ in sink.alarms)
 
 
+def test_transfer_assign_power_cap_alarm():
+    """Powers past MAX_POW_BITS give top and a power alarm, on both the
+    point and the interval-exponent path; smaller ones stay exact."""
+    s = AbstractLocalState(Interval.point(0), "l0", IntervalEnv.make({
+        "x": Interval.range(1, 1), "y": Interval.range(0, 100000)}))
+    for src in ("2 ^ 20000", "2 ^ y", "(1 / 2) ^ (-20000)"):
+        sink = AlarmSink()
+        out = transfer_assign(CTX2, s, "x", parse_expr(src), sink)
+        assert out.env.get("x").is_top
+        assert sink.alarms == {("power", str(parse_expr(src)))}
+    sink = AlarmSink()
+    out = transfer_assign(CTX2, s, "x", parse_expr("2 ^ 4000"), sink)
+    assert out.env.get("x") == Interval.point(2 ** 4000) and not sink.alarms
+
+
 def test_transfer_filter_integer_tightening():
     s = iletter((0, 0), "l0", x=(0, 20))
     out = transfer_filter(CTX, s, parse_expr("x > 10"), "then")
@@ -370,3 +390,111 @@ def test_meet_guard_location_filtering():
     s = iletter((0, 0), "l1", x=(0, 0))
     assert meet_guard(CTX, s, GuardElement.at("l2")) is None
     assert meet_guard(CTX, s, GuardElement.top()) == s
+
+
+# ---------------------------------------------------------------------------
+# trivial-atom fast path of meet_guard and the cached letter hash
+
+
+def _seeded_letters(seed=11, n=40):
+    """Interval letters (some with unbounded ids) and affine letters."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        loc = rng.choice(("l0", "l1", "l2_lock"))
+        lo = rng.randint(-3, 3)
+        pid = Interval.top() if rng.random() < 0.2 else Interval.range(lo, lo + rng.randint(0, 3))
+        x = Interval(F(rng.randint(-5, 0)), POS_INF if rng.random() < 0.3 else F(rng.randint(0, 5)))
+        out.append(AbstractLocalState(pid, loc, IntervalEnv.make({"x": x})))
+        k, c = rng.randint(-2, 2), F(rng.randint(-4, 4), rng.randint(1, 3))
+        rows = [({"x": F(1), "id": F(-k)}, c)]
+        if rng.random() < 0.5:
+            rows.append(({"id": F(1)}, F(lo)))
+        env = AffineEnv.from_rows(("id", "x"), rows)
+        out.append(AbstractLocalState(Interval.point(lo) if len(rows) == 2 else pid, loc, env))
+    return out
+
+
+def _slow(g: GuardElement) -> GuardElement:
+    """The same guard with every atom forced onto the general meet path."""
+    def force(atom):
+        if atom is None:
+            return None
+        copy = GuardAtom(atom.pid, atom.env, atom.constraints)
+        copy.__dict__["is_trivial"] = False  # preset the cached property
+        return copy
+    by_loc = None if g.by_loc is None else tuple((l, force(a)) for l, a in g.by_loc)
+    return GuardElement(by_loc, force(g.default))
+
+
+def test_meet_guard_trivial_atom_fast_path():
+    trivial = [GuardElement.top(), GuardElement.at("l0"), GuardElement.at("l1"),
+               GuardElement.anywhere(GuardAtom())]
+    assert all(atom.is_trivial for g in trivial
+               for atom in ([g.default] if g.by_loc is None else [a for _, a in g.by_loc]))
+    assert not GuardAtom(pid=Interval.range(0, 3)).is_trivial
+    assert not GuardAtom(env=IntervalEnv.top()).is_trivial
+    assert not GuardAtom(constraints=(Constraint("x", "<", parse_expr("3")),)).is_trivial
+    for s in _seeded_letters():
+        ctx = CTX if isinstance(s.env, IntervalEnv) else DomainContext("affine", ("x",))
+        for g in trivial:
+            fast = meet_guard(ctx, s, g)
+            assert fast == meet_guard(ctx, s, _slow(g))
+            if g.atom_for(s.loc) is not None:
+                assert fast is s
+        assert meet_guard(ctx, s, GuardElement.at(s.loc)) is s
+
+
+def test_letter_hash_is_the_field_hash():
+    letters = _seeded_letters(seed=5)
+    for l in letters:
+        assert hash(l) == hash((l.pid, l.loc, l.env))
+    a = iletter((0, 2), "l1", x=(1, 4))
+    b = letter_join(iletter((0, 1), "l1", x=(1, 3)), iletter((2, 2), "l1", x=(4, 4)))
+    c = iletter((0, 2), "l7", x=(1, 4)).relocate("l1")
+    d = iletter((5, 5), "l1", x=(1, 4)).with_pid(Interval.range(0, 2))
+    for other in (b, c, d):
+        assert other == a and hash(other) == hash(a)
+    assert len({a, b, c, d}) == 1
+
+
+def test_letter_hash_cache_is_not_state():
+    from latreach.automaton import letter_from_json, letter_to_json
+
+    for l in _seeded_letters(seed=9):
+        fresh = AbstractLocalState(l.pid, l.loc, l.env)
+        hash(l)  # fill the cache on one side only
+        assert l == fresh and repr(l) == repr(fresh)
+        back = letter_from_json(json.loads(json.dumps(letter_to_json(l))))
+        assert back == l and hash(back) == hash(l)
+        assert letter_to_json(back) == letter_to_json(l)
+
+
+def test_letter_hash_by_value_under_another_hash_seed(tmp_path):
+    """The cache is per process: letters read back from JSON in a process
+    with another string-hash seed compare and hash by value there."""
+    from latreach.automaton import letter_to_json
+
+    letters = _seeded_letters(seed=3, n=10)
+    for l in letters:
+        hash(l)
+    path = tmp_path / "letters.json"
+    path.write_text(json.dumps([letter_to_json(l) for l in letters]))
+    script = (
+        "import json, sys\n"
+        "from latreach.automaton import letter_from_json\n"
+        "from latreach.domain import AbstractLocalState\n"
+        "ds = json.load(open(sys.argv[1]))\n"
+        "for d in ds:\n"
+        "    a, b = letter_from_json(d), letter_from_json(d)\n"
+        "    hash(a)\n"
+        "    assert a == b and hash(a) == hash(b) == hash((a.pid, a.loc, a.env))\n"
+        "    assert hash(a) == hash(AbstractLocalState(b.pid, b.loc, b.env))\n"
+        "print(len(ds))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONHASHSEED="12345",
+               PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(len(letters))

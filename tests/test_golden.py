@@ -1,9 +1,10 @@
-"""Pinned report and --json bytes for five cheap analyses.
+"""Pinned report and --json bytes for six analyses.
 
 The programs are named by paths relative to the repository root because
 the report's first line echoes the path.  Together these runs exercise
 the length bound and the signature quotient of the widening, the path
-lengths of create rules, and the deadlock candidate search."""
+lengths of create rules, the deadlock candidate search, and (dining
+philosophers) rule application with many match instances per rule."""
 import hashlib
 from pathlib import Path
 
@@ -42,6 +43,11 @@ CASES = [
         "3f16598d14d7242ab3c00f15d8fd66ae92d7f19e7f822b34ec1e6287ce8b1d2a",
         "0d135bfb72ad55419ada79a569682c5b5d333c840454af24b6cec1704a948182",
         id="sum_reduce-affine"),
+    pytest.param(
+        (P + "dining_philosophers.prog", "--procs", "4", "--deadlock"), 2,
+        "22916629470b4537609d6bcb2f04bf83f736728e9d3ce9a579a6aa242b6225c7",
+        "3e08fa7339d42de4d8cb45b24ad33b5ce943cb52049172265a203e3d8a868527",
+        id="dining_philosophers-interval"),
 ]
 
 

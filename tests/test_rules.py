@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 
 import latreach.expr as E
+from latreach import rules
 from latreach.automaton import (
     LatticeAutomaton,
     accepts_concrete,
     bounded_language,
     is_empty,
+    matches,
     normalize,
     union_all,
 )
@@ -107,6 +109,33 @@ def test_send_receive_on_example_word(chain):
     universe = [0, 1, 2, 5, 9]
     for w in bounded_language(sem.ctx, img, 3, universe):
         assert w == succ
+
+
+def test_star_images_computed_once_per_rule(chain, monkeypatch):
+    """Each star's guard meet runs once per automaton letter, however many
+    match instances the rule has: at most len(stars) * T meets."""
+    _, cfg, sem, edges = chain
+    send_loc, recv_loc = edges["Send"].src, edges["Receive"].src
+    word = [letter(i, send_loc if i % 2 == 0 else recv_loc, x=i, nxt=i + 1)
+            for i in range(6)]
+    a = normalize(LatticeAutomaton.from_word(word))
+    calls = []
+    real = rules.meet_guard
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rules, "meet_guard", counted)
+    for rule in _comm_rules(sem):
+        instances = 1
+        for w in rule.words:
+            instances *= len(matches(sem.ctx, w, a))
+        assert instances >= 9
+        calls.clear()
+        apply_rule(sem.ctx, rule, a)
+        assert calls and set(calls) <= set(rule.stars)
+        assert len(calls) <= len(rule.stars) * len(a.transitions)
 
 
 def test_send_receive_partner_mismatch_contributes_nothing(chain):
