@@ -2,14 +2,20 @@
 
 Transitions carry non-bottom letters; every label lives in a single
 partition class (its location).  normalize() produces the canonical form
-used everywhere: deterministic over partition keys, minimized over keys,
-one transition per (state, key, target), states renamed by BFS discovery
-order.  Canonical forms make structural equality meaningful, which the
-widening relies on.
+used everywhere: deterministic over partition keys, minimized over keys
+by Hopcroft's partition refinement, one transition per (state, key,
+target), states renamed by BFS discovery order.  Canonical forms make
+structural equality meaningful, which the widening relies on.
+
+Being canonical is a property of the automaton: only normalize() sets
+the ``canonical`` flag, and normalize() and trim() return a flagged
+automaton unchanged, so a consumer may normalize its inputs without
+paying twice.  Every other constructor leaves the flag off.  The flag
+takes no part in ``==``, ``hash`` or ``repr``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable
@@ -40,6 +46,7 @@ class LatticeAutomaton:
     initial: frozenset
     final: frozenset
     transitions: frozenset  # of (src, AbstractLocalState, dst)
+    canonical: bool = field(default=False, compare=False, repr=False)
 
     @staticmethod
     def empty() -> "LatticeAutomaton":
@@ -65,6 +72,12 @@ class LatticeAutomaton:
         for (s, l, t) in self.transitions:
             out.setdefault(s, []).append((l, t))
         return out
+
+    @cached_property
+    def out_by_key(self) -> dict:
+        """(state, key) -> (letter, dst), built once; complete for a
+        key-deterministic automaton, which every canonical one is."""
+        return {(s, l.loc): (l, t) for (s, l, t) in self.transitions}
 
     def sorted_transitions(self):
         return sorted(self.transitions, key=lambda t: (t[0], t[1].sort_key(), t[2]))
@@ -158,6 +171,8 @@ class Builder:
 
 def trim(a: LatticeAutomaton) -> LatticeAutomaton:
     """Drop states that are unreachable or cannot reach a final state."""
+    if a.canonical:
+        return a
     keep = live(a.transitions, a.initial & a.states, a.final & a.states)
     if not keep:
         return LatticeAutomaton.empty()
@@ -177,24 +192,30 @@ def normalize(a: LatticeAutomaton) -> LatticeAutomaton:
     """Canonical form: key-deterministic, key-minimized, labels merged by
     join within each (state, key, state') class, states renamed by BFS.
 
-    Determinization and minimization work over partition keys (locations),
-    joining labels when states merge; the atom language is preserved or
-    enlarged, and normalize is idempotent.
+    An automaton that is already canonical is returned as it is; the
+    result of any other input carries the canonical flag.  Determinization
+    works over partition keys (locations), joining labels that share a
+    key; minimization is Hopcroft's partition refinement (see
+    _key_bisimulation), and the labels of merged transitions are joined.
+    The atom language is preserved or enlarged, and normalize is
+    idempotent.
     """
+    if a.canonical:
+        return a
     a = trim(a)
     if not a.states:
-        return LatticeAutomaton.empty()
+        return LatticeAutomaton(a.states, a.initial, a.final, a.transitions, canonical=True)
 
-    # subset construction over keys
-    start = frozenset(a.initial)
+    # subset construction over keys; subsets are numbered as discovered
+    subsets = [frozenset(a.initial)]
+    index = {subsets[0]: 0}
     by_src = a.out_by_src
-    det_states = {start}
-    det_trans = {}  # (S, key) -> (label, T)
-    queue = [start]
+    det_trans = {}  # (i, key) -> (label, j)
+    queue = [0]
     while queue:
         cur = queue.pop()
         grouped = {}
-        for q in cur:
+        for q in subsets[cur]:
             for (l, t) in by_src.get(q, ()):
                 key = l.loc
                 if key in grouped:
@@ -204,69 +225,95 @@ def normalize(a: LatticeAutomaton) -> LatticeAutomaton:
                     grouped[key] = (l, {t})
         for key, (lbl, tgt) in grouped.items():
             tgt = frozenset(tgt)
-            det_trans[(cur, key)] = (lbl, tgt)
-            if tgt not in det_states:
-                det_states.add(tgt)
-                queue.append(tgt)
-    det_final = {S for S in det_states if S & a.final}
-
-    # Moore minimization over keys
-    out_by_state = {}
-    for (S, key), (_, T) in det_trans.items():
-        out_by_state.setdefault(S, []).append((key, T))
-    block = {S: int(S in det_final) for S in det_states}
-    while True:
-        sig = {
-            S: (block[S], tuple(sorted((key, block[T]) for key, T in out_by_state.get(S, ()))))
-            for S in det_states
-        }
-        classes = {}
-        for S, signature in sig.items():
-            classes.setdefault(signature, []).append(S)
-        new_block = {}
-        for i, (_, members) in enumerate(sorted(classes.items(), key=lambda kv: repr(kv[0]))):
-            for S in members:
-                new_block[S] = i
-        if len(set(new_block.values())) == len(set(block.values())):
-            block = new_block
-            break
-        block = new_block
+            j = index.get(tgt)
+            if j is None:
+                j = index[tgt] = len(subsets)
+                subsets.append(tgt)
+                queue.append(j)
+            det_trans[(cur, key)] = (lbl, j)
+    final = [bool(S & a.final) for S in subsets]
+    class_of = _key_bisimulation(final, det_trans)
 
     # merge classes; join labels of merged transitions
-    class_of = block
     merged_trans = {}
-    for (S, key), (lbl, T) in det_trans.items():
-        edge = (class_of[S], key, class_of[T])
+    for (i, key), (lbl, j) in det_trans.items():
+        edge = (class_of[i], key, class_of[j])
         if edge in merged_trans:
             merged_trans[edge] = letter_join(merged_trans[edge], lbl)
         else:
             merged_trans[edge] = lbl
-    init_class = class_of[start]
-    final_classes = {class_of[S] for S in det_final}
 
-    # canonical renaming by BFS over sorted keys
-    order = {init_class: 0}
-    queue = [init_class]
+    # canonical renaming by BFS over sorted keys; the names do not depend
+    # on how the refinement numbered its blocks
     adj = {}
-    for (c1, key, c2), lbl in merged_trans.items():
+    for (c1, key, c2) in merged_trans:
         adj.setdefault(c1, []).append((key, c2))
-    while queue:
-        cur = queue.pop(0)
+    order = {class_of[0]: 0}
+    bfs = [class_of[0]]
+    for cur in bfs:
         for key, nxt in sorted(adj.get(cur, ()), key=lambda kv: loc_sort_key(kv[0])):
             if nxt not in order:
                 order[nxt] = len(order)
-                queue.append(nxt)
-    # any class not BFS-reachable was trimmed away already
-    states = frozenset(order.values())
+                bfs.append(nxt)
     transitions = frozenset(
         (order[c1], lbl, order[c2]) for (c1, key, c2), lbl in merged_trans.items()
     )
     return LatticeAutomaton(
-        states,
-        frozenset({order[init_class]}),
-        frozenset(order[c] for c in final_classes),
+        frozenset(order.values()),
+        frozenset({0}),
+        frozenset(order[class_of[i]] for i, f in enumerate(final) if f),
         transitions,
+        canonical=True,
     )
+
+
+def _key_bisimulation(final, moves) -> list:
+    """Coarsest partition of the states 0..n-1 of a key-deterministic
+    automaton that separates final from non-final states and in which the
+    states of a block either all move on a key into one block or all have
+    no move on it (a missing move goes to an implicit dead state, which no
+    state of a trimmed automaton equals).  moves maps (state, key) to
+    (label, state); the result gives each state's block number.
+
+    Hopcroft's partition refinement (Hopcroft 1971) in the form Valmari
+    (2012) gives for partial automata: every initial block splits by every
+    key, and of a block that splits, only the smaller half is queued, so a
+    state is scanned O(log n) times per key.
+    """
+    pre = {}  # (key, dst) -> sources
+    keys = {}
+    for (s, key), (_, t) in moves.items():
+        pre.setdefault((key, t), []).append(s)
+        keys[key] = None
+    blocks = [b for b in ({q for q, f in enumerate(final) if f},
+                          {q for q, f in enumerate(final) if not f}) if b]
+    block_of = [0] * len(final)
+    for b, members in enumerate(blocks):
+        for q in members:
+            block_of[q] = b
+    work = [(b, key) for b in range(len(blocks)) for key in keys]
+    while work:
+        b, key = work.pop()
+        hits = {}
+        for t in blocks[b]:
+            for s in pre.get((key, t), ()):
+                hits.setdefault(block_of[s], []).append(s)
+        for c, hit in hits.items():
+            members = blocks[c]
+            if len(hit) == len(members):
+                continue
+            if 2 * len(hit) <= len(members):
+                part = set(hit)
+            else:
+                part = members.difference(hit)
+            members -= part
+            for q in part:
+                block_of[q] = len(blocks)
+            # queued or not, block c keeps its role; the new, smaller
+            # block is queued for every key
+            work.extend((len(blocks), k) for k in keys)
+            blocks.append(part)
+    return block_of
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +385,7 @@ def includes(big: LatticeAutomaton, small: LatticeAutomaton) -> bool:
         return True
     if big.is_trivially_empty:
         return False
-    big_out = {}
-    for (s, l, t) in big.transitions:
-        big_out[(s, l.loc)] = (l, t)
+    big_out = big.out_by_key
     small_out = small.out_by_src
     pairs = {(next(iter(small.initial)), next(iter(big.initial)))}
     seen = set()
@@ -475,11 +520,11 @@ def _signature_quotient(a: LatticeAutomaton, k: int) -> LatticeAutomaton:
 
 def _widen_matched_labels(a: LatticeAutomaton, b: LatticeAutomaton, widen_locs):
     """Labelwise widening of two automata with identical canonical shape."""
-    a_labels = {(s, l.loc, t): l for (s, l, t) in a.transitions}
+    a_out = a.out_by_key
     trans = set()
     for (s, l, t) in b.transitions:
-        prev = a_labels.get((s, l.loc, t))
-        if prev is None:
+        prev, a_dst = a_out.get((s, l.loc), (None, None))
+        if a_dst != t:
             trans.add((s, l, t))
         elif widen_locs is None or l.loc in widen_locs:
             trans.add((s, letter_widen(prev, letter_join(prev, l)), t))

@@ -51,9 +51,9 @@ def initial_config(cfg: Cfg, variables, nprocs: int) -> ConcreteConfig:
 
 
 def eval_expr(e, pid: int, rho: dict, rat_vars=frozenset()) -> Optional[Fraction]:
-    """Exact evaluation; None when undefined (division by zero).  Division
-    is exact; fractions are truncated when stored into int variables, not
-    when computed."""
+    """Exact evaluation; None when undefined (division by zero, a number
+    past the expr.MAX_POW_BITS size cap).  Division is exact; fractions
+    are truncated when stored into int variables, not when computed."""
     if isinstance(e, E.Const):
         return e.value
     if isinstance(e, E.Var):
@@ -68,26 +68,9 @@ def eval_expr(e, pid: int, rho: dict, rat_vars=frozenset()) -> Optional[Fraction
         b = eval_expr(e.right, pid, rho, rat_vars)
         if a is None or b is None:
             return None
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            if b == 0:
-                return None
-            return a / b
-        if e.op == "%":
-            if b == 0:
-                return None
-            return a - b * Fraction(int(a / b))
-        if e.op == "^":
-            if b.denominator != 1:
-                return None
-            if a == 0 and b < 0 or E.pow_too_big(a, int(b)):
-                return None
-            return a ** int(b)
+        if e.op in E.ARITH_OPS:
+            v = _arith(e.op, a, b)
+            return None if v is None or E.number_too_big(v) else v
         if e.op == "min":
             return min(a, b)
         if e.op == "max":
@@ -97,6 +80,23 @@ def eval_expr(e, pid: int, rho: dict, rat_vars=frozenset()) -> Optional[Fraction
                      "!=": a != b, ">": a > b, ">=": a >= b}[e.op]
             return Fraction(1 if holds else 0)
     raise ValueError(f"cannot evaluate {e!r}")
+
+
+def _arith(op: str, a: Fraction, b: Fraction) -> Optional[Fraction]:
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    if op == "/":
+        return None if b == 0 else a / b
+    if op == "%":
+        return None if b == 0 else a - b * Fraction(int(a / b))
+    # "^"
+    if b.denominator != 1 or a == 0 and b < 0 or E.pow_too_big(a, int(b)):
+        return None
+    return a ** int(b)
 
 
 def store_value(var: str, value: Fraction, rat_vars) -> Fraction:

@@ -803,7 +803,7 @@ class DomainContext:
 
 
 class AlarmSink:
-    """Collects division and power alarms raised inside transfer
+    """Collects division and number-size alarms raised inside transfer
     functions."""
 
     def __init__(self):
@@ -813,7 +813,8 @@ class AlarmSink:
         self.alarms.add(("division", where))
 
     def power(self, where: str) -> None:
-        """A power too large to compute (see expr.MAX_POW_BITS)."""
+        """A power, or any arithmetic result, too large to keep (see
+        expr.MAX_POW_BITS)."""
         self.alarms.add(("power", where))
 
 
@@ -822,8 +823,8 @@ def eval_interval(ctx: DomainContext, letter: AbstractLocalState, e, sink=None,
     """Interval evaluation of e against a letter (id resolves to its pid).
 
     resolver, when given, maps a PosVar to an interval; division by an
-    interval containing zero, and a power past expr.MAX_POW_BITS, yield
-    top and record an alarm.
+    interval containing zero, and an arithmetic result with a bound past
+    the expr.MAX_POW_BITS size cap, yield top and record an alarm.
     """
 
     def too_big(node) -> Interval:
@@ -849,63 +850,69 @@ def eval_interval(ctx: DomainContext, letter: AbstractLocalState, e, sink=None,
         if isinstance(node, E.Neg):
             return ev(node.arg).neg()
         if isinstance(node, E.BinOp):
-            a, b = ev(node.left), ev(node.right)
-            if node.op == "+":
-                return a.add(b)
-            if node.op == "-":
-                return a.sub(b)
-            if node.op == "*":
-                return a.mul(b)
-            if node.op == "/":
-                if b.contains(0) or b.is_bottom:
-                    if sink is not None:
-                        sink.division(E.to_source(node))
-                    return Interval.top()
-                return a.mul(b.inverse())
-            if node.op == "%":
-                if a.is_point and b.is_point and b.lo != 0:
-                    av, bv = a.lo, b.lo
-                    return Interval.point(av - bv * _trunc(av / bv))
+            r = arith(node, ev(node.left), ev(node.right))
+            if any(is_finite(x) and E.number_too_big(x) for x in (r.lo, r.hi)):
+                return too_big(node)
+            return r
+        raise ValueError(f"cannot evaluate {node!r}")
+
+    def arith(node, a: Interval, b: Interval) -> Interval:
+        if node.op == "+":
+            return a.add(b)
+        if node.op == "-":
+            return a.sub(b)
+        if node.op == "*":
+            return a.mul(b)
+        if node.op == "/":
+            if b.contains(0) or b.is_bottom:
+                if sink is not None:
+                    sink.division(E.to_source(node))
                 return Interval.top()
-            if node.op == "min":
-                if a.is_bottom or b.is_bottom:
-                    return Interval.bottom()
-                return Interval(min(a.lo, b.lo), min(a.hi, b.hi))
-            if node.op == "max":
-                if a.is_bottom or b.is_bottom:
-                    return Interval.bottom()
-                return Interval(max(a.lo, b.lo), max(a.hi, b.hi))
-            if node.op == "^":
-                if b.is_point and is_finite(b.lo) and b.lo.denominator == 1:
-                    k = int(b.lo)
-                    if a.is_point and is_finite(a.lo):
-                        base = a.lo
-                        if base == 0 and k < 0:
-                            if sink is not None:
-                                sink.division(E.to_source(node))
-                            return Interval.top()
-                        if E.pow_too_big(base, k):
-                            return too_big(node)
-                        return Interval.point(base ** k)
-                if a.is_point and is_finite(a.lo) and a.lo >= 1 and not b.is_bottom:
+            return a.mul(b.inverse())
+        if node.op == "%":
+            if a.is_point and b.is_point and b.lo != 0:
+                av, bv = a.lo, b.lo
+                return Interval.point(av - bv * _trunc(av / bv))
+            return Interval.top()
+        if node.op == "min":
+            if a.is_bottom or b.is_bottom:
+                return Interval.bottom()
+            return Interval(min(a.lo, b.lo), min(a.hi, b.hi))
+        if node.op == "max":
+            if a.is_bottom or b.is_bottom:
+                return Interval.bottom()
+            return Interval(max(a.lo, b.lo), max(a.hi, b.hi))
+        if node.op == "^":
+            if b.is_point and is_finite(b.lo) and b.lo.denominator == 1:
+                k = int(b.lo)
+                if a.is_point and is_finite(a.lo):
                     base = a.lo
-                    lo = b.lo
-                    hi = b.hi
-                    def pw(exp):
-                        if exp == NEG_INF:
-                            return Fraction(0) if base > 1 else Fraction(1)
-                        if exp == POS_INF:
-                            return POS_INF if base > 1 else Fraction(1)
-                        if exp.denominator == 1:
-                            return base ** int(exp)
-                        return None
-                    if any(is_finite(x) and x.denominator == 1
-                           and E.pow_too_big(base, int(x)) for x in (lo, hi)):
+                    if base == 0 and k < 0:
+                        if sink is not None:
+                            sink.division(E.to_source(node))
+                        return Interval.top()
+                    if E.pow_too_big(base, k):
                         return too_big(node)
-                    plo, phi = pw(lo), pw(hi)
-                    if plo is not None and phi is not None:
-                        return Interval(plo, phi)
-                return Interval.top()
+                    return Interval.point(base ** k)
+            if a.is_point and is_finite(a.lo) and a.lo >= 1 and not b.is_bottom:
+                base = a.lo
+                lo = b.lo
+                hi = b.hi
+                def pw(exp):
+                    if exp == NEG_INF:
+                        return Fraction(0) if base > 1 else Fraction(1)
+                    if exp == POS_INF:
+                        return POS_INF if base > 1 else Fraction(1)
+                    if exp.denominator == 1:
+                        return base ** int(exp)
+                    return None
+                if any(is_finite(x) and x.denominator == 1
+                       and E.pow_too_big(base, int(x)) for x in (lo, hi)):
+                    return too_big(node)
+                plo, phi = pw(lo), pw(hi)
+                if plo is not None and phi is not None:
+                    return Interval(plo, phi)
+            return Interval.top()
         raise ValueError(f"cannot evaluate {node!r}")
 
     return ev(e)

@@ -40,9 +40,14 @@ class AnalysisConfig:
     widening_delay: int = 2
     shape_k: int = 1
     step_budget: int = 500
+    # Widening rounds restricted to the program's widening locations; after
+    # them every location widens, so an increasing chain that the widening
+    # locations alone do not cut still ends.
+    escalation_delay: int = 40
 
     def __post_init__(self):
         assert self.step_budget >= 1 and self.widening_delay >= 0 and self.shape_k >= 1
+        assert self.escalation_delay >= 0
 
 
 @dataclass
@@ -72,11 +77,11 @@ def fixpoint(sem: CompiledSemantics, config: AnalysisConfig = AnalysisConfig()
 
     Joins only for the first widening_delay rounds, then widening
     restricted to the program's widening locations; if the iteration still
-    has not settled well past that point, the restriction is dropped so
-    every increasing chain is eventually cut."""
+    has not settled escalation_delay rounds past that point, the
+    restriction is dropped so every increasing chain is eventually cut."""
     sink = AlarmSink()
     s = normalize(sem.initial)
-    escalate_at = config.widening_delay + 40
+    escalate_at = config.widening_delay + config.escalation_delay
     for k in range(config.step_budget):
         image = step(sem, s, sink)
         if includes(s, image):

@@ -106,16 +106,24 @@ Expr = object  # Const | Var | PosVar | NProcs | FreshId | Neg | BinOp | Nondet
 COMPARISONS = ("<", "<=", "==", "!=", ">=", ">")
 ARITH_OPS = ("+", "-", "*", "/", "%", "^")
 
-# Bit-size cap on the result of a power: a larger base ** k is never
-# computed (top, with an alarm, in the abstract domains; undefined in the
-# concrete interpreter), so a user's 2 ^ 1000000000 cannot build the number.
+# Size cap on the result of every arithmetic operator: a number whose
+# numerator or denominator is 2 ** (MAX_POW_BITS + 1) or more is never
+# kept (top, with an alarm, in the abstract domains; undefined in the
+# concrete interpreter), so neither a user's 2 ^ 1000000000 nor a product
+# of allowed powers can build an unbounded number.
 MAX_POW_BITS = 4096
 
 
+def number_too_big(q: Fraction) -> bool:
+    """True when the numerator or denominator of q is at least
+    2 ** (MAX_POW_BITS + 1)."""
+    return max(abs(q.numerator).bit_length(), q.denominator.bit_length()) - 1 > MAX_POW_BITS
+
+
 def pow_too_big(base: Fraction, k: int) -> bool:
-    """True when the numerator or denominator of base ** k has more than
-    MAX_POW_BITS bits, estimated from below as |k| * (bit length - 1), so
-    a power that passes has at most about twice that many bits."""
+    """True when base ** k is too big to compute, estimated from below as
+    |k| * (bit length - 1) bits, so a power that passes has at most about
+    twice MAX_POW_BITS bits before number_too_big checks its result."""
     size = max(abs(base.numerator).bit_length(), base.denominator.bit_length())
     return abs(k) * (size - 1) > MAX_POW_BITS
 
@@ -199,9 +207,9 @@ def to_affine(e):
         lc, lk = lhs
         rc, rk = rhs
         if not lc:  # constant * affine
-            return {a: lk * k for a, k in rc.items() if lk * k != 0}, lk * rk
+            return _within_cap({a: lk * k for a, k in rc.items() if lk * k != 0}, lk * rk)
         if not rc:
-            return {a: rk * k for a, k in lc.items() if rk * k != 0}, lk * rk
+            return _within_cap({a: rk * k for a, k in lc.items() if rk * k != 0}, lk * rk)
         return None
     if isinstance(e, BinOp) and e.op == "/":
         rhs = to_affine(e.right)
@@ -214,8 +222,16 @@ def to_affine(e):
         if lhs is None:
             return None
         lc, lk = lhs
-        return {a: k / divisor for a, k in lc.items()}, lk / divisor
+        return _within_cap({a: k / divisor for a, k in lc.items()}, lk / divisor)
     return None
+
+
+def _within_cap(coeffs: dict, const: Fraction):
+    """The affine form, or None when a number in it is past the size cap
+    (the caller then falls back to the capped interval evaluation)."""
+    if number_too_big(const) or any(number_too_big(k) for k in coeffs.values()):
+        return None
+    return coeffs, const
 
 
 def map_vars(e, fn):

@@ -89,7 +89,75 @@ def test_normalize_idempotent_on_random_automata():
         a = LatticeAutomaton(frozenset(range(4)), frozenset({0}),
                              frozenset({rng.randint(0, 3)}), frozenset(edges))
         n = normalize(a)
-        assert normalize(n) == n
+        assert normalize(n) is n
+        # the same automaton without the canonical flag goes through the
+        # whole construction again and must come back unchanged
+        rebuilt = LatticeAutomaton(n.states, n.initial, n.final, n.transitions)
+        assert not rebuilt.canonical
+        again = normalize(rebuilt)
+        assert again == n and again.sorted_transitions() == n.sorted_transitions()
+
+
+def _random_automaton(rng, n_states, n_edges, locs):
+    edges = set()
+    for _ in range(n_edges):
+        s, t = rng.randrange(n_states), rng.randrange(n_states)
+        lo = rng.randint(-2, 2)
+        edges.add((s, iv(lo, rng.randint(lo, 2), rng.choice(locs)), t))
+    final = {q for q in range(n_states) if rng.random() < 0.3} or {n_states - 1}
+    return LatticeAutomaton(frozenset(range(n_states)),
+                            frozenset(rng.sample(range(n_states), rng.randint(1, 2))),
+                            frozenset(final), frozenset(edges))
+
+
+def _distinguishable_pairs(a):
+    """Naive fixed point: pairs of states told apart by finality, by the
+    keys they can move on, or by a key whose successors are told apart."""
+    succ = {q: {} for q in a.states}
+    for (s, l, t) in a.transitions:
+        succ[s][l.loc] = t
+    apart = {(p, q) for p in a.states for q in a.states
+             if (p in a.final) != (q in a.final) or succ[p].keys() != succ[q].keys()}
+    changed = True
+    while changed:
+        changed = False
+        for p in a.states:
+            for q in a.states:
+                if (p, q) not in apart and any(
+                        (succ[p][k], succ[q][k]) in apart for k in succ[p]):
+                    apart.add((p, q))
+                    changed = True
+    return apart
+
+
+def test_normalize_is_deterministic_minimal_and_language_preserving():
+    rng = random.Random(41)
+    for _ in range(60):
+        a = _random_automaton(rng, rng.randint(2, 7), rng.randint(1, 14), ["l0", "l1", "l2"])
+        n = normalize(a)
+        assert n.canonical
+        keys = [(s, l.loc) for (s, l, _) in n.transitions]
+        assert len(keys) == len(set(keys))  # key-deterministic
+        assert len(n.initial) <= 1
+        apart = _distinguishable_pairs(n)
+        assert all((p, q) in apart for p in n.states for q in n.states if p != q)
+        assert includes(n, a) and includes(a, n)
+
+
+def test_canonical_flag_hygiene():
+    a = auto([(0, iv(0, 2, "l0"), 1), (0, iv(2, 4, "l0"), 1), (1, iv(1, 1, "l1"), 2)],
+             final={2})
+    c = normalize(a)
+    assert c.canonical and normalize(c) is c
+    plain = LatticeAutomaton(c.states, c.initial, c.final, c.transitions)
+    assert not plain.canonical
+    assert plain == c and hash(plain) == hash(c) and repr(plain) == repr(c)
+    assert not a.canonical
+    assert not from_json(to_json(c)).canonical
+    assert not map_labels(lambda l: l, c).canonical
+    assert not sub_automaton(c, next(iter(c.initial)), next(iter(c.final))).canonical
+    assert not LatticeAutomaton.from_word([iv(0, 0)]).canonical
+    assert normalize(LatticeAutomaton.empty()).canonical
 
 
 def test_normalize_preserves_language_on_exact_join_inputs():
@@ -257,6 +325,14 @@ def test_widen_upper_bounds_union_random():
 
 # ---------------------------------------------------------------------------
 # shape, export, membership
+
+
+def test_normalize_and_includes_long_chain():
+    """Minimization and inclusion stay near-linear on a long word (the
+    former Moore refinement took one signature round per letter)."""
+    chain = LatticeAutomaton.from_word([iv(i, i) for i in range(3000)])
+    assert normalize(chain).size() == (3001, 3000)
+    assert includes(chain, chain) is True
 
 
 def test_length_bound_long_chain():

@@ -102,6 +102,29 @@ def test_huge_power_is_top_with_alarm(tmp_path, capsys):
         assert "alarm[power]: (3 ^ 1000000000)" in out
 
 
+def test_product_of_powers_is_top_with_alarm(tmp_path, capsys):
+    """The size cap holds for the result of every arithmetic operator, not
+    only a power: products of allowed powers or of long literals give top
+    and an alarm under both domains, where they used to end in a
+    traceback from a number of more than 4300 digits."""
+    long_literal = "7" * 1000
+    cases = [
+        ("x := 2 ^ 4000 * 2 ^ 4000 * 2 ^ 4000 * 2 ^ 4000;",
+         "alarm[power]: ((2 ^ 4000) * (2 ^ 4000))"),
+        ("x := " + " * ".join([long_literal] * 5) + ";",
+         f"alarm[power]: ({long_literal} * {long_literal})"),
+    ]
+    prog = tmp_path / "product.prog"
+    for body, alarm in cases:
+        prog.write_text(f"int x;\n{body}\n", encoding="utf-8")
+        for domain in ("interval", "affine"):
+            code = main(["analyze", str(prog), "--procs", "1", "--domain", domain])
+            captured = capsys.readouterr()
+            assert code == 0
+            assert alarm in captured.out
+            assert "Traceback" not in captured.err
+
+
 def test_exit_three_overlong_literal(chain_prog, tmp_path, capsys):
     digits = "7" * 5000
     prog = tmp_path / "lit.prog"

@@ -109,6 +109,17 @@ def test_eval_expr_c_conventions():
     assert eval_expr(parse_expr("id + 1"), 4, {}) == 5
 
 
+def test_eval_expr_caps_every_arithmetic_result():
+    """Results past the size cap are undefined whatever the operator;
+    2 ^ 4096 itself is the largest power of two kept."""
+    assert eval_expr(parse_expr("2 ^ 4000 * 2 ^ 96"), 0, {}) == 2 ** 4096
+    assert eval_expr(parse_expr("2 ^ 4000 * 2 ^ 97"), 0, {}) is None
+    assert eval_expr(parse_expr("2 ^ 4096 + 2 ^ 4096"), 0, {}) is None
+    assert eval_expr(parse_expr("1 / 2 ^ 4096 / 2"), 0, {}) is None
+    assert eval_expr(parse_expr("3 ^ 4000"), 0, {}) is None  # 6340 bits
+    assert eval_expr(parse_expr("2 ^ 4000 * 2 ^ 4000 - 2 ^ 4000 * 2 ^ 4000"), 0, {}) is None
+
+
 def test_is_stuck():
     ast = parse(load_program("deadlock_random.prog"))
     cfg = build_cfg(ast)

@@ -275,6 +275,25 @@ def test_transfer_assign_power_cap_alarm():
     assert out.env.get("x") == Interval.point(2 ** 4000) and not sink.alarms
 
 
+def test_transfer_assign_caps_every_arithmetic_result():
+    """A product, sum or quotient past the size cap is top with an alarm
+    at the operator that crossed it; the cap does not depend on the
+    domain."""
+    s = AbstractLocalState(Interval.point(0), "l0", IntervalEnv.make({
+        "x": Interval.range(1, 1), "y": Interval.range(0, 100000)}))
+    for src, where in [("2 ^ 4000 * 2 ^ 4000 * 2 ^ 4000", "2 ^ 4000 * 2 ^ 4000"),
+                       ("2 ^ 4096 + 2 ^ 4096", "2 ^ 4096 + 2 ^ 4096"),
+                       ("y + 1 / 2 ^ 4096 / 2", "1 / 2 ^ 4096 / 2"),
+                       ("2 ^ 4090 * y", "2 ^ 4090 * y")]:
+        sink = AlarmSink()
+        out = transfer_assign(CTX2, s, "x", parse_expr(src), sink)
+        assert out.env.get("x").is_top
+        assert sink.alarms == {("power", str(parse_expr(where)))}
+    sink = AlarmSink()
+    out = transfer_assign(CTX2, s, "x", parse_expr("2 ^ 4000 * 2 ^ 96"), sink)
+    assert out.env.get("x") == Interval.point(2 ** 4096) and not sink.alarms
+
+
 def test_transfer_filter_integer_tightening():
     s = iletter((0, 0), "l0", x=(0, 20))
     out = transfer_filter(CTX, s, parse_expr("x > 10"), "then")
