@@ -372,6 +372,11 @@ class AffineEnv:
             for coeffs, c in self.rows
         ]
 
+    def too_big(self) -> bool:
+        """Is a coefficient or constant past the expr.MAX_POW_BITS size cap?"""
+        return any(E.number_too_big(c) or any(E.number_too_big(k) for k in coeffs)
+                   for coeffs, c in self.rows)
+
     # -- queries
     def entails(self, coeffs: dict, const: Fraction) -> bool:
         """Does every point of the subspace satisfy sum(coeffs) = const?"""
@@ -954,7 +959,14 @@ def transfer_assign(ctx: DomainContext, s: AbstractLocalState, var: str, e,
     exact_ok = not ctx.is_int(var) or guaranteed_integral(ctx, e)
     if aff is not None and exact_ok and all(isinstance(a, E.Var) for a in aff[0]):
         coeffs = {a.name: k for a, k in aff[0].items()}
-        return s.with_env(s.env.assign_affine(var, coeffs, aff[1]))
+        env = s.env.assign_affine(var, coeffs, aff[1])
+        if not env.too_big():
+            return s.with_env(env)
+        # x := x * c repeated keeps an exact constant c ** k: past the size
+        # cap var is top, as in the interval domain.
+        if sink is not None:
+            sink.power(E.to_source(e))
+        return s.with_env(s.env.havoc(var))
     env = s.env.havoc(var)
     val = eval_interval(ctx, s, e, sink)
     if val.is_point:  # non-affine but constant-valued: keep the point
@@ -1030,7 +1042,11 @@ def _apply_comparison(ctx, s, cmp_expr, sink=None) -> Optional[AbstractLocalStat
                 env = s.env.meet(row)
                 if env is None:
                     return None
-                s2 = s.with_env(env)
+                if env.too_big():  # keep the letter unrestricted
+                    if sink is not None:
+                        sink.power(E.to_source(cmp_expr))
+                else:
+                    s2 = s.with_env(env)
             else:
                 val = s.env.value_of(coeffs)
                 if val is not None:

@@ -35,19 +35,20 @@ from .rules import apply_rule
 from .transducer import apply_transducer, eval_letter_out
 
 
+# Widening rounds restricted to the program's widening locations; after
+# them fixpoint widens at every location, so an increasing chain that the
+# widening locations alone do not cut still ends.
+ESCALATION_DELAY = 40
+
+
 @dataclass(frozen=True)
 class AnalysisConfig:
     widening_delay: int = 2
     shape_k: int = 1
     step_budget: int = 500
-    # Widening rounds restricted to the program's widening locations; after
-    # them every location widens, so an increasing chain that the widening
-    # locations alone do not cut still ends.
-    escalation_delay: int = 40
 
     def __post_init__(self):
         assert self.step_budget >= 1 and self.widening_delay >= 0 and self.shape_k >= 1
-        assert self.escalation_delay >= 0
 
 
 @dataclass
@@ -77,11 +78,11 @@ def fixpoint(sem: CompiledSemantics, config: AnalysisConfig = AnalysisConfig()
 
     Joins only for the first widening_delay rounds, then widening
     restricted to the program's widening locations; if the iteration still
-    has not settled escalation_delay rounds past that point, the
+    has not settled ESCALATION_DELAY rounds past that point, the
     restriction is dropped so every increasing chain is eventually cut."""
     sink = AlarmSink()
     s = normalize(sem.initial)
-    escalate_at = config.widening_delay + config.escalation_delay
+    escalate_at = config.widening_delay + ESCALATION_DELAY
     for k in range(config.step_budget):
         image = step(sem, s, sink)
         if includes(s, image):

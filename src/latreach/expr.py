@@ -198,7 +198,7 @@ def to_affine(e):
         for a, k in rc.items():
             merged[a] = merged.get(a, Fraction(0)) + sign * k
         merged = {a: k for a, k in merged.items() if k != 0}
-        return merged, lk + sign * rk
+        return _within_cap(merged, lk + sign * rk)
     if isinstance(e, BinOp) and e.op == "*":
         lhs = to_affine(e.left)
         rhs = to_affine(e.right)

@@ -125,6 +125,22 @@ def test_product_of_powers_is_top_with_alarm(tmp_path, capsys):
             assert "Traceback" not in captured.err
 
 
+def test_affine_repeated_product_is_top_with_alarm(tmp_path, capsys):
+    """The affine domain keeps x := x * c exactly; repeating it with a long
+    literal c crosses the size cap at the first product and gives top and
+    an alarm, where the stored c ** k used to end in a traceback."""
+    long_literal = "7" * 999
+    prog = tmp_path / "repeat.prog"
+    prog.write_text("int x;\nx := %s;\n%s" % (long_literal, f"x := x * {long_literal};\n" * 5),
+                    encoding="utf-8")
+    for domain in ("interval", "affine"):
+        code = main(["analyze", str(prog), "--procs", "1", "--domain", domain])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert f"alarm[power]: (x * {long_literal})" in captured.out
+        assert "Traceback" not in captured.err
+
+
 def test_exit_three_overlong_literal(chain_prog, tmp_path, capsys):
     digits = "7" * 5000
     prog = tmp_path / "lit.prog"

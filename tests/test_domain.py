@@ -294,6 +294,29 @@ def test_transfer_assign_caps_every_arithmetic_result():
     assert out.env.get("x") == Interval.point(2 ** 4096) and not sink.alarms
 
 
+def test_affine_results_past_the_cap_are_top_with_alarm():
+    """The affine domain keeps x := x * c exactly, so repeating it would
+    store c ** k in the environment: past the size cap x is top with an
+    alarm, as in the interval domain.  An equality whose meet crosses the
+    cap leaves the letter unrestricted, also with an alarm."""
+    ctx = DomainContext("affine", ("x", "y"))
+    big = int("7" * 999)
+    vars_ = ("id", "x", "y")
+    s = AbstractLocalState(Interval.point(0), "l0",
+                           AffineEnv.from_rows(vars_, [({"x": F(1)}, F(big))]))
+    sink = AlarmSink()
+    assert transfer_assign(ctx, s, "x", parse_expr("x * 2"), sink).env.constant("x") == 2 * big
+    assert not sink.alarms
+    product = parse_expr(f"x * {big}")
+    out = transfer_assign(ctx, s, "x", product, sink)
+    assert out.env == AffineEnv.top(vars_)
+    assert sink.alarms == {("power", str(product))}
+    sink = AlarmSink()
+    cond = parse_expr(f"y == x * {big}")
+    assert transfer_filter(ctx, s, cond, "then", sink) == s
+    assert sink.alarms == {("power", str(cond))}
+
+
 def test_transfer_filter_integer_tightening():
     s = iletter((0, 0), "l0", x=(0, 20))
     out = transfer_filter(CTX, s, parse_expr("x > 10"), "then")

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from latreach import engine
 from latreach.automaton import accepts_concrete, bounded_language, includes, is_empty, normalize
 from latreach.concrete import config_word, initial_config, is_stuck, reach_bounded
 from latreach.automaton import LatticeAutomaton
@@ -328,17 +329,19 @@ def test_any_mode_covers_every_initial_size():
                         (text, domain, k, config_word(c))
 
 
-def test_escalation_cuts_a_chain_the_widening_locations_do_not():
+def test_escalation_cuts_a_chain_the_widening_locations_do_not(monkeypatch):
     """Without widening locations the loop counter only grows by joins and
-    no post-fixpoint is reached; once escalation_delay restricted rounds
+    no post-fixpoint is reached; once ESCALATION_DELAY restricted rounds
     have passed every location widens, and the analysis ends within the
     budget with x unbounded."""
     sem = compile_program(parse("int x;\nwhile (*) x := x + 1;\n"), "interval", 1)
     bare = dataclasses.replace(sem, widen_locs=frozenset())
-    assert AnalysisConfig().escalation_delay == 40
-    for delay in (0, 5, 40):
-        res = fixpoint(bare, AnalysisConfig(step_budget=60, escalation_delay=delay))
+    assert engine.ESCALATION_DELAY == 40
+    for delay in (40, 0, 5):
+        monkeypatch.setattr(engine, "ESCALATION_DELAY", delay)
+        res = fixpoint(bare, AnalysisConfig(step_budget=60))
         assert res.iterations == delay + 5
         assert any(l.env.get("x").hi == POS_INF for (_, l, _) in res.reach.transitions)
+    monkeypatch.setattr(engine, "ESCALATION_DELAY", 60)
     with pytest.raises(BudgetExhausted):
-        fixpoint(bare, AnalysisConfig(step_budget=60, escalation_delay=60))
+        fixpoint(bare, AnalysisConfig(step_budget=60))
