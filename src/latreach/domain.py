@@ -31,19 +31,22 @@ def is_finite(b) -> bool:
     return not isinstance(b, float)
 
 
+# A float bound is always one of the two infinities.  The helpers below
+# test the type instead of comparing with NEG_INF/POS_INF, because
+# comparing a Fraction with a float goes through the slow Fraction.__eq__.
+
+
 def bound_add(a, b):
-    if a in (NEG_INF, POS_INF):
+    if not is_finite(a):
         return a
-    if b in (NEG_INF, POS_INF):
+    if not is_finite(b):
         return b
     return a + b
 
 
 def bound_neg(a):
-    if a == NEG_INF:
-        return POS_INF
-    if a == POS_INF:
-        return NEG_INF
+    if not is_finite(a):
+        return POS_INF if a < 0 else NEG_INF
     return -a
 
 
@@ -51,7 +54,7 @@ def bound_mul(a, b):
     # 0 * inf = 0: correct for products of closed interval endpoints.
     if a == 0 or b == 0:
         return Fraction(0)
-    if a in (NEG_INF, POS_INF) or b in (NEG_INF, POS_INF):
+    if not (is_finite(a) and is_finite(b)):
         positive = (a > 0) == (b > 0)
         return POS_INF if positive else NEG_INF
     return a * b
@@ -59,10 +62,8 @@ def bound_mul(a, b):
 
 def bound_key(b):
     """Sort key usable alongside Fractions."""
-    if b == NEG_INF:
-        return (-1, Fraction(0))
-    if b == POS_INF:
-        return (1, Fraction(0))
+    if not is_finite(b):
+        return (-1 if b < 0 else 1, Fraction(0))
     return (0, b)
 
 
@@ -83,15 +84,28 @@ def bound_trunc(b):
 @dataclass(frozen=True)
 class Interval:
     """Closed rational interval; the empty interval is canonically
-    (+inf, -inf) so that equality and hashing see a single bottom."""
+    (+inf, -inf) so that equality and hashing see a single bottom.
+
+    is_bottom and is_top are plain attributes decided once, at
+    construction: every join and meet reads them.  They live outside the
+    fields, so ==, hash and repr never see them."""
 
     lo: object = NEG_INF
     hi: object = POS_INF
 
     def __post_init__(self):
-        if self.lo > self.hi and not (self.lo == POS_INF and self.hi == NEG_INF):
+        lo, hi = self.lo, self.hi
+        lo_inf, hi_inf = not is_finite(lo), not is_finite(hi)
+        if lo_inf != hi_inf:
+            # one infinite bound: its sign alone decides lo > hi
+            bottom = lo > 0 if lo_inf else hi < 0
+        else:
+            bottom = lo > hi
+        if bottom:
             object.__setattr__(self, "lo", POS_INF)
             object.__setattr__(self, "hi", NEG_INF)
+        object.__setattr__(self, "is_bottom", bottom)
+        object.__setattr__(self, "is_top", lo_inf and hi_inf and lo < 0 < hi)
 
     # -- constructors
     @staticmethod
@@ -115,16 +129,8 @@ class Interval:
 
     # -- predicates
     @property
-    def is_bottom(self) -> bool:
-        return self.lo == POS_INF and self.hi == NEG_INF
-
-    @property
-    def is_top(self) -> bool:
-        return self.lo == NEG_INF and self.hi == POS_INF
-
-    @property
     def is_point(self) -> bool:
-        return is_finite(self.lo) and self.lo == self.hi
+        return is_finite(self.lo) and is_finite(self.hi) and self.lo == self.hi
 
     def contains(self, q) -> bool:
         return not self.is_bottom and self.lo <= q <= self.hi
@@ -180,8 +186,8 @@ class Interval:
     def inverse(self) -> "Interval":
         """1/x for an interval not containing 0."""
         assert not self.contains(0)
-        lo = Fraction(0) if self.hi in (NEG_INF, POS_INF) else 1 / self.hi
-        hi = Fraction(0) if self.lo in (NEG_INF, POS_INF) else 1 / self.lo
+        lo = 1 / self.hi if is_finite(self.hi) else Fraction(0)
+        hi = 1 / self.lo if is_finite(self.lo) else Fraction(0)
         if self.lo > 0 or self.hi < 0:
             return Interval(lo, hi)
         return Interval.top()
@@ -211,8 +217,8 @@ class Interval:
     def __str__(self) -> str:
         if self.is_bottom:
             return "bot"
-        lo = "-inf" if self.lo == NEG_INF else str(self.lo)
-        hi = "+inf" if self.hi == POS_INF else str(self.hi)
+        lo = str(self.lo) if is_finite(self.lo) else "-inf"
+        hi = str(self.hi) if is_finite(self.hi) else "+inf"
         return f"[{lo},{hi}]"
 
 
@@ -668,11 +674,26 @@ def loc_sort_key(loc: str):
     return (idx, suffix, loc)
 
 
+# letter_leq, letter_join and letter_widen return at once on equal
+# operands: a canonical automaton's letters rarely change between fixpoint
+# iterations, so most joins and inclusion tests compare a letter with
+# itself, and all three are idempotent.  Letters cache their hash, so
+# comparing hashes first settles almost every unequal pair.
+
+
+def _equal(a: AbstractLocalState, b: AbstractLocalState) -> bool:
+    return hash(a) == hash(b) and a == b
+
+
 def letter_leq(a: AbstractLocalState, b: AbstractLocalState) -> bool:
+    if _equal(a, b):
+        return True
     return a.loc == b.loc and a.pid.leq(b.pid) and a.env.leq(b.env)
 
 
 def letter_join(a: AbstractLocalState, b: AbstractLocalState) -> AbstractLocalState:
+    if _equal(a, b):
+        return a
     assert a.loc == b.loc
     return AbstractLocalState(a.pid.join(b.pid), a.loc, a.env.join(b.env))
 
@@ -690,6 +711,8 @@ def letter_meet(a: AbstractLocalState, b: AbstractLocalState) -> Optional[Abstra
 
 
 def letter_widen(a: AbstractLocalState, b: AbstractLocalState) -> AbstractLocalState:
+    if _equal(a, b):
+        return a
     assert a.loc == b.loc
     return AbstractLocalState(a.pid.widen(b.pid), a.loc, a.env.widen(b.env))
 

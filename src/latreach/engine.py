@@ -32,7 +32,7 @@ from .domain import (
 )
 from .frontend import CompiledSemantics
 from .rules import apply_rule
-from .transducer import apply_transducer, eval_letter_out
+from .transducer import apply_transducer, rule_images
 
 
 # Widening rounds restricted to the program's widening locations; after
@@ -245,17 +245,9 @@ def _rule_fires_on_word(sem, word) -> bool:
 
 def _transducer_moves_letter(sem, word) -> bool:
     """True when a non-inactivity local rule applies to some letter."""
-    for letter in word:
-        for (_, rule, _) in sem.transducer.rules:
-            if rule.name == "inactivity":
-                continue
-            matched = meet_guard(sem.ctx, letter, rule.guard[0])
-            if matched is None:
-                continue
-            img = eval_letter_out(sem.ctx, rule.outputs[0], (matched,))
-            if img is not None:
-                return True
-    return False
+    return any(rule.name != "inactivity"
+               for letter in word
+               for (_, rule, _, _) in rule_images(sem.ctx, sem.transducer, (letter,)))
 
 
 def _atom_refinements(sem, word, cap: int = 512):

@@ -5,11 +5,22 @@ letter) and a sequence of rewriters producing the output letters.  The
 rewriters are declarative data (LetterOut), not opaque code, so generated
 transducers serialize to JSON and run unchanged under either environment
 domain.
+
+Application costs one evaluation per distinct letter tuple and rule.
+Each transducer carries two things built on first use: a rule index
+(guard length -> first letter's location -> the rules whose first guard
+element can read a letter there) and an image memo ((ctx, rule, labels)
+-> the outputs, or bottom, with the alarms their evaluation raised).  The
+fixpoint applies one transducer to a reach automaton that barely changes
+between iterations, so almost every image is a memo hit; a hit replays
+its alarms into the caller's sink, so the alarm report is the same as if
+every image were evaluated again.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from . import expr as E
@@ -196,6 +207,86 @@ class LatticeTransducer:
     def sorted_rules(self):
         return sorted(self.rules, key=lambda r: (repr(r[0]), r[1].name, repr(r[2])))
 
+    @cached_property
+    def rule_index(self) -> dict:
+        """guard length -> (by_loc, anywhere), built once per transducer.
+
+        anywhere lists the rules whose first guard element reads every
+        location (by_loc None, with a default atom).  by_loc maps each
+        location that some first guard element names to the rules naming
+        it, followed by anywhere's.  No other rule can read a letter at
+        that location.  Entries are (number, src, rule, dst); the number
+        keys the rule's images in the memo."""
+        numbers = {}
+        index = {}
+        for (p, rule, p2) in self.sorted_rules():
+            entry = (numbers.setdefault(rule, len(numbers)), p, rule, p2)
+            by_loc, anywhere = index.setdefault(len(rule.guard), ({}, []))
+            first = rule.guard[0]
+            if first.by_loc is not None:
+                for loc in dict.fromkeys(loc for loc, _ in first.by_loc):
+                    by_loc.setdefault(loc, []).append(entry)
+            elif first.default is not None:
+                anywhere.append(entry)
+        return {n: ({loc: tuple(rules + anywhere) for loc, rules in by_loc.items()},
+                    tuple(anywhere))
+                for n, (by_loc, anywhere) in index.items()}
+
+    @cached_property
+    def images(self) -> dict:
+        """The image memo of rule_images: ctx -> {(rule number, labels):
+        (outputs or None, alarms)}.  It lives as long as the transducer,
+        which is one per analysis; an image is a pure function of its key."""
+        return {}
+
+
+def _evaluate(ctx: DomainContext, rule: TransducerRule, labels: tuple,
+              sink: AlarmSink) -> Optional[tuple]:
+    """The rule's outputs on a label tuple: meet each letter with its
+    guard element, then evaluate every output recipe (None = bottom)."""
+    matched = []
+    for letter, g in zip(labels, rule.guard):
+        m = meet_guard(ctx, letter, g, sink)
+        if m is None:
+            return None
+        matched.append(m)
+    matched = tuple(matched)
+    outs = []
+    for spec in rule.outputs:
+        img = eval_letter_out(ctx, spec, matched, InstanceInfo(), sink)
+        if img is None:
+            return None
+        outs.append(img)
+    return tuple(outs)
+
+
+def rule_images(ctx: DomainContext, t: LatticeTransducer, labels: tuple,
+                sink: AlarmSink = None):
+    """Yield (src, rule, dst, outputs) for every transducer rule with a
+    guard as long as labels whose image on labels is not bottom.
+
+    Only the rules indexed under the first letter's location are visited;
+    any other rule's first guard meet is bottom.  Images come from the
+    memo t.images when present; a fresh one is evaluated into its own sink
+    and stored with the alarms it raised, and every use adds those alarms
+    to sink."""
+    entry = t.rule_index.get(len(labels))
+    if entry is None:
+        return
+    by_loc, anywhere = entry
+    memo = t.images.setdefault(ctx, {})
+    for (number, p, rule, p2) in by_loc.get(labels[0].loc, anywhere):
+        key = (number, labels)
+        hit = memo.get(key)
+        if hit is None:
+            own = AlarmSink()
+            hit = memo[key] = (_evaluate(ctx, rule, labels, own), frozenset(own.alarms))
+        outs, alarms = hit
+        if sink is not None:
+            sink.alarms.update(alarms)
+        if outs is not None:
+            yield p, rule, p2, outs
+
 
 def apply_transducer(ctx: DomainContext, t: LatticeTransducer, a: LatticeAutomaton,
                      sink: AlarmSink = None) -> LatticeAutomaton:
@@ -206,39 +297,25 @@ def apply_transducer(ctx: DomainContext, t: LatticeTransducer, a: LatticeAutomat
     guard of length n and every automaton path of length n whose pointwise
     meet with the guard is non-bottom, the output letters form a fresh path
     between the product endpoints.  Rule instances with a bottom output
-    letter contribute nothing."""
+    letter contribute nothing.
+
+    The paths of each guard length are walked once, and each path visits
+    only the rules indexed under its first letter's location, with images
+    from the transducer's memo (rule_images).  The order in which paths
+    and rules are visited does not matter: it only names the fresh states,
+    normalize joins labels exactly (interval join and affine hull) and
+    names states canonically, and the alarms go to a set."""
     a = normalize(a)
     if a.is_trivially_empty:
         return LatticeAutomaton.empty()
     bld = Builder()
     bld.initial = {(p, q) for p in t.initial for q in a.initial}
     bld.final = {(p, q) for p in t.final for q in a.final}
-    for (p, rule, p2) in t.sorted_rules():
-        n = len(rule.guard)
-        for q in sorted(a.states, key=repr):
-            for labels, q2 in sorted(path_labels(a, q, n), key=repr):
-                matched = []
-                ok = True
-                for letter, g in zip(labels, rule.guard):
-                    m = meet_guard(ctx, letter, g, sink)
-                    if m is None:
-                        ok = False
-                        break
-                    matched.append(m)
-                if not ok:
-                    continue
-                matched = tuple(matched)
-                outs = []
-                dead = False
-                for spec in rule.outputs:
-                    img = eval_letter_out(ctx, spec, matched, InstanceInfo(), sink)
-                    if img is None:
-                        dead = True
-                        break
-                    outs.append(img)
-                if dead:
-                    continue
-                bld.add_path((p, q), outs, (p2, q2), tag=rule.name)
+    for n in t.rule_index:
+        for q in a.states:
+            for labels, q2 in path_labels(a, q, n):
+                for (p, rule, p2, outs) in rule_images(ctx, t, labels, sink):
+                    bld.add_path((p, q), outs, (p2, q2), tag=rule.name)
     return normalize(bld.build())
 
 

@@ -18,10 +18,12 @@ from latreach.domain import (
     GuardElement,
     Interval,
     IntervalEnv,
+    NEG_INF,
     POS_INF,
     concretize_bounded,
     leq_guard,
     letter_join,
+    letter_leq,
     letter_meet,
     letter_widen,
     meet_guard,
@@ -61,6 +63,54 @@ def test_interval_mul_endpoint_products():
 def test_interval_bottom_canonical():
     assert Interval(F(3), F(1)) == Interval.bottom()
     assert hash(Interval(F(7), F(2))) == hash(Interval.bottom())
+
+
+BOUNDS = (NEG_INF, F(-3), F(0), F(1, 2), F(2), POS_INF)
+
+
+def test_interval_predicates_are_decided_at_construction():
+    """is_bottom and is_top agree with comparing the canonical bounds to
+    the infinities, for every pair of bounds, and stay out of ==, hash
+    and repr."""
+    for lo in BOUNDS:
+        for hi in BOUNDS:
+            itv = Interval(lo, hi)
+            assert (itv.lo, itv.hi) == ((POS_INF, NEG_INF) if lo > hi else (lo, hi))
+            assert itv.is_bottom == (itv.lo == POS_INF and itv.hi == NEG_INF)
+            assert itv.is_top == (itv.lo == NEG_INF and itv.hi == POS_INF)
+            assert repr(itv) == f"Interval(lo={itv.lo!r}, hi={itv.hi!r})"
+            assert hash(itv) == hash((itv.lo, itv.hi))
+
+
+def test_interval_operations_compare_no_fraction_with_an_infinity(monkeypatch):
+    """Predicates, lattice operations and arithmetic never hand a float
+    infinity to Fraction.__eq__, which is slow."""
+    against_float = []
+    eq = F.__eq__
+
+    def counting_eq(a, b):
+        if isinstance(b, float):
+            against_float.append((a, b))
+        return eq(a, b)
+
+    itvs = [Interval(lo, hi) for lo in BOUNDS for hi in BOUNDS]
+    monkeypatch.setattr(F, "__eq__", counting_eq)
+    for a in itvs:
+        Interval(a.lo, a.hi)
+        str(a)
+        a.is_point
+        a.truncate()
+        if not a.contains(0):
+            a.inverse()
+        for b in itvs:
+            a.leq(b)
+            a.join(b)
+            a.meet(b)
+            a.widen(b)
+            a.add(b)
+            a.mul(b)
+    monkeypatch.undo()
+    assert against_float == []
 
 
 # ---------------------------------------------------------------------------
@@ -540,3 +590,50 @@ def test_letter_hash_by_value_under_another_hash_seed(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == str(len(letters))
+
+
+# ---------------------------------------------------------------------------
+# equal operands of the letter lattice
+
+
+def _full_leq(a, b):
+    return a.loc == b.loc and a.pid.leq(b.pid) and a.env.leq(b.env)
+
+
+def _full_join(a, b):
+    return AbstractLocalState(a.pid.join(b.pid), a.loc, a.env.join(b.env))
+
+
+def _full_widen(a, b):
+    return AbstractLocalState(a.pid.widen(b.pid), a.loc, a.env.widen(b.env))
+
+
+def test_letter_lattice_equal_operands():
+    """letter_join and letter_widen give back an equal operand itself and
+    letter_leq holds on it; the full computation agrees."""
+    for a in _seeded_letters(seed=21, n=60):
+        twin = AbstractLocalState(a.pid, a.loc, a.env)  # equal, not the same object
+        assert letter_join(a, a) is a and letter_join(a, twin) is a
+        assert letter_widen(a, a) is a and letter_widen(twin, a) is twin
+        assert letter_leq(a, a) and letter_leq(a, twin)
+        assert _full_join(a, a) == a == _full_widen(a, a)
+        assert _full_leq(a, a)
+
+
+def test_letter_lattice_matches_full_computation():
+    """On seeded pairs of letters of both domains, equal or not, the three
+    operations give what the componentwise computation gives."""
+    letters = _seeded_letters(seed=23, n=60)
+    rng = random.Random(24)
+    pairs = [(a, b) for a in letters for b in letters if type(a.env) is type(b.env)]
+    pairs += [(a, AbstractLocalState(a.pid, a.loc, a.env)) for a in letters]
+    equal = same_loc = 0
+    for a, b in rng.sample(pairs, 1500):
+        assert letter_leq(a, b) == _full_leq(a, b)
+        if a.loc != b.loc:
+            continue
+        same_loc += 1
+        equal += a == b
+        assert letter_join(a, b) == _full_join(a, b)
+        assert letter_widen(a, b) == _full_widen(a, b)
+    assert equal >= 10 and same_loc - equal >= 100

@@ -8,7 +8,7 @@ from latreach import engine
 from latreach.automaton import accepts_concrete, bounded_language, includes, is_empty, normalize
 from latreach.concrete import config_word, initial_config, is_stuck, reach_bounded
 from latreach.automaton import LatticeAutomaton
-from latreach.domain import POS_INF, Interval
+from latreach.domain import POS_INF, AbstractLocalState, Interval, meet_guard
 from latreach.engine import (
     AnalysisConfig,
     AnalysisResult,
@@ -21,6 +21,7 @@ from latreach.engine import (
 )
 from latreach.frontend import build_cfg, compile_program, parse
 from latreach.cli import parse_property
+from latreach.transducer import eval_letter_out
 
 from helpers import load_program
 
@@ -345,3 +346,37 @@ def test_escalation_cuts_a_chain_the_widening_locations_do_not(monkeypatch):
     monkeypatch.setattr(engine, "ESCALATION_DELAY", 60)
     with pytest.raises(BudgetExhausted):
         fixpoint(bare, AnalysisConfig(step_budget=60))
+
+
+def _moves_by_scanning_every_rule(sem, word) -> bool:
+    """The deadlock check's local-step test as a scan of every rule."""
+    for letter in word:
+        for (_, rule, _) in sem.transducer.rules:
+            if rule.name == "inactivity":
+                continue
+            matched = meet_guard(sem.ctx, letter, rule.guard[0])
+            if matched is not None and \
+                    eval_letter_out(sem.ctx, rule.outputs[0], (matched,)) is not None:
+                return True
+    return False
+
+
+@pytest.mark.parametrize("domain", ["interval", "affine"])
+def test_transducer_moves_letter_matches_every_rule_scan(domain):
+    """Through the rule index and the image memo, the deadlock check's
+    local-step test answers as the scan of every rule does."""
+    moved = still = 0
+    for name in ("dining_philosophers.prog", "deadlock_random.prog", "sum_reduce.prog",
+                 "create_chain.prog", "local_loop.prog"):
+        sem = compile_program(parse(load_program(name)), domain, 2)
+        letters = []
+        for loc in sorted(set(sem.cfg.locations) | sem.blocking_locs):
+            for pid in (Interval.point(0), Interval.point(1), Interval(F(0), POS_INF)):
+                letters.append(sem.ctx.zero_letter(pid, loc))
+                letters.append(AbstractLocalState(pid, loc, sem.ctx.top_env()))
+        for word in [(l,) for l in letters] + list(zip(letters, reversed(letters))):
+            want = _moves_by_scanning_every_rule(sem, word)
+            assert engine._transducer_moves_letter(sem, word) == want, (name, word)
+            moved += want
+            still += not want
+    assert moved >= 50 and still >= 50

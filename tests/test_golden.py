@@ -1,10 +1,12 @@
-"""Pinned report and --json bytes for six analyses.
+"""Pinned report and --json bytes for eight analyses.
 
 The programs are named by paths relative to the repository root because
 the report's first line echoes the path.  Together these runs exercise
 the length bound and the signature quotient of the widening, the path
 lengths of create rules, the deadlock candidate search, and (dining
-philosophers) rule application with many match instances per rule."""
+philosophers) rule application with many match instances per rule, and
+(local_loop) a nondeterministic local loop with a division alarm, which
+only the local-step transducer, joins and widening handle."""
 import hashlib
 from pathlib import Path
 
@@ -48,6 +50,16 @@ CASES = [
         "22916629470b4537609d6bcb2f04bf83f736728e9d3ce9a579a6aa242b6225c7",
         "3e08fa7339d42de4d8cb45b24ad33b5ce943cb52049172265a203e3d8a868527",
         id="dining_philosophers-interval"),
+    pytest.param(
+        (P + "local_loop.prog", "--procs", "2"), 0,
+        "2d927e31b4206c06ad6c827c2ef39cfc5d65c459e0a0ee2f67b4e09e3b690bb4",
+        "fcea1fd5bbe046bdd9701468cfa05db6f9a12e9c9e85e456c5f3665a064d5cae",
+        id="local_loop-interval"),
+    pytest.param(
+        (P + "local_loop.prog", "--procs", "2", "--domain", "affine"), 0,
+        "aa362b0bdf2bde4f4fef171a69a22561c4fe58cfea59958dfe6ad3149e4eefa3",
+        "d7d9959641ed07d8e5080d082a93ec220656cb08e2091b6c731e53f6933672b3",
+        id="local_loop-affine"),
 ]
 
 

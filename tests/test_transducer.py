@@ -2,8 +2,12 @@ import json
 import random
 from fractions import Fraction
 
+import pytest
+
 import latreach.expr as E
+import latreach.transducer as T
 from latreach.automaton import (
+    Builder,
     LatticeAutomaton,
     accepts_concrete,
     bounded_language,
@@ -13,18 +17,24 @@ from latreach.automaton import (
 )
 from latreach.domain import (
     AbstractLocalState,
+    AffineEnv,
+    AlarmSink,
+    Constraint,
     DomainContext,
     GuardAtom,
     GuardElement,
     Interval,
     IntervalEnv,
+    meet_guard,
 )
-from latreach.frontend import Assign, parse_expr
+from latreach.frontend import Assign, Filter, parse_expr
 from latreach.transducer import (
+    InstanceInfo,
     LatticeTransducer,
     LetterOut,
     TransducerRule,
     apply_transducer,
+    eval_letter_out,
     transducer_from_json,
     transducer_to_json,
 )
@@ -177,3 +187,162 @@ def test_transducer_image_inclusion_randomized():
                 checked += 1
                 assert accepts_concrete(CTX, out, img), (w, img, trial)
     assert checked > 200
+
+
+# ---------------------------------------------------------------------------
+# the rule index and the image memo against the per-rule scan
+
+
+AFFINE = DomainContext("affine", ("x",))
+LOCS = ("l0", "l1", "l2")
+
+
+def naive_apply(ctx, t, a, sink=None):
+    """Reference application: every rule against every path of its guard
+    length, each image evaluated afresh, with no index and no memo."""
+    a = normalize(a)
+    if a.is_trivially_empty:
+        return LatticeAutomaton.empty()
+    bld = Builder()
+    bld.initial = {(p, q) for p in t.initial for q in a.initial}
+    bld.final = {(p, q) for p in t.final for q in a.final}
+    for (p, rule, p2) in t.sorted_rules():
+        for q in sorted(a.states, key=repr):
+            for labels, q2 in sorted(path_labels(a, q, len(rule.guard)), key=repr):
+                matched = []
+                for letter, g in zip(labels, rule.guard):
+                    m = meet_guard(ctx, letter, g, sink)
+                    if m is None:
+                        break
+                    matched.append(m)
+                else:
+                    outs = []
+                    for spec in rule.outputs:
+                        img = eval_letter_out(ctx, spec, tuple(matched), InstanceInfo(), sink)
+                        if img is None:
+                            break
+                        outs.append(img)
+                    else:
+                        bld.add_path((p, q), outs, (p2, q2), tag=rule.name)
+    return normalize(bld.build())
+
+
+def _rich_transducer(rng):
+    """Local rules at one location each (some dividing by a value that may
+    be 0 or building a power past the size cap), a rule reading any
+    location through a constraint that divides by id, a length-2 rule
+    into a second transducer state, and a deletion."""
+    rules = []
+    for i in range(rng.randint(2, 4)):
+        lo = rng.randint(-1, 1)
+        guard = GuardElement.at(rng.choice(LOCS),
+                                GuardAtom(pid=Interval.range(lo, lo + rng.randint(0, 2))))
+        kind = rng.random()
+        if kind < 0.6:
+            instr = Assign("x", parse_expr(rng.choice(
+                ("x + 1", "x - id", "0", "x / (x - 1)", "2 ^ 5000"))))
+        elif kind < 0.8:
+            instr = Filter(parse_expr("x < 1"), rng.choice(("then", "else")))
+        else:
+            instr = None
+        rules.append(("t", TransducerRule(
+            f"r{i}", (guard,), (LetterOut(base=0, loc=rng.choice(LOCS), instr=instr),)), "t"))
+    divides = Constraint("x", ">=", parse_expr("1 / id"))
+    rules.append(("t", TransducerRule(
+        "any", (GuardElement.anywhere(GuardAtom(constraints=(divides,))),),
+        (LetterOut(base=0, loc="l2"),)), "t"))
+    rules.append(("t", TransducerRule(
+        "pair", (GuardElement.at(rng.choice(LOCS)),
+                 GuardElement.anywhere(GuardAtom(pid=Interval.range(0, 2)))),
+        (LetterOut(base=0, loc="l1"),
+         LetterOut(base=1, updates=(("x", E.PosVar(0, "x")),)))), "u"))
+    rules.append(("t", TransducerRule("drop", (GuardElement.at(rng.choice(LOCS)),), ()), "t"))
+    rules += [("t", INACTIVE, "t"), ("u", INACTIVE, "u")]
+    return LatticeTransducer(frozenset({"t", "u"}), frozenset({"t"}),
+                             frozenset({"t", "u"}), frozenset(rules))
+
+
+def _rich_letter(rng, ctx):
+    lo = rng.randint(-1, 2)
+    pid = Interval.range(lo, lo + rng.randint(0, 2))
+    if ctx.kind == "interval":
+        x = rng.randint(-2, 2)
+        env = IntervalEnv.make({"x": Interval.range(x, x + rng.randint(0, 3))})
+    else:
+        rows = [({"x": F(1), "id": F(-rng.randint(-2, 2))}, F(rng.randint(-3, 3)))]
+        env = AffineEnv.from_rows(("id", "x"), rows if rng.random() < 0.7 else [])
+    return AbstractLocalState(pid, rng.choice(LOCS), env)
+
+
+def _rich_automaton(rng, ctx):
+    n = rng.randint(2, 4)
+    edges = {(rng.randint(0, n - 1), _rich_letter(rng, ctx), rng.randint(0, n - 1))
+             for _ in range(rng.randint(2, 6))}
+    return LatticeAutomaton(frozenset(range(n)), frozenset({0}),
+                            frozenset({rng.randint(0, n - 1)}), frozenset(edges))
+
+
+@pytest.mark.parametrize("ctx", [CTX, AFFINE], ids=["interval", "affine"])
+def test_apply_transducer_matches_naive_reference(ctx):
+    """Same automaton and same alarms as the per-rule scan, on the first
+    application and on a second one served from the memo; every other
+    transducer is read back from JSON first."""
+    rng = random.Random(404 if ctx is CTX else 405)
+    images = alarmed = 0
+    for trial in range(60):
+        t = _rich_transducer(rng)
+        if trial % 2:
+            t = transducer_from_json(json.loads(json.dumps(transducer_to_json(t))))
+        a = _rich_automaton(rng, ctx)
+        want_sink = AlarmSink()
+        want = naive_apply(ctx, t, a, want_sink)
+        for _ in range(2):
+            sink = AlarmSink()
+            assert apply_transducer(ctx, t, a, sink) == want, trial
+            assert sink.alarms == want_sink.alarms, trial
+        images += not is_empty(want)
+        alarmed += bool(want_sink.alarms)
+    assert images >= 25 and alarmed >= 10
+
+
+def test_memo_replays_alarms_into_every_sink(monkeypatch):
+    """Two applications of one transducer to one automaton, each with a
+    fresh sink, report the same division and power alarms, although the
+    second evaluates no image."""
+    t = LatticeTransducer.single_state([
+        TransducerRule("div", (GuardElement.at("l0"),),
+                       (LetterOut(base=0, loc="l1", instr=Assign("x", parse_expr("1 / x"))),)),
+        TransducerRule("pow", (GuardElement.at("l0"),),
+                       (LetterOut(base=0, loc="l2",
+                                  instr=Assign("x", parse_expr("2 ^ 5000"))),)),
+        INACTIVE])
+    a = normalize(LatticeAutomaton.from_word([
+        letter((0, 0), "l0", x=(0, 2)), letter((1, 1), "l0", x=(-1, 1))]))
+    first, second = AlarmSink(), AlarmSink()
+    apply_transducer(CTX, t, a, first)
+    assert {kind for kind, _ in first.alarms} == {"division", "power"}
+    evaluated = []
+    monkeypatch.setattr(T, "eval_letter_out",
+                        lambda *args: evaluated.append(args) or eval_letter_out(*args))
+    apply_transducer(CTX, t, a, second)
+    assert evaluated == []
+    assert second.alarms == first.alarms
+    assert apply_transducer(CTX, t, a) == apply_transducer(CTX, t, a, AlarmSink())
+
+
+def test_rule_index_by_first_location():
+    """A location lists the rules naming it in their first guard element,
+    then the rules reading any location; a rule whose first element reads
+    nothing is in no list."""
+    at_l0 = TransducerRule("a", (GuardElement.at("l0"),), ())
+    at_both = TransducerRule(
+        "b", (GuardElement((("l1", GuardAtom()), ("l0", GuardAtom()), ("l1", GuardAtom())), None),
+              GuardElement.at("l2")), ())
+    nothing = TransducerRule("c", (GuardElement(None, None),), ())
+    t = LatticeTransducer.single_state([at_l0, at_both, nothing, INACTIVE])
+    names = {n: ({loc: [r.name for _, _, r, _ in rules] for loc, rules in by_loc.items()},
+                 [r.name for _, _, r, _ in anywhere])
+             for n, (by_loc, anywhere) in t.rule_index.items()}
+    assert names == {1: ({"l0": ["a", "inactivity"]}, ["inactivity"]),
+                     2: ({"l0": ["b"], "l1": ["b"]}, [])}
+    assert t.rule_index is t.rule_index
