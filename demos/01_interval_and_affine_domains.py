@@ -15,7 +15,7 @@ from latreach.domain import (
     transfer_assign,
     transfer_filter,
 )
-from latreach.frontend import parse_expr
+from latreach.syntax import parse_expr
 
 F = Fraction
 

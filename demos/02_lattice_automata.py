@@ -8,7 +8,6 @@ keep growing, quotients states by their recent history.
 """
 from latreach.automaton import (
     LatticeAutomaton,
-    bounded_language,
     includes,
     intersection,
     normalize,
@@ -16,6 +15,7 @@ from latreach.automaton import (
     union,
     widen_automata,
 )
+from latreach.concrete import bounded_language
 from latreach.domain import (
     AbstractLocalState,
     DomainContext,

@@ -14,7 +14,7 @@ from latreach.domain import (
     Interval,
     IntervalEnv,
 )
-from latreach.frontend import Assign, parse_expr
+from latreach.syntax import Assign, parse_expr
 from latreach.transducer import (
     LatticeTransducer,
     LetterOut,

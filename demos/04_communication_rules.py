@@ -7,9 +7,10 @@ satisfiable, which is how partner matching is enforced.
 """
 from fractions import Fraction
 
-from latreach.automaton import LatticeAutomaton, bounded_language, is_empty, normalize, union_all
+from latreach.automaton import LatticeAutomaton, is_empty, normalize, union_all
 from latreach.domain import AbstractLocalState, Interval, IntervalEnv
-from latreach.frontend import build_cfg, compile_program, parse
+from latreach.frontend import build_cfg, compile_program
+from latreach.syntax import parse
 from latreach.rules import apply_rule
 
 F = Fraction

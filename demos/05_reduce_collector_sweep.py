@@ -11,7 +11,8 @@ from fractions import Fraction
 
 from latreach.automaton import LatticeAutomaton, normalize
 from latreach.domain import AbstractLocalState, Interval, IntervalEnv
-from latreach.frontend import compile_program, parse
+from latreach.frontend import compile_program
+from latreach.syntax import parse
 from latreach.rules import apply_rule
 
 F = Fraction

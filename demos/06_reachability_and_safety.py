@@ -9,7 +9,8 @@ from pathlib import Path
 
 from latreach.cli import parse_property
 from latreach.engine import AnalysisConfig, check_safety, fixpoint
-from latreach.frontend import compile_program, parse
+from latreach.frontend import compile_program
+from latreach.syntax import parse
 
 HERE = Path(__file__).resolve().parent
 text = (HERE / "programs" / "create_chain.prog").read_text()

@@ -9,7 +9,8 @@ coin-flip processes choosing send, or the philosophers' circular wait.
 from pathlib import Path
 
 from latreach.engine import AnalysisConfig, check_deadlock, fixpoint
-from latreach.frontend import compile_program, parse
+from latreach.frontend import compile_program
+from latreach.syntax import parse
 
 HERE = Path(__file__).resolve().parent
 

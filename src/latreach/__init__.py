@@ -31,7 +31,8 @@ from .automaton import (  # noqa: F401
 )
 from .transducer import LatticeTransducer, TransducerRule, apply_transducer  # noqa: F401
 from .rules import RewriteRule, apply_rule  # noqa: F401
-from .frontend import build_cfg, compile_program, parse  # noqa: F401
+from .syntax import parse  # noqa: F401
+from .frontend import build_cfg, compile_program  # noqa: F401
 from .concrete import post, reach_bounded  # noqa: F401
 from .engine import (  # noqa: F401
     AnalysisConfig,

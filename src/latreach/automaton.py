@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable
 
 from .domain import (
     AbstractLocalState,
@@ -28,8 +27,6 @@ from .domain import (
     IntervalEnv,
     NEG_INF,
     POS_INF,
-    concretize_bounded,
-    letter_accepts,
     letter_join,
     letter_leq,
     letter_meet,
@@ -448,21 +445,6 @@ def matches(ctx: DomainContext, w, a: LatticeAutomaton):
     return out
 
 
-def sub_automaton(a: LatticeAutomaton, qb, qe) -> LatticeAutomaton:
-    assert qb in a.states and qe in a.states
-    return LatticeAutomaton(a.states, frozenset({qb}), frozenset({qe}), a.transitions)
-
-
-def map_labels(fn: Callable, a: LatticeAutomaton) -> LatticeAutomaton:
-    """Apply fn to every label, dropping transitions whose image is bottom."""
-    trans = set()
-    for (s, l, t) in a.transitions:
-        img = fn(l)
-        if img is not None:
-            trans.add((s, img, t))
-    return LatticeAutomaton(a.states, a.initial, a.final, frozenset(trans))
-
-
 # ---------------------------------------------------------------------------
 # shape and widening
 
@@ -559,43 +541,6 @@ def widen_automata(a: LatticeAutomaton, b: LatticeAutomaton,
     if shape(qa) == shape(q):
         return _widen_matched_labels(qa, q, widen_locs)
     return q
-
-
-# ---------------------------------------------------------------------------
-# concretisation utilities
-
-
-def accepts_concrete(ctx: DomainContext, a: LatticeAutomaton, word) -> bool:
-    """Membership of a concrete configuration (sequence of (id, loc, rho))
-    in the atom language of the automaton."""
-    cur = set(a.initial)
-    for (cid, loc, rho) in word:
-        nxt = set()
-        for (s, l, t) in a.transitions:
-            if s in cur and letter_accepts(ctx, l, cid, loc, dict(rho)):
-                nxt.add(t)
-        cur = nxt
-        if not cur:
-            return False
-    return bool(cur & a.final)
-
-
-def bounded_language(ctx: DomainContext, a: LatticeAutomaton, max_len: int, universe):
-    """Enumerate the accepted atom words up to a length bound over a finite
-    value universe (test oracle; exponential, keep the inputs tiny)."""
-    out = set()
-    frontier = [((), q) for q in a.initial]
-    while frontier:
-        word, q = frontier.pop()
-        if q in a.final and word:
-            out.add(word)
-        if len(word) >= max_len:
-            continue
-        for (s, l, t) in a.transitions:
-            if s == q:
-                for atom in concretize_bounded(ctx, l, universe):
-                    frontier.append((word + (atom,), t))
-    return out
 
 
 # ---------------------------------------------------------------------------

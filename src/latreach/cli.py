@@ -22,14 +22,8 @@ from .engine import (
     check_safety,
     fixpoint,
 )
-from .frontend import (
-    CompileError,
-    ParseError,
-    compile_program,
-    dump_semantics,
-    parse,
-    parse_expr,
-)
+from .frontend import CompileError, compile_program, dump_semantics
+from .syntax import ParseError, parse, parse_expr
 
 
 class PropertyParseError(Exception):

@@ -4,26 +4,22 @@ Global states are words of (id, location, valuation); the transition
 relation implements local steps, synchronous send/receive pairing (both
 orders, any_id wildcards), broadcast, create (appending id = word length)
 and an atomic reduce.  Identifiers always equal word positions, which the
-abstract create step relies on.
+abstract create step relies on.  The concretisations of letters and
+automata over a finite universe, which the tests compare against this
+interpreter, live here too.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from . import expr as E
-from .frontend import (
-    Assign,
-    Broadcast,
-    Cfg,
-    Create,
-    Filter,
-    Receive,
-    Reduce,
-    Send,
-    Skip,
-)
+from .automaton import LatticeAutomaton
+from .domain import AbstractLocalState, DomainContext, IntervalEnv
+from .frontend import Cfg
+from .syntax import Assign, Broadcast, Create, Filter, Receive, Reduce, Send, Skip
 
 
 @dataclass(frozen=True)
@@ -270,3 +266,74 @@ def is_stuck(cfg: Cfg, config: ConcreteConfig, exit_loc: str,
     if all(s.loc == exit_loc for s in config):
         return False
     return not post(cfg, config, rat_vars)
+
+
+# ---------------------------------------------------------------------------
+# bounded concretisation of letters and automata (test oracles)
+
+
+def concretize_bounded(ctx: DomainContext, s: Optional[AbstractLocalState], universe):
+    """gamma(s) restricted to ids and values drawn from a finite universe."""
+    if s is None:
+        return set()
+    values = sorted(Fraction(v) for v in universe)
+    ids = [v for v in values if s.pid.contains(v)]
+    out = set()
+    for pid in ids:
+        for combo in itertools.product(values, repeat=len(ctx.variables)):
+            rho = dict(zip(ctx.variables, combo))
+            if isinstance(s.env, IntervalEnv):
+                if all(s.env.get(v).contains(q) for v, q in rho.items()):
+                    out.add((pid, s.loc, tuple(sorted(rho.items()))))
+            else:
+                assignment = dict(rho)
+                assignment["id"] = pid
+                if s.env.satisfies(assignment):
+                    out.add((pid, s.loc, tuple(sorted(rho.items()))))
+    return out
+
+
+def letter_accepts(ctx: DomainContext, s: AbstractLocalState, cid, loc, rho: dict) -> bool:
+    """Membership of one concrete local state in gamma(letter)."""
+    if loc != s.loc or not s.pid.contains(Fraction(cid)):
+        return False
+    if isinstance(s.env, IntervalEnv):
+        return all(s.env.get(v).contains(Fraction(q)) for v, q in rho.items())
+    assignment = {v: Fraction(q) for v, q in rho.items()}
+    assignment["id"] = Fraction(cid)
+    for v in s.env.vars:
+        assignment.setdefault(v, Fraction(0))
+    return s.env.satisfies(assignment)
+
+
+def accepts_concrete(ctx: DomainContext, a: LatticeAutomaton, word) -> bool:
+    """Membership of a concrete configuration (sequence of (id, loc, rho))
+    in the atom language of the automaton."""
+    cur = set(a.initial)
+    for (cid, loc, rho) in word:
+        nxt = set()
+        for s in cur:
+            for (l, t) in a.out_by_src.get(s, ()):
+                if letter_accepts(ctx, l, cid, loc, dict(rho)):
+                    nxt.add(t)
+        cur = nxt
+        if not cur:
+            return False
+    return bool(cur & a.final)
+
+
+def bounded_language(ctx: DomainContext, a: LatticeAutomaton, max_len: int, universe):
+    """Enumerate the accepted atom words up to a length bound over a finite
+    value universe (test oracle; exponential, keep the inputs tiny)."""
+    out = set()
+    frontier = [((), q) for q in a.initial]
+    while frontier:
+        word, q = frontier.pop()
+        if q in a.final and word:
+            out.add(word)
+        if len(word) >= max_len:
+            continue
+        for (l, t) in a.out_by_src.get(q, ()):
+            for atom in concretize_bounded(ctx, l, universe):
+                frontier.append((word + (atom,), t))
+    return out

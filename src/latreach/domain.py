@@ -12,7 +12,7 @@ with two infinities.
 """
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -205,8 +205,6 @@ class Interval:
         """Shrink to the hull of the contained integers."""
         if self.is_bottom:
             return self
-        import math
-
         lo = self.lo if isinstance(self.lo, float) else Fraction(math.ceil(self.lo))
         hi = self.hi if isinstance(self.hi, float) else Fraction(math.floor(self.hi))
         return Interval(lo, hi)
@@ -1304,41 +1302,3 @@ def relational_updates(ctx: DomainContext, target: AbstractLocalState, target_po
     if env is None:
         return None
     return target.with_env(env)
-
-
-# ---------------------------------------------------------------------------
-# bounded concretisation (oracle support)
-
-
-def concretize_bounded(ctx: DomainContext, s: Optional[AbstractLocalState], universe):
-    """gamma(s) restricted to ids and values drawn from a finite universe."""
-    if s is None:
-        return set()
-    values = sorted(Fraction(v) for v in universe)
-    ids = [v for v in values if s.pid.contains(v)]
-    out = set()
-    for pid in ids:
-        for combo in itertools.product(values, repeat=len(ctx.variables)):
-            rho = dict(zip(ctx.variables, combo))
-            if isinstance(s.env, IntervalEnv):
-                if all(s.env.get(v).contains(q) for v, q in rho.items()):
-                    out.add((pid, s.loc, tuple(sorted(rho.items()))))
-            else:
-                assignment = dict(rho)
-                assignment["id"] = pid
-                if s.env.satisfies(assignment):
-                    out.add((pid, s.loc, tuple(sorted(rho.items()))))
-    return out
-
-
-def letter_accepts(ctx: DomainContext, s: AbstractLocalState, cid, loc, rho: dict) -> bool:
-    """Membership of one concrete local state in gamma(letter)."""
-    if loc != s.loc or not s.pid.contains(Fraction(cid)):
-        return False
-    if isinstance(s.env, IntervalEnv):
-        return all(s.env.get(v).contains(Fraction(q)) for v, q in rho.items())
-    assignment = {v: Fraction(q) for v, q in rho.items()}
-    assignment["id"] = Fraction(cid)
-    for v in s.env.vars:
-        assignment.setdefault(v, Fraction(0))
-    return s.env.satisfies(assignment)

@@ -1,20 +1,18 @@
-"""Language frontend: parser, control-flow graph and semantics compiler.
+"""Language frontend: control-flow graph and semantics compiler.
 
-The surface language is a small C-flavoured imperative language with
-synchronous communications (send/receive/broadcast), dynamic process
-creation and an all-to-one reduce.  ``//`` comments run to end of line;
-variables default to integers, a ``rat`` declaration makes them exact
-rationals; the condition ``*`` is a nondeterministic coin flip.
+``build_cfg`` lays a parsed program (``syntax.parse``) out as a graph
+whose edges carry one instruction each; ``compile_program`` turns the
+graph into the local-step transducer, the communication rules and the
+initial automaton, which ``dump_semantics``/``load_semantics`` write and
+read back.
 """
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
 
 from . import expr as E
-from .automaton import LatticeAutomaton, normalize
+from .automaton import LatticeAutomaton, from_json, normalize, to_json
 from .domain import DomainContext, GuardElement, Interval, POS_INF, TOP_GUARD
 from .rules import (
     collector_loc,
@@ -26,6 +24,21 @@ from .rules import (
     rule_from_json,
     rule_to_json,
 )
+from .syntax import (
+    Assign,
+    Ast,
+    Block,
+    Broadcast,
+    Create,
+    Filter,
+    IfStmt,
+    Receive,
+    Reduce,
+    Send,
+    Skip,
+    WhileStmt,
+    instr_exprs,
+)
 from .transducer import (
     LatticeTransducer,
     LetterOut,
@@ -33,478 +46,6 @@ from .transducer import (
     transducer_from_json,
     transducer_to_json,
 )
-
-
-# Longest number literal accepted; longer ones are parse errors, so no
-# user literal builds an unbounded number.
-MAX_LITERAL_DIGITS = 1000
-
-
-class ParseError(Exception):
-    def __init__(self, message, line, col):
-        super().__init__(f"{line}:{col}: {message}")
-        self.line = line
-        self.col = col
-
-
-# ---------------------------------------------------------------------------
-# AST
-
-
-@dataclass(frozen=True)
-class Block:
-    body: tuple
-
-
-@dataclass(frozen=True)
-class AssignStmt:
-    var: str
-    expr: object
-
-
-@dataclass(frozen=True)
-class IfStmt:
-    cond: object
-    then_body: object
-    else_body: Optional[object]
-
-
-@dataclass(frozen=True)
-class WhileStmt:
-    cond: object
-    body: object
-
-
-@dataclass(frozen=True)
-class CreateStmt:
-    var: str
-
-
-@dataclass(frozen=True)
-class SendStmt:
-    target: Optional[object]  # None = any_id
-    var: str
-
-
-@dataclass(frozen=True)
-class ReceiveStmt:
-    source: Optional[object]
-    var: str
-
-
-@dataclass(frozen=True)
-class BroadcastStmt:
-    root: object
-    var: str
-
-
-@dataclass(frozen=True)
-class ReduceStmt:
-    acc: str
-    src: str
-    op: str
-    root: object
-
-
-@dataclass(frozen=True)
-class DeclStmt:
-    kind: str  # "int" | "rat"
-    names: tuple
-
-
-@dataclass(frozen=True)
-class Ast:
-    block: Block
-    rat_vars: frozenset
-    variables: tuple  # every variable, declared or by use, sorted
-
-
-# ---------------------------------------------------------------------------
-# lexer
-
-
-_TOKEN = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>//[^\n]*)
-  | (?P<posvar>@\d+\.[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<num>\d+)
-  | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<op>:=|<=|>=|==|!=|[-+*/%^<>(){},;])
-    """,
-    re.VERBOSE,
-)
-
-KEYWORDS = {
-    "if", "else", "while", "create", "send", "receive", "broadcast",
-    "reduce", "any_id", "rat", "int", "min", "max", "id", "nprocs",
-    "fresh_id",
-}
-
-
-@dataclass
-class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
-def _lex(text: str):
-    tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        value = m.group()
-        kind = m.lastgroup
-        if kind not in ("ws", "comment"):
-            if kind == "name" and value in KEYWORDS:
-                tokens.append(Token(value, value, line, col))
-            elif kind == "num":
-                tokens.append(Token("num", value, line, col))
-            elif kind == "posvar":
-                tokens.append(Token("posvar", value, line, col))
-            elif kind == "name":
-                tokens.append(Token("ident", value, line, col))
-            else:
-                tokens.append(Token(value, value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
-    return tokens
-
-
-# ---------------------------------------------------------------------------
-# parser
-
-
-class _Parser:
-    def __init__(self, text):
-        self.toks = _lex(text)
-        self.pos = 0
-
-    def peek(self) -> Token:
-        return self.toks[self.pos]
-
-    def next(self) -> Token:
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
-    def expect(self, kind) -> Token:
-        t = self.peek()
-        if t.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {t.text or t.kind!r}", t.line, t.col)
-        return self.next()
-
-    def error(self, message):
-        t = self.peek()
-        raise ParseError(message, t.line, t.col)
-
-    # expressions ----------------------------------------------------------
-    def parse_expr(self):
-        return self._cmp()
-
-    def _cmp(self):
-        left = self._add()
-        if self.peek().kind in E.COMPARISONS:
-            op = self.next().kind
-            right = self._add()
-            return E.BinOp(op, left, right)
-        return left
-
-    def _add(self):
-        out = self._mul()
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
-            out = E.BinOp(op, out, self._mul())
-        return out
-
-    def _mul(self):
-        out = self._unary()
-        while self.peek().kind in ("*", "/", "%"):
-            op = self.next().kind
-            out = E.BinOp(op, out, self._unary())
-        return out
-
-    def _unary(self):
-        if self.peek().kind == "-":
-            self.next()
-            return E.Neg(self._unary())
-        return self._pow()
-
-    def _pow(self):
-        base = self._atom()
-        if self.peek().kind == "^":
-            self.next()
-            return E.BinOp("^", base, self._unary())
-        return base
-
-    def _atom(self):
-        t = self.peek()
-        if t.kind == "num":
-            if len(t.text) > MAX_LITERAL_DIGITS:
-                self.error(f"number literal longer than {MAX_LITERAL_DIGITS} digits")
-            self.next()
-            return E.Const(Fraction(int(t.text)))
-        if t.kind == "ident":
-            self.next()
-            return E.Var(t.text)
-        if t.kind == "id":
-            self.next()
-            return E.Var("id")
-        if t.kind == "nprocs":
-            self.next()
-            return E.NProcs()
-        if t.kind == "fresh_id":
-            self.next()
-            return E.FreshId()
-        if t.kind == "posvar":
-            # partner-frame atom @<pos>.<var>; only produced by dumps
-            self.next()
-            pos, _, name = t.text[1:].partition(".")
-            return E.PosVar(int(pos), name)
-        if t.kind == "(":
-            self.next()
-            e = self.parse_expr()
-            self.expect(")")
-            return e
-        if t.kind in ("min", "max"):
-            op = self.next().kind
-            self.expect("(")
-            a = self.parse_expr()
-            self.expect(",")
-            b = self.parse_expr()
-            self.expect(")")
-            return E.BinOp(op, a, b)
-        if t.kind == "any_id":
-            self.error("any_id is only legal as the id argument of send/receive")
-        self.error(f"expected an expression, found {t.text or t.kind!r}")
-
-    def parse_condition(self):
-        if self.peek().kind == "*" and self.toks[self.pos + 1].kind == ")":
-            self.next()
-            return E.Nondet()
-        return self.parse_expr()
-
-    def _id_arg(self):
-        if self.peek().kind == "any_id":
-            self.next()
-            return None
-        return self.parse_expr()
-
-    # statements -----------------------------------------------------------
-    def parse_program(self) -> Block:
-        body = []
-        while self.peek().kind != "eof":
-            body.append(self.parse_stmt())
-        return Block(tuple(body))
-
-    def parse_stmt(self):
-        t = self.peek()
-        if t.kind == "{":
-            self.next()
-            body = []
-            while self.peek().kind != "}":
-                if self.peek().kind == "eof":
-                    self.error("unterminated block")
-                body.append(self.parse_stmt())
-            self.next()
-            return Block(tuple(body))
-        if t.kind == "if":
-            self.next()
-            self.expect("(")
-            cond = self.parse_condition()
-            self.expect(")")
-            then_body = self.parse_stmt()
-            else_body = None
-            if self.peek().kind == "else":
-                self.next()
-                else_body = self.parse_stmt()
-            return IfStmt(cond, then_body, else_body)
-        if t.kind == "while":
-            self.next()
-            self.expect("(")
-            cond = self.parse_condition()
-            self.expect(")")
-            return WhileStmt(cond, self.parse_stmt())
-        if t.kind == "create":
-            self.next()
-            self.expect("(")
-            var = self.expect("ident").text
-            self.expect(")")
-            self.expect(";")
-            return CreateStmt(var)
-        if t.kind == "send" or t.kind == "receive":
-            kind = self.next().kind
-            self.expect("(")
-            target = self._id_arg()
-            self.expect(",")
-            var = self.expect("ident").text
-            self.expect(")")
-            self.expect(";")
-            if kind == "send":
-                return SendStmt(target, var)
-            return ReceiveStmt(target, var)
-        if t.kind == "broadcast":
-            self.next()
-            self.expect("(")
-            root = self.parse_expr()
-            self.expect(",")
-            var = self.expect("ident").text
-            self.expect(")")
-            self.expect(";")
-            return BroadcastStmt(root, var)
-        if t.kind == "reduce":
-            self.next()
-            self.expect("(")
-            acc = self.expect("ident").text
-            self.expect(",")
-            src = self.expect("ident").text
-            self.expect(",")
-            op_tok = self.next()
-            if op_tok.kind not in ("+", "*", "min", "max"):
-                raise ParseError("reduce operator must be +, *, min or max",
-                                 op_tok.line, op_tok.col)
-            self.expect(",")
-            root = self.parse_expr()
-            self.expect(")")
-            self.expect(";")
-            return ReduceStmt(acc, src, op_tok.kind, root)
-        if t.kind in ("rat", "int"):
-            kind = self.next().kind
-            names = [self.expect("ident").text]
-            while self.peek().kind == ",":
-                self.next()
-                names.append(self.expect("ident").text)
-            self.expect(";")
-            return DeclStmt(kind, tuple(names))
-        if t.kind == "ident":
-            var = self.next().text
-            self.expect(":=")
-            e = self.parse_expr()
-            self.expect(";")
-            return AssignStmt(var, e)
-        self.error(f"expected a statement, found {t.text or t.kind!r}")
-
-
-def _collect_vars(node, names, rats):
-    if isinstance(node, Block):
-        for s in node.body:
-            _collect_vars(s, names, rats)
-    elif isinstance(node, AssignStmt):
-        names.add(node.var)
-        names.update(E.free_vars(node.expr) - {"id"})
-    elif isinstance(node, IfStmt):
-        if not isinstance(node.cond, E.Nondet):
-            names.update(E.free_vars(node.cond) - {"id"})
-        _collect_vars(node.then_body, names, rats)
-        if node.else_body is not None:
-            _collect_vars(node.else_body, names, rats)
-    elif isinstance(node, WhileStmt):
-        if not isinstance(node.cond, E.Nondet):
-            names.update(E.free_vars(node.cond) - {"id"})
-        _collect_vars(node.body, names, rats)
-    elif isinstance(node, CreateStmt):
-        names.add(node.var)
-    elif isinstance(node, (SendStmt, ReceiveStmt)):
-        names.add(node.var)
-        arg = node.target if isinstance(node, SendStmt) else node.source
-        if arg is not None:
-            names.update(E.free_vars(arg) - {"id"})
-    elif isinstance(node, BroadcastStmt):
-        names.add(node.var)
-        names.update(E.free_vars(node.root) - {"id"})
-    elif isinstance(node, ReduceStmt):
-        names.add(node.acc)
-        names.add(node.src)
-        names.update(E.free_vars(node.root) - {"id"})
-    elif isinstance(node, DeclStmt):
-        names.update(node.names)
-        if node.kind == "rat":
-            rats.update(node.names)
-
-
-def parse(text: str) -> Ast:
-    """Parse a program; raises ParseError with line/column on bad input."""
-    block = _Parser(text).parse_program()
-    names, rats = set(), set()
-    _collect_vars(block, names, rats)
-    if "id" in rats:
-        raise ParseError("id cannot be declared rational", 1, 1)
-    return Ast(block, frozenset(rats), tuple(sorted(names)))
-
-
-def parse_expr(text: str):
-    """Parse a single expression (used by property files and JSON dumps)."""
-    p = _Parser(text)
-    if p.peek().kind == "*":
-        p.next()
-        e = E.Nondet()
-    else:
-        e = p.parse_expr()
-    p.expect("eof")
-    return e
-
-
-# ---------------------------------------------------------------------------
-# control-flow graph
-
-
-@dataclass(frozen=True)
-class Assign:
-    var: str
-    expr: object
-
-
-@dataclass(frozen=True)
-class Filter:
-    cond: object
-    branch: str  # "then" | "else"
-
-
-@dataclass(frozen=True)
-class Skip:
-    pass
-
-
-@dataclass(frozen=True)
-class Send:
-    target: Optional[object]
-    var: str
-
-
-@dataclass(frozen=True)
-class Receive:
-    source: Optional[object]
-    var: str
-
-
-@dataclass(frozen=True)
-class Broadcast:
-    root: object
-    var: str
-
-
-@dataclass(frozen=True)
-class Create:
-    var: str
-
-
-@dataclass(frozen=True)
-class Reduce:
-    acc: str
-    src: str
-    op: str
-    root: object
 
 
 @dataclass(frozen=True)
@@ -548,8 +89,6 @@ class _CfgBuilder:
                 nxt = exit_ if i == len(node.body) - 1 else self.fresh()
                 self.stmt(s, cur, nxt)
                 cur = nxt
-        elif isinstance(node, AssignStmt):
-            self.add(entry, Assign(node.var, node.expr), exit_)
         elif isinstance(node, IfStmt):
             then_entry = self.fresh()
             self.add(entry, Filter(node.cond, "then"), then_entry)
@@ -566,31 +105,8 @@ class _CfgBuilder:
             self.add(entry, Filter(node.cond, "then"), body_entry)
             self.stmt(node.body, body_entry, entry)
             self.add(entry, Filter(node.cond, "else"), exit_)
-        elif isinstance(node, CreateStmt):
-            self.add(entry, Create(node.var), exit_)
-        elif isinstance(node, SendStmt):
-            self.add(entry, Send(node.target, node.var), exit_)
-        elif isinstance(node, ReceiveStmt):
-            self.add(entry, Receive(node.source, node.var), exit_)
-        elif isinstance(node, BroadcastStmt):
-            self.add(entry, Broadcast(node.root, node.var), exit_)
-        elif isinstance(node, ReduceStmt):
-            self.add(entry, Reduce(node.acc, node.src, node.op, node.root), exit_)
         else:
-            raise TypeError(f"unknown statement {node!r}")
-
-
-def _strip_decls(node):
-    if isinstance(node, Block):
-        return Block(tuple(
-            _strip_decls(s) for s in node.body if not isinstance(s, DeclStmt)
-        ))
-    if isinstance(node, IfStmt):
-        return IfStmt(node.cond, _strip_decls(node.then_body),
-                      None if node.else_body is None else _strip_decls(node.else_body))
-    if isinstance(node, WhileStmt):
-        return WhileStmt(node.cond, _strip_decls(node.body))
-    return node
+            self.add(entry, node, exit_)
 
 
 def build_cfg(ast: Ast) -> Cfg:
@@ -599,13 +115,12 @@ def build_cfg(ast: Ast) -> Cfg:
     Declarations produce no edge."""
     b = _CfgBuilder()
     entry = b.fresh()
-    block = _strip_decls(ast.block)
-    if not block.body:
+    if not ast.block.body:
         exit_ = b.fresh()
         b.add(entry, Skip(), exit_)
     else:
         cur = entry
-        for i, s in enumerate(block.body):
+        for s in ast.block.body:
             nxt = b.fresh()
             b.stmt(s, cur, nxt)
             cur = nxt
@@ -676,13 +191,12 @@ def compile_program(ast: Ast, domain: str, procs) -> CompiledSemantics:
 
     if procs in ("unbounded", "any"):
         for e in cfg.edges:
-            for ex in _edge_exprs(e):
-                if E.uses_nprocs(ex):
-                    raise CompileError("nprocs is only available under a fixed --procs n")
+            if any(E.uses_nprocs(ex) for ex in instr_exprs(e.instr).values()):
+                raise CompileError("nprocs is only available under a fixed --procs n")
         edges = cfg.edges
     else:
-        edges = tuple(Edge(e.src, _subst_instr(e.instr, procs), e.dst) for e in cfg.edges)
-        cfg = Cfg(cfg.locations, edges, cfg.entry, cfg.exit, cfg.loop_heads)
+        edges = tuple(replace(e, instr=_substitute_nprocs(e.instr, procs)) for e in cfg.edges)
+        cfg = replace(cfg, edges=edges)
 
     local_rules = []
     comm_rules = []
@@ -735,39 +249,9 @@ def compile_program(ast: Ast, domain: str, procs) -> CompiledSemantics:
                              frozenset(widen_locs), frozenset(blocking), procs)
 
 
-def _edge_exprs(e: Edge):
-    i = e.instr
-    if isinstance(i, Assign):
-        return [i.expr]
-    if isinstance(i, Filter):
-        return [] if isinstance(i.cond, E.Nondet) else [i.cond]
-    if isinstance(i, Send):
-        return [] if i.target is None else [i.target]
-    if isinstance(i, Receive):
-        return [] if i.source is None else [i.source]
-    if isinstance(i, Broadcast):
-        return [i.root]
-    if isinstance(i, Reduce):
-        return [i.root]
-    return []
-
-
-def _subst_instr(instr, n: int):
-    if isinstance(instr, Assign):
-        return Assign(instr.var, E.substitute_nprocs(instr.expr, n))
-    if isinstance(instr, Filter):
-        if isinstance(instr.cond, E.Nondet):
-            return instr
-        return Filter(E.substitute_nprocs(instr.cond, n), instr.branch)
-    if isinstance(instr, Send):
-        return Send(None if instr.target is None else E.substitute_nprocs(instr.target, n), instr.var)
-    if isinstance(instr, Receive):
-        return Receive(None if instr.source is None else E.substitute_nprocs(instr.source, n), instr.var)
-    if isinstance(instr, Broadcast):
-        return Broadcast(E.substitute_nprocs(instr.root, n), instr.var)
-    if isinstance(instr, Reduce):
-        return Reduce(instr.acc, instr.src, instr.op, E.substitute_nprocs(instr.root, n))
-    return instr
+def _substitute_nprocs(instr, n: int):
+    return replace(instr, **{f: E.substitute_nprocs(ex, n)
+                             for f, ex in instr_exprs(instr).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -775,8 +259,6 @@ def _subst_instr(instr, n: int):
 
 
 def dump_semantics(sem: CompiledSemantics) -> dict:
-    from .automaton import to_json
-
     return {
         "domain": sem.ctx.kind,
         "variables": list(sem.ctx.variables),
@@ -795,8 +277,6 @@ def dump_semantics(sem: CompiledSemantics) -> dict:
 
 
 def load_semantics(d: dict) -> CompiledSemantics:
-    from .automaton import from_json
-
     ctx = DomainContext(d["domain"], tuple(d["variables"]), frozenset(d["rat_vars"]))
     cfg = Cfg(tuple(d["locations"]), (), d["entry"], d["exit"], frozenset(d["loop_heads"]))
     return CompiledSemantics(

@@ -31,6 +31,7 @@ from .domain import (
     relational_updates,
 )
 from .graph import live, path_lengths
+from .syntax import Broadcast, Create, Receive, Reduce, Send, parse_expr
 from .transducer import (
     InstanceInfo,
     LetterOut,
@@ -293,8 +294,6 @@ def make_send_receive_rule(edge_s, edge_r):
     one send/receive instruction pair.  Partner conditions become id
     conditions of the inserted letters: unsatisfiable ids kill the
     instance."""
-    from .frontend import Receive, Send
-
     assert isinstance(edge_s.instr, Send) and isinstance(edge_r.instr, Receive)
     send = edge_s.instr
     recv = edge_r.instr
@@ -336,8 +335,6 @@ def make_broadcast_rule(edge) -> RewriteRule:
     """All processes at the broadcast location; the root (whose id matches
     the root expression under its own environment) keeps its value and
     every other letter copies it."""
-    from .frontend import Broadcast
-
     assert isinstance(edge.instr, Broadcast)
     bc = edge.instr
     at_loc = _loc_guard(edge.src)
@@ -357,8 +354,6 @@ def make_broadcast_rule(edge) -> RewriteRule:
 def make_create_rule(edge, entry_loc: str) -> RewriteRule:
     """Creator advances storing the fresh identifier; a zero-initialised
     letter with that identifier is appended at the end of the word."""
-    from .frontend import Create
-
     assert isinstance(edge.instr, Create)
     create = edge.instr
     creator = LetterOut(base=0, loc=edge.dst, updates=((create.var, E.FreshId()),))
@@ -394,8 +389,6 @@ def make_reduce_rules(edge):
        value into the accumulator;
     3. collector at the right end: deliver the accumulator to the root,
        unlock everything to the successor location, drop the collector."""
-    from .frontend import Reduce
-
     assert isinstance(edge.instr, Reduce)
     red = edge.instr
     if red.op not in REDUCE_OPS:
@@ -460,8 +453,6 @@ def h_to_json(h: HRewrite):
 
 
 def h_from_json(d) -> HRewrite:
-    from .frontend import parse_expr
-
     return HRewrite(d["kind"], d["loc"],
                     tuple((v, parse_expr(src)) for v, src in d["updates"]))
 

@@ -49,6 +49,7 @@ from .domain import (
     transfer_assign,
     transfer_filter,
 )
+from .syntax import Assign, Filter, parse_expr
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +131,6 @@ def eval_letter_out(ctx: DomainContext, out: LetterOut, matched: tuple,
     letter = matched[out.base]
 
     if out.instr is not None:
-        from .frontend import Assign, Filter  # instruction payloads
-
         if isinstance(out.instr, Assign):
             letter = transfer_assign(ctx, letter, out.instr.var, out.instr.expr, sink)
         elif isinstance(out.instr, Filter):
@@ -339,14 +338,11 @@ def guard_to_json(g: GuardElement):
 
 
 def letter_out_to_json(out: LetterOut):
-    from .frontend import Assign, Filter
-
     instr = None
     if isinstance(out.instr, Assign):
         instr = {"assign": [out.instr.var, E.to_source(out.instr.expr)]}
     elif isinstance(out.instr, Filter):
-        cond = "*" if isinstance(out.instr.cond, E.Nondet) else E.to_source(out.instr.cond)
-        instr = {"filter": [cond, out.instr.branch]}
+        instr = {"filter": [E.to_source(out.instr.cond), out.instr.branch]}
     pid = list(out.pid)
     if pid[0] == "const":
         pid[1] = f"{pid[1].numerator}/{pid[1].denominator}"
@@ -378,8 +374,6 @@ def transducer_to_json(t: LatticeTransducer):
 
 
 def guard_atom_from_json(d):
-    from .frontend import parse_expr
-
     return GuardAtom(
         interval_from_json(d["id"]),
         None if d["env"] is None else env_from_json(d["env"]),
@@ -395,8 +389,6 @@ def guard_from_json(d) -> GuardElement:
 
 
 def letter_out_from_json(d) -> LetterOut:
-    from .frontend import Assign, Filter, parse_expr
-
     instr = None
     if d["instr"] is not None:
         if "assign" in d["instr"]:
@@ -404,8 +396,7 @@ def letter_out_from_json(d) -> LetterOut:
             instr = Assign(var, parse_expr(src))
         else:
             src, branch = d["instr"]["filter"]
-            cond = E.Nondet() if src == "*" else parse_expr(src)
-            instr = Filter(cond, branch)
+            instr = Filter(parse_expr(src), branch)
     pid = d["pid"]
     if pid[0] == "const":
         num, _, den = pid[1].partition("/")

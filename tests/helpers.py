@@ -13,7 +13,7 @@ from pathlib import Path
 
 import latreach.expr as E
 from latreach.domain import GuardElement
-from latreach.frontend import Assign, Filter
+from latreach.syntax import Assign, Filter
 
 PROGRAMS = Path(__file__).resolve().parents[1] / "demos" / "programs"
 

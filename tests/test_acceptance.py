@@ -9,13 +9,18 @@ from fractions import Fraction
 
 from latreach.automaton import (
     LatticeAutomaton,
-    accepts_concrete,
-    bounded_language,
     includes,
     normalize,
 )
 from latreach.cli import parse_property
-from latreach.concrete import config_word, initial_config, is_stuck, reach_bounded
+from latreach.concrete import (
+    accepts_concrete,
+    bounded_language,
+    config_word,
+    initial_config,
+    is_stuck,
+    reach_bounded,
+)
 from latreach.domain import (
     AbstractLocalState,
     DomainContext,
@@ -30,7 +35,8 @@ from latreach.engine import (
     fixpoint,
     step,
 )
-from latreach.frontend import Assign, build_cfg, compile_program, parse, parse_expr
+from latreach.frontend import build_cfg, compile_program
+from latreach.syntax import Assign, parse, parse_expr
 from latreach.transducer import (
     LatticeTransducer,
     LetterOut,

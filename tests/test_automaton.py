@@ -4,23 +4,20 @@ from fractions import Fraction
 from latreach.automaton import (
     LatticeAutomaton,
     _length_bound,
-    accepts_concrete,
-    bounded_language,
     includes,
     intersection,
     is_empty,
-    map_labels,
     matches,
     normalize,
     path_labels,
     shape,
-    sub_automaton,
     to_json,
     from_json,
     to_dot,
     union,
     widen_automata,
 )
+from latreach.concrete import accepts_concrete, bounded_language
 from latreach.domain import (
     AbstractLocalState,
     DomainContext,
@@ -154,8 +151,6 @@ def test_canonical_flag_hygiene():
     assert plain == c and hash(plain) == hash(c) and repr(plain) == repr(c)
     assert not a.canonical
     assert not from_json(to_json(c)).canonical
-    assert not map_labels(lambda l: l, c).canonical
-    assert not sub_automaton(c, next(iter(c.initial)), next(iter(c.final))).canonical
     assert not LatticeAutomaton.from_word([iv(0, 0)]).canonical
     assert normalize(LatticeAutomaton.empty()).canonical
 
@@ -241,18 +236,6 @@ def test_matches_two_letter_path_enumeration():
             if labels[0].loc == "l8" and labels[1].loc == "l4":
                 expect.add((q, tuple(l.pid for l in labels), end))
     assert got == expect and len(got) == 2
-
-
-def test_sub_automaton_and_map_labels():
-    a = normalize(auto([(0, iv(0, 1, "l0"), 1), (1, iv(1, 2, "l1"), 2)], final={2}))
-    sub = sub_automaton(a, 1 if 1 in a.states else next(iter(a.states)), next(iter(a.final)))
-    assert sub.transitions == a.transitions
-    ident = map_labels(lambda l: l, a)
-    assert ident.transitions == a.transitions
-    dead = map_labels(lambda l: None, a)
-    assert not dead.transitions
-    only_l0 = map_labels(lambda l: l if l.loc == "l0" else None, a)
-    assert {l.loc for (_, l, _) in only_l0.transitions} == {"l0"}
 
 
 def test_path_labels_lengths():

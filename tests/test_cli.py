@@ -6,6 +6,8 @@ import pytest
 
 from latreach.cli import main, parse_property, PropertyParseError
 from latreach.engine import PropertyAutomaton
+from latreach.frontend import compile_program, load_semantics
+from latreach.syntax import parse
 
 from helpers import PROGRAMS, load_program
 
@@ -87,6 +89,26 @@ def test_exit_three_parse_error(tmp_path, capsys):
     missing = tmp_path / "nope.prog"
     assert main(["analyze", str(missing)]) == 3
     assert main(["analyze"]) == 3  # usage error
+
+
+@pytest.mark.parametrize("bare, braced, args", [
+    ("x := 1; if (x > 0) int y;", "x := 1; if (x > 0) { int y; }", ("--procs", "2")),
+    ("while (*) rat y;", "while (*) { rat y; }", ("--procs", "2", "--domain", "affine")),
+    ("if (*) { } else int z;", "if (*) { } else { int z; }", ()),
+], ids=["if", "while", "else"])
+def test_declaration_as_whole_body(tmp_path, capsys, bare, braced, args):
+    """A declaration that is the whole body of if, else or while is an
+    empty block, as in braces: same report past the program line, same
+    reach (it ended in a TypeError traceback)."""
+    results = []
+    for name, text in (("bare", bare), ("braced", braced)):
+        prog = tmp_path / f"{name}.prog"
+        prog.write_text(text, encoding="utf-8")
+        reach = tmp_path / f"{name}.json"
+        code, out = run_cli(capsys, "analyze", str(prog), *args, "--json", str(reach))
+        assert code == 0
+        results.append((out.split("\n", 1)[1], reach.read_text()))
+    assert results[0] == results[1]
 
 
 def test_huge_power_is_top_with_alarm(tmp_path, capsys):
@@ -209,7 +231,6 @@ def test_dump_semantics_round_trip(tmp_path, chain_prog, capsys):
                       "--procs", "unbounded", "--dump-semantics", str(dump))
     assert code == 0
     from latreach.engine import AnalysisConfig, fixpoint
-    from latreach.frontend import compile_program, load_semantics, parse
 
     sem1 = compile_program(parse(load_program("create_chain.prog")), "affine", "unbounded")
     res1 = fixpoint(sem1)

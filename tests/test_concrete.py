@@ -8,7 +8,8 @@ from latreach.concrete import (
     post,
     reach_bounded,
 )
-from latreach.frontend import build_cfg, parse, parse_expr
+from latreach.frontend import build_cfg
+from latreach.syntax import parse, parse_expr
 
 from helpers import load_program
 

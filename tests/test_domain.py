@@ -20,7 +20,6 @@ from latreach.domain import (
     IntervalEnv,
     NEG_INF,
     POS_INF,
-    concretize_bounded,
     leq_guard,
     letter_join,
     letter_leq,
@@ -30,7 +29,8 @@ from latreach.domain import (
     transfer_assign,
     transfer_filter,
 )
-from latreach.frontend import parse_expr
+from latreach.concrete import concretize_bounded, letter_accepts
+from latreach.syntax import parse_expr
 
 F = Fraction
 CTX = DomainContext("interval", ("x",))
@@ -295,8 +295,6 @@ def test_transfer_assign_soundness_enumerated():
             if v is None:
                 continue
             rho_d["x"] = store_value("x", v, frozenset())
-            from latreach.domain import letter_accepts
-
             assert letter_accepts(CTX2, out, pid, loc, rho_d)
 
 

@@ -5,8 +5,15 @@ from fractions import Fraction
 import pytest
 
 from latreach import engine
-from latreach.automaton import accepts_concrete, bounded_language, includes, is_empty, normalize
-from latreach.concrete import config_word, initial_config, is_stuck, reach_bounded
+from latreach.automaton import includes, is_empty, normalize
+from latreach.concrete import (
+    accepts_concrete,
+    bounded_language,
+    config_word,
+    initial_config,
+    is_stuck,
+    reach_bounded,
+)
 from latreach.automaton import LatticeAutomaton
 from latreach.domain import POS_INF, AbstractLocalState, Interval, meet_guard
 from latreach.engine import (
@@ -19,7 +26,8 @@ from latreach.engine import (
     fixpoint,
     step,
 )
-from latreach.frontend import build_cfg, compile_program, parse
+from latreach.frontend import build_cfg, compile_program
+from latreach.syntax import parse
 from latreach.cli import parse_property
 from latreach.transducer import eval_letter_out
 

@@ -4,13 +4,19 @@ from fractions import Fraction
 import pytest
 
 import latreach.expr as E
-from latreach.automaton import bounded_language, normalize, to_json
+from latreach.automaton import normalize, to_json
+from latreach.concrete import bounded_language
 from latreach.domain import Interval
 from latreach.frontend import (
-    Assign,
-    AssignStmt,
-    Broadcast,
     CompileError,
+    build_cfg,
+    compile_program,
+    dump_semantics,
+    load_semantics,
+)
+from latreach.syntax import (
+    Assign,
+    Broadcast,
     Create,
     Filter,
     IfStmt,
@@ -19,10 +25,6 @@ from latreach.frontend import (
     Reduce,
     Send,
     WhileStmt,
-    build_cfg,
-    compile_program,
-    dump_semantics,
-    load_semantics,
     parse,
     parse_expr,
 )
@@ -40,10 +42,10 @@ def test_parse_running_example_shape():
     ast = parse(load_program("create_chain.prog"))
     body = ast.block.body
     assert isinstance(body[0], IfStmt)
-    assert isinstance(body[0].then_body, AssignStmt)
+    assert isinstance(body[0].then_body, Assign)
     assert body[0].else_body is not None
     kinds = [type(s).__name__ for s in body[1:]]
-    assert kinds == ["CreateStmt", "AssignStmt", "SendStmt"]
+    assert kinds == ["Create", "Assign", "Send"]
     assert ast.variables == ("next", "x")
 
 

@@ -7,8 +7,6 @@ import latreach.expr as E
 from latreach import rules
 from latreach.automaton import (
     LatticeAutomaton,
-    accepts_concrete,
-    bounded_language,
     is_empty,
     matches,
     normalize,
@@ -22,7 +20,9 @@ from latreach.domain import (
     IntervalEnv,
     TOP_GUARD,
 )
-from latreach.frontend import build_cfg, compile_program, parse
+from latreach.concrete import accepts_concrete, bounded_language
+from latreach.frontend import Edge, build_cfg, compile_program
+from latreach.syntax import Reduce, parse
 from latreach.rules import (
     IDENTITY_H,
     RewriteRule,
@@ -272,8 +272,6 @@ def test_reduce_neutral_elements():
 def test_reduce_unsupported_operator():
     class FakeEdge:
         pass
-
-    from latreach.frontend import Edge, Reduce
 
     edge = Edge("l0", Reduce("t", "s", "+", E.Const(F(0))), "l1")
     bad = Edge("l0", Reduce("t", "s", "-", E.Const(F(0))), "l1")

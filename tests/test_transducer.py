@@ -9,8 +9,6 @@ import latreach.transducer as T
 from latreach.automaton import (
     Builder,
     LatticeAutomaton,
-    accepts_concrete,
-    bounded_language,
     is_empty,
     normalize,
     path_labels,
@@ -27,7 +25,8 @@ from latreach.domain import (
     IntervalEnv,
     meet_guard,
 )
-from latreach.frontend import Assign, Filter, parse_expr
+from latreach.concrete import accepts_concrete, bounded_language
+from latreach.syntax import Assign, Filter, parse_expr
 from latreach.transducer import (
     InstanceInfo,
     LatticeTransducer,
