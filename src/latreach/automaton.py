@@ -71,6 +71,15 @@ class LatticeAutomaton:
         return out
 
     @cached_property
+    def out_by_loc(self) -> dict:
+        """(state, location) -> [(letter, dst)], built once, each list in
+        the order of out_by_src."""
+        out = {}
+        for (s, l, t) in self.transitions:
+            out.setdefault((s, l.loc), []).append((l, t))
+        return out
+
+    @cached_property
     def out_by_key(self) -> dict:
         """(state, key) -> (letter, dst), built once; complete for a
         key-deterministic automaton, which every canonical one is."""
@@ -94,8 +103,9 @@ class LatticeAutomaton:
 
 
 class Builder:
-    """Accumulates transitions, label paths and epsilon links, then builds a
-    trimmed automaton."""
+    """Accumulates transitions, label paths and epsilon links, then builds
+    an automaton without epsilon links.  The result may keep dead states:
+    every caller normalizes it, and normalize trims first."""
 
     def __init__(self):
         self.trans = set()
@@ -138,9 +148,8 @@ class Builder:
             states.add(s)
             states.add(t)
         if not self.eps:
-            auto = LatticeAutomaton(frozenset(states), frozenset(self.initial),
+            return LatticeAutomaton(frozenset(states), frozenset(self.initial),
                                     frozenset(self.final), frozenset(self.trans))
-            return trim(auto)
         succ = {}
         for a, b in self.eps:
             succ.setdefault(a, set()).add(b)
@@ -161,9 +170,8 @@ class Builder:
                         trans.add((s0, l, t))
             if reach & final:
                 final.add(s0)
-        auto = LatticeAutomaton(frozenset(states), frozenset(self.initial),
+        return LatticeAutomaton(frozenset(states), frozenset(self.initial),
                                 frozenset(final), frozenset(trans))
-        return trim(auto)
 
 
 def trim(a: LatticeAutomaton) -> LatticeAutomaton:
@@ -424,24 +432,34 @@ def path_labels(a: LatticeAutomaton, q, n: int):
     return acc
 
 
+def _moves(a: LatticeAutomaton, q, g):
+    """The (letter, dst) moves from q whose location the guard element
+    names, in the order of a.out_by_src."""
+    if g.by_loc is None:
+        return a.out_by_src.get(q, ())
+    if len(g.by_loc) == 1:
+        return a.out_by_loc.get((q, g.by_loc[0][0]), ())
+    locs = {loc for loc, _ in g.by_loc}
+    return [(l, t) for (l, t) in a.out_by_src.get(q, ()) if l.loc in locs]
+
+
 def matches(ctx: DomainContext, w, a: LatticeAutomaton):
     """Matching sequences of a guard word against the automaton: every
     (q_b, v, q_e) with a path of length |w| whose pointwise meet with the
-    guard word is non-bottom."""
+    guard word is non-bottom.
+
+    Paths grow one guard element at a time over the moves at the
+    locations it names, so a letter the guard cannot read is never met
+    and each prefix is met once; the triples come in the order of sorted
+    start states, then of out_by_src along the path."""
     assert len(w) >= 1
     out = []
     for q in sorted(a.states, key=repr):
-        for labels, end in path_labels(a, q, len(w)):
-            vs = []
-            ok = True
-            for l, g in zip(labels, w):
-                m = meet_guard(ctx, l, g)
-                if m is None:
-                    ok = False
-                    break
-                vs.append(m)
-            if ok:
-                out.append(MatchTriple(q, tuple(vs), end))
+        acc = [((), q)]
+        for g in w:
+            acc = [(vs + (m,), t) for vs, cur in acc for (l, t) in _moves(a, cur, g)
+                   for m in (meet_guard(ctx, l, g),) if m is not None]
+        out.extend(MatchTriple(q, vs, end) for vs, end in acc)
     return out
 
 

@@ -429,8 +429,10 @@ class AffineEnv:
     def meet(self, other: "AffineEnv") -> Optional["AffineEnv"]:
         return AffineEnv.from_rows(self.vars, self.dict_rows() + other.dict_rows())
 
-    def _generators(self):
-        """(particular point, basis of the direction space) as dicts."""
+    @cached_property
+    def generators(self):
+        """(particular point, basis of the direction space) as dicts,
+        computed once per environment; callers must not mutate them."""
         rows = self.dict_rows()
         pivots = {sorted(coeffs)[0] for coeffs, _ in rows}
         free = [v for v in self.vars if v not in pivots]
@@ -449,8 +451,8 @@ class AffineEnv:
 
     def join(self, other: "AffineEnv") -> "AffineEnv":
         """Affine hull: the least affine subspace containing both."""
-        p1, b1 = self._generators()
-        p2, b2 = other._generators()
+        p1, b1 = self.generators
+        p2, b2 = other.generators
         span = b1 + b2 + [{v: p2[v] - p1[v] for v in self.vars}]
         # Constraint rows are the left nullspace of the span: solve
         # span . a = 0 for the coefficient vector a (one unknown per var).
@@ -1002,7 +1004,6 @@ def _refine_interval_cmp(ctx, s, op, lhs_name, rhs_itv) -> Optional[AbstractLoca
     """Tighten variable lhs under lhs <op> rhs_itv (interval letters)."""
     cur = s.pid if lhs_name == "id" else s.env.get(lhs_name)
     integral = ctx.is_int(lhs_name)
-    one = Fraction(1) if integral else Fraction(0)
     if op == "==":
         new = cur.meet(rhs_itv)
     elif op == "!=":
@@ -1015,12 +1016,18 @@ def _refine_interval_cmp(ctx, s, op, lhs_name, rhs_itv) -> Optional[AbstractLoca
             elif integral and cur.hi == rhs_itv.lo and is_finite(cur.hi):
                 new = Interval(cur.lo, cur.hi - 1)
     elif op == "<":
-        bound = rhs_itv.hi if not integral else bound_add(rhs_itv.hi, -one)
+        # the largest integer below the bound: x < 3/2 keeps x = 1
+        bound = rhs_itv.hi
+        if integral and is_finite(bound):
+            bound = Fraction(math.ceil(bound) - 1)
         new = cur.meet(Interval(NEG_INF, bound))
     elif op == "<=":
         new = cur.meet(Interval(NEG_INF, rhs_itv.hi))
     elif op == ">":
-        bound = rhs_itv.lo if not integral else bound_add(rhs_itv.lo, one)
+        # the smallest integer above the bound: x > 3/2 keeps x = 2
+        bound = rhs_itv.lo
+        if integral and is_finite(bound):
+            bound = Fraction(math.floor(bound) + 1)
         new = cur.meet(Interval(bound, POS_INF))
     elif op == ">=":
         new = cur.meet(Interval(rhs_itv.lo, POS_INF))

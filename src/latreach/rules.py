@@ -30,7 +30,7 @@ from .domain import (
     meet_guard,
     relational_updates,
 )
-from .graph import live, path_lengths
+from .graph import live, path_lengths, reachable
 from .syntax import Broadcast, Create, Receive, Reduce, Send, parse_expr
 from .transducer import (
     InstanceInfo,
@@ -113,19 +113,27 @@ class StarImages:
     only when h assigns from it (the broadcast copy), so only then is the
     tuple part of the key.  Images are built on first use, so the meets
     that run (and the alarms they raise) are those of building every
-    segment afresh, each run once."""
+    segment afresh, each run once.  The states reachable from a start
+    over an image are memoized too, so once a start has been seen,
+    deciding whether a segment is viable costs set lookups."""
 
     def __init__(self, ctx: DomainContext, a: LatticeAutomaton, sink: AlarmSink = None):
         self.ctx = ctx
         self.a = a
         self.sink = sink
-        self._memo = {}
+        self._memo = {}  # key -> (transitions, successor sets)
+        self._reach = {}  # (key, start) -> states reachable from start
 
-    def image(self, guard, h: HRewrite, matched):
-        key = (guard, h, matched if h.updates else ())
-        trans = self._memo.get(key)
-        if trans is None:
+    @staticmethod
+    def key(guard, h: HRewrite, matched):
+        return (guard, h, matched if h.updates else ())
+
+    def _entry(self, key):
+        hit = self._memo.get(key)
+        if hit is None:
+            guard, h, matched = key
             trans = []
+            succ = {}
             for (s, l, t) in self.a.transitions:
                 m = meet_guard(self.ctx, l, guard, self.sink)
                 if m is None:
@@ -133,24 +141,42 @@ class StarImages:
                 img = h.apply(self.ctx, m, matched, self.sink)
                 if img is not None:
                     trans.append((s, img, t))
-            self._memo[key] = trans
-        return trans
+                    succ.setdefault(s, set()).add(t)
+            hit = self._memo[key] = (trans, succ)
+        return hit
+
+    def image(self, guard, h: HRewrite, matched):
+        return self._entry(self.key(guard, h, matched))[0]
+
+    def viable(self, guard, h: HRewrite, starts, ends, matched) -> bool:
+        """Does some word of the (g)* segment lead from a start to an end?
+        The empty word does when a start is also an end; a None guard
+        admits only the empty word."""
+        if guard is None:
+            return bool(starts & ends)
+        key = self.key(guard, h, matched)
+        # the image is built even when the empty word fits, so the meets
+        # and their alarms are those of cutting the segment out
+        succ = self._entry(key)[1]
+        if starts & ends:
+            return True
+        for s in starts:
+            seen = self._reach.get((key, s))
+            if seen is None:
+                seen = self._reach[(key, s)] = reachable({s}, succ)
+            if not seen.isdisjoint(ends):
+                return True
+        return False
 
     def segment(self, guard, h: HRewrite, starts, ends, matched):
-        """The (g)* segment between two state sets: the star image
-        restricted to states lying on some start-to-end path.
-
-        Returns the kept transitions, or None when no word (not even the
-        empty one) fits; the empty word fits whenever a start is also an
-        end."""
+        """The transitions of a viable (g)* segment between two state sets:
+        the star image restricted to states lying on some start-to-end
+        path."""
         if guard is None:  # segment that must stay empty
-            return () if starts & ends else None
+            return ()
         trans = self.image(guard, h, matched)
         keep = live(trans, starts, ends)
-        kept = tuple((s, l, t) for (s, l, t) in trans if s in keep and t in keep)
-        if kept or (starts & ends):
-            return kept
-        return None
+        return tuple((s, l, t) for (s, l, t) in trans if s in keep and t in keep)
 
 
 def _path_lengths(trans, starts, ends):
@@ -164,23 +190,34 @@ def _path_lengths(trans, starts, ends):
 # ---------------------------------------------------------------------------
 # rule application
 
+START = ("S",)
+END = ("T",)
+
 
 def apply_rule(ctx: DomainContext, rule: RewriteRule, a: LatticeAutomaton,
                sink: AlarmSink = None) -> LatticeAutomaton:
     """Sound image of the automaton's language under the rule.
 
-    For every combination of matching sequences, the guarded segments are
-    cut out of the automaton (states shared, as in the product-free
-    construction), rewritten by the h-rewriters, joined by the replaced
-    match words and the inserted f-images, and the per-combination
-    automata are unioned.  An instance whose f- or h-image contains a
-    bottom letter contributes nothing, which is what enforces
-    communication partner conditions.
+    An instance is a combination of matching sequences, one per guard
+    word, and for create rules a class of final states.  Its image cuts
+    the guarded segments out of the automaton, rewrites them by the
+    h-rewriters, and puts the f-images in place of the matched words.  An
+    instance with a segment that no word fits is skipped before its
+    f-images are evaluated; one whose f-image contains a bottom letter
+    contributes nothing, which is what enforces communication partner
+    conditions.
 
-    The guard meets and h-rewrites of the stars do not depend on the
-    instance (except a copy rewriter's on the matched tuple), so one
-    StarImages memo per call computes each star image once; an instance
-    only restricts the images to its own start and end states."""
+    The rule decides how instances are assembled.  When no f-image
+    depends on another instance's match (at most one guard word, no
+    suffix lengths, and f0 and f(n+1) empty or a single instance: reduce
+    spawn and swap, broadcast), every instance writes into one automaton,
+    the product-free construction: segment i runs on the states (i, q),
+    tagged with the matched tuple where h copies from it, each star image
+    is added once, an instance adds only its f-bridges, and the rule's
+    image is normalized once.  Otherwise (send/receive and reduce
+    delivery match two guard words, create resolves fresh identifiers
+    from suffix lengths) each instance is its own automaton on the
+    automaton's states, and the instances are unioned."""
     a = normalize(a)
     if a.is_trivially_empty:
         return LatticeAutomaton.empty()
@@ -189,16 +226,12 @@ def apply_rule(ctx: DomainContext, rule: RewriteRule, a: LatticeAutomaton,
         return LatticeAutomaton.empty()
 
     stars = StarImages(ctx, a, sink)
-    results = []
-    for combo in _combinations(match_sets):
-        flat = tuple(v for m in combo for v in m.labels)
-        for qfs in _final_groups(stars, rule, combo):
-            auto = _apply_instance(stars, rule, combo, flat, qfs)
-            if auto is not None and not auto.is_trivially_empty:
-                results.append(auto)
-    if not results:
-        return LatticeAutomaton.empty()
-    return union_all(results)
+    combos = _combinations(match_sets)
+    if len(rule.words) <= 1 and not rule.track_length and \
+            (len(combos) == 1 or not (rule.f_specs[0] or rule.f_specs[-1])):
+        return _shared_image(stars, rule, combos)
+    return union_all([_instance_image(stars, rule, *inst)
+                      for inst in _instances(stars, rule, combos)])
 
 
 def _combinations(match_sets):
@@ -216,33 +249,41 @@ def _final_groups(stars: StarImages, rule, combo):
     identifier); everything else takes all final states at once."""
     if not rule.track_length or not combo:
         return [stars.a.final]
-    last_end = combo[-1].end
+    last_end = frozenset({combo[-1].end})
     groups = {}
     for qf in sorted(stars.a.final, key=repr):
-        seg = stars.segment(rule.stars[-1], rule.h_specs[-1], {last_end}, {qf}, ())
-        if seg is None:
+        if not stars.viable(rule.stars[-1], rule.h_specs[-1], last_end, {qf}, ()):
             continue
-        key = _path_lengths(seg, {last_end}, {qf})
+        seg = stars.segment(rule.stars[-1], rule.h_specs[-1], last_end, {qf}, ())
+        key = _path_lengths(seg, last_end, {qf})
         groups.setdefault(key, set()).add(qf)
     return [frozenset(g) for _, g in sorted(groups.items(), key=lambda kv: repr(kv))]
 
 
-def _apply_instance(stars: StarImages, rule, combo, flat, qfs):
-    ctx, sink = stars.ctx, stars.sink
-    n = len(rule.words)
-    q0s = stars.a.initial
-    segments = []
-    for i in range(n + 1):
-        starts = q0s if i == 0 else frozenset({combo[i - 1].end})
-        ends = frozenset({combo[i].begin}) if i < n else qfs
-        seg = stars.segment(rule.stars[i], rule.h_specs[i], starts, ends, flat)
-        if seg is None:
-            return None
-        segments.append((seg, starts, ends))
+def _instances(stars: StarImages, rule, combos):
+    """The instances whose segments are all viable and whose f-images
+    have no bottom letter, as (combo, matched tuple, segment bounds,
+    f-images); bounds[i] is the (starts, ends) pair of segment i."""
+    a = stars.a
+    for combo in combos:
+        flat = tuple(v for m in combo for v in m.labels)
+        for qfs in _final_groups(stars, rule, combo):
+            bounds = tuple(zip((a.initial, *(frozenset({m.end}) for m in combo)),
+                               (*(frozenset({m.begin}) for m in combo), qfs)))
+            if all(stars.viable(g, h, starts, ends, flat) for g, h, (starts, ends)
+                   in zip(rule.stars, rule.h_specs, bounds)):
+                f_words = _f_images(stars, rule, flat, bounds)
+                if f_words is not None:
+                    yield combo, flat, bounds, f_words
 
+
+def _f_images(stars: StarImages, rule, flat, bounds):
+    """The words f0 .. f(n+1) of a viable instance, or None when one of
+    their letters is bottom."""
     inst = InstanceInfo()
     if rule.track_length:
-        lengths = [_path_lengths(seg, st, en) for seg, st, en in segments]
+        lengths = [_path_lengths(stars.segment(g, h, starts, ends, flat), starts, ends)
+                   for g, h, (starts, ends) in zip(rule.stars, rule.h_specs, bounds)]
         later_words = sum(len(w) for w in rule.words[1:])
         statics = [l[1] for l in lengths[1:]]
         suffix_static = None
@@ -256,29 +297,61 @@ def _apply_instance(stars: StarImages, rule, combo, flat, qfs):
     for spec in rule.f_specs:
         word = []
         for out in spec:
-            img = eval_letter_out(ctx, out, flat, inst, sink)
+            img = eval_letter_out(stars.ctx, out, flat, inst, stars.sink)
             if img is None:
                 return None
             word.append(img)
         f_words.append(word)
+    return f_words
 
-    # Assemble on the automaton's own states, as the original construction
-    # does: segment transitions plus bridge paths for the f-images.
+
+def _add_bridges(bld: Builder, combo, bounds, f_words, at):
+    """The f-image paths of one instance: f0 from START to the initial
+    states, f(i+1) across the i-th match, f(n+1) from its final states to
+    END; at(i, q) names state q of segment i."""
+    n = len(combo)
+    for q0 in sorted(bounds[0][0], key=repr):
+        bld.add_path(START, f_words[0], at(0, q0), tag="f0")
+    for i, m in enumerate(combo):
+        bld.add_path(at(i, m.begin), f_words[i + 1], at(i + 1, m.end), tag=f"f{i+1}")
+    for qf in sorted(bounds[n][1], key=repr):
+        bld.add_path(at(n, qf), f_words[n + 1], END, tag=f"f{n+1}")
+
+
+def _instance_image(stars: StarImages, rule, combo, flat, bounds, f_words):
+    """One instance's automaton on the automaton's own states: its
+    segments' transitions plus its bridges."""
     bld = Builder()
-    start_state = ("S",)
-    end_state = ("T",)
-    bld.initial = {start_state}
-    bld.final = {end_state}
-    for seg, _, _ in segments:
-        for (s, l, t) in seg:
+    bld.initial = {START}
+    bld.final = {END}
+    for g, h, (starts, ends) in zip(rule.stars, rule.h_specs, bounds):
+        for (s, l, t) in stars.segment(g, h, starts, ends, flat):
             bld.add(s, l, t)
-    for q0 in sorted(q0s, key=repr):
-        bld.add_path(start_state, f_words[0], q0, tag="f0")
-    for i in range(n):
-        bld.add_path(combo[i].begin, f_words[i + 1], combo[i].end, tag=f"f{i+1}")
-    for qf in sorted(qfs, key=repr):
-        bld.add_path(qf, f_words[n + 1], end_state, tag=f"f{n+1}")
+    _add_bridges(bld, combo, bounds, f_words, lambda i, q: q)
     return bld.build()
+
+
+def _shared_image(stars: StarImages, rule, combos):
+    """Every instance in one automaton on the segment states (i, q), or
+    (i, q, matched tuple) where h copies from the tuple.  Each star image
+    is added whole, once; trimming leaves exactly the states that lie on
+    an instance's segment."""
+    bld = Builder()
+    bld.initial = {START}
+    bld.final = {END}
+    added = set()
+    for combo, flat, bounds, f_words in _instances(stars, rule, combos):
+        def at(i, q, flat=flat):
+            return (i, q, flat) if rule.h_specs[i].updates else (i, q)
+
+        for i, (g, h) in enumerate(zip(rule.stars, rule.h_specs)):
+            key = (i, StarImages.key(g, h, flat))
+            if g is not None and key not in added:
+                added.add(key)
+                for (s, l, t) in stars.image(g, h, flat):
+                    bld.add(at(i, s), l, at(i, t))
+        _add_bridges(bld, combo, bounds, f_words, at)
+    return normalize(bld.build())
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,26 @@ def test_affine_join_meet_galois_soundness():
         assert ga & gb == gm
 
 
+def test_affine_generators_computed_once(monkeypatch):
+    """join reads each operand's generators from the environment, so
+    joining the same environments again computes none of them anew."""
+    vars_ = ("id", "x")
+    e1 = AffineEnv.from_rows(vars_, [({"x": F(1), "id": F(-4)}, F(5))])
+    e2 = AffineEnv.from_rows(vars_, [({"x": F(1)}, F(3))])
+    first = e1.join(e2)
+    calls = []
+    real = AffineEnv.dict_rows
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(AffineEnv, "dict_rows", counted)
+    assert e1.join(e2) == first
+    assert calls == []
+    assert e1.generators is e1.generators
+
+
 def test_affine_identical_subspace_join():
     # x = 5 + 4*id and x = 9 + 4*(id-1) describe the same subspace
     vars_ = ("id", "next", "x")
@@ -369,6 +389,32 @@ def test_transfer_filter_integer_tightening():
     s = iletter((0, 0), "l0", x=(0, 20))
     out = transfer_filter(CTX, s, parse_expr("x > 10"), "then")
     assert out.env.get("x") == Interval.range(11, 20)
+
+
+def test_transfer_filter_strict_comparison_with_fraction():
+    """A strict comparison of an int variable with a non-integral bound
+    keeps the integers that satisfy it: x > 3/2 keeps 2, x < 3/2 keeps 1."""
+    s = iletter((0, 0), "l0", x=(2, 2))
+    assert transfer_filter(CTX, s, parse_expr("x > 3 / 2"), "then") == s
+    assert transfer_filter(CTX, s, parse_expr("x > 3 / 2"), "else") is None
+    one = iletter((0, 0), "l0", x=(1, 1))
+    assert transfer_filter(CTX, one, parse_expr("x < 3 / 2"), "then") == one
+    assert transfer_filter(CTX, one, parse_expr("x < 3 / 2"), "else") is None
+    wide = iletter((0, 0), "l0", x=(-5, 5))
+    assert transfer_filter(CTX, wide, parse_expr("x > 3 / 2"), "then").env.get("x") \
+        == Interval.range(2, 5)
+    assert transfer_filter(CTX, wide, parse_expr("x < -3 / 2"), "then").env.get("x") \
+        == Interval.range(-5, -2)
+    # integral bounds and infinite ones behave as before
+    assert transfer_filter(CTX, wide, parse_expr("x < 2"), "then").env.get("x") \
+        == Interval.range(-5, 1)
+    top = AbstractLocalState(Interval.point(0), "l0", IntervalEnv.top())
+    assert transfer_filter(CTX, top, parse_expr("x > 3 / 2"), "then").env.get("x") \
+        == Interval(F(2), POS_INF)
+    # a rat variable keeps the bound as it is
+    rat = DomainContext("interval", ("x",), frozenset({"x"}))
+    assert transfer_filter(rat, top, parse_expr("x > 3 / 2"), "then").env.get("x") \
+        == Interval(F(3, 2), POS_INF)
 
 
 def test_transfer_filter_unsat():

@@ -316,6 +316,27 @@ def test_broadcast_and_reduce_randomized_soundness():
         assert ok, (text, missing)
 
 
+STRICT_FRACTION_PROGRAM = """\
+x := nprocs - id;
+if (x > nprocs / 2) { send(id + 1, x); } else { receive(any_id, x); }
+while (*) { y := y + nprocs; }
+broadcast(nprocs - 1, x);
+reduce(y, x, +, nprocs - 1);
+"""
+
+
+def test_strict_comparison_with_fraction_keeps_every_configuration():
+    """x > 3/2 with x = 2 must take the then branch under intervals: with
+    --procs 3 every configuration of the bounded interpreter (depth 40)
+    lies in the reach, and the deadlock check still runs."""
+    ast, sem, res = analyze(STRICT_FRACTION_PROGRAM, procs=3)
+    check_deadlock(sem, res)
+    r = reach_bounded(sem.cfg, initial_config(sem.cfg, ast.variables, 3), 40, 3)
+    assert not r.pruned and len(r.configs) > 1000
+    missing = [c for c in r.configs if not accepts_concrete(sem.ctx, res.reach, config_word(c))]
+    assert missing == []
+
+
 def test_any_mode_covers_every_initial_size():
     """The unknown-initial-count abstraction must cover oracle runs from
     any concrete process count, including programs that create."""

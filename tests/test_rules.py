@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,35 +7,50 @@ import pytest
 import latreach.expr as E
 from latreach import rules
 from latreach.automaton import (
+    Builder,
     LatticeAutomaton,
+    MatchTriple,
+    includes,
     is_empty,
     matches,
     normalize,
+    path_labels,
+    shape,
     union_all,
 )
 from latreach.domain import (
     AbstractLocalState,
+    AffineEnv,
+    AlarmSink,
+    Constraint,
     DomainContext,
+    GuardAtom,
     GuardElement,
     Interval,
     IntervalEnv,
     TOP_GUARD,
+    meet_guard,
 )
+from latreach.graph import live, path_lengths
 from latreach.concrete import accepts_concrete, bounded_language
 from latreach.frontend import Edge, build_cfg, compile_program
-from latreach.syntax import Reduce, parse
+from latreach.syntax import Broadcast, Create, Receive, Reduce, Send, parse, parse_expr
 from latreach.rules import (
     IDENTITY_H,
+    REDUCE_OPS,
+    HRewrite,
     RewriteRule,
     apply_rule,
     collector_loc,
     lock_loc,
+    make_broadcast_rule,
+    make_create_rule,
     make_reduce_rules,
     make_send_receive_rule,
     rule_from_json,
     rule_to_json,
 )
-from latreach.transducer import LetterOut
+from latreach.transducer import InstanceInfo, LetterOut, eval_letter_out
 from latreach.concrete import ConcreteLocalState, config_word, post
 
 from helpers import load_program, rule_image_words
@@ -430,3 +446,256 @@ def test_rule_image_inclusion_randomized():
                 checked += 1
                 assert accepts_concrete(ctx, img, out), (trial, w, out)
     assert checked > 100  # guard against a vacuous run
+
+
+# ---------------------------------------------------------------------------
+# Shared-state assembly against the per-instance union
+
+
+def _reference_segment(ctx, a, guard, h, starts, ends, matched, sink):
+    """The star image restricted to start-to-end paths, or None when no
+    word fits: computed afresh for every instance."""
+    if guard is None:
+        return () if starts & ends else None
+    trans = []
+    for (s, l, t) in a.transitions:
+        m = meet_guard(ctx, l, guard, sink)
+        if m is not None:
+            img = h.apply(ctx, m, matched, sink)
+            if img is not None:
+                trans.append((s, img, t))
+    keep = live(trans, starts, ends)
+    kept = tuple((s, l, t) for (s, l, t) in trans if s in keep and t in keep)
+    return kept if kept or starts & ends else None
+
+
+def _reference_matches(ctx, w, a):
+    out = []
+    for q in sorted(a.states, key=repr):
+        for labels, end in path_labels(a, q, len(w)):
+            vs = [meet_guard(ctx, l, g) for l, g in zip(labels, w)]
+            if None not in vs:
+                out.append(MatchTriple(q, tuple(vs), end))
+    return out
+
+
+def _static(trans, starts, ends):
+    shortest, longest = path_lengths(trans, starts, ends)
+    return shortest, shortest if shortest == longest else None
+
+
+def _reference_instance(ctx, rule, a, combo, flat, qfs, sink, at):
+    n = len(rule.words)
+    segments = []
+    for i in range(n + 1):
+        starts = a.initial if i == 0 else frozenset({combo[i - 1].end})
+        ends = frozenset({combo[i].begin}) if i < n else qfs
+        seg = _reference_segment(ctx, a, rule.stars[i], rule.h_specs[i], starts, ends,
+                                 flat, sink)
+        if seg is None:
+            return None
+        segments.append((seg, starts, ends))
+    inst = InstanceInfo()
+    if rule.track_length:
+        lengths = [_static(seg, st, en) for seg, st, en in segments]
+        statics = [l[1] for l in lengths[1:]]
+        suffix = None
+        if None not in statics:
+            suffix = sum(statics) + sum(len(w) for w in rule.words[1:])
+        min_len = lengths[0][0] + sum(len(w) for w in rule.words) \
+            + sum(l[0] for l in lengths[1:])
+        inst = InstanceInfo(suffix_len=suffix, min_len=max(1, min_len))
+    f_words = []
+    for spec in rule.f_specs:
+        word = [eval_letter_out(ctx, out, flat, inst, sink) for out in spec]
+        if None in word:
+            return None
+        f_words.append(word)
+    bld = Builder()
+    bld.initial, bld.final = {("S",)}, {("T",)}
+    for i, (seg, _, _) in enumerate(segments):
+        for (s, l, t) in seg:
+            bld.add(at(i, s), l, at(i, t))
+    for q0 in a.initial:
+        bld.add_path(("S",), f_words[0], at(0, q0))
+    for i in range(n):
+        bld.add_path(at(i, combo[i].begin), f_words[i + 1], at(i + 1, combo[i].end))
+    for qf in qfs:
+        bld.add_path(at(n, qf), f_words[n + 1], ("T",))
+    return bld.build()
+
+
+def reference_instances(ctx, rule, a, sink, tagged=None):
+    """The automata of a rule application's instances, one per instance,
+    with the segments of every instance cut out afresh; and whether
+    apply_rule assembles this application in one automaton (at most one
+    guard word, no suffix lengths, and f0 and f(n+1) empty or a single
+    instance).
+
+    tagged True runs segment i of every instance on the states (i, q),
+    with the matched tuple where h copies from it; False runs every
+    segment on the automaton's own states q; None tags exactly the shared
+    applications."""
+    a = normalize(a)
+    if a.is_trivially_empty:
+        return [], True
+    match_sets = [_reference_matches(ctx, w, a) for w in rule.words]
+    combos = list(itertools.product(*match_sets))
+    shared = len(rule.words) <= 1 and not rule.track_length and \
+        (len(combos) == 1 or not (rule.f_specs[0] or rule.f_specs[-1]))
+    if tagged is None:
+        tagged = shared
+    results = []
+    for combo in combos:
+        flat = tuple(v for m in combo for v in m.labels)
+
+        def at(i, q, flat=flat):
+            if not tagged:
+                return q
+            return (i, q, flat) if rule.h_specs[i].updates else (i, q)
+
+        groups = [a.final]
+        if rule.track_length and combo:
+            last = frozenset({combo[-1].end})
+            by_len = {}
+            for qf in sorted(a.final, key=repr):
+                seg = _reference_segment(ctx, a, rule.stars[-1], rule.h_specs[-1], last,
+                                         {qf}, (), sink)
+                if seg is not None:
+                    by_len.setdefault(_static(seg, last, {qf}), set()).add(qf)
+            groups = [frozenset(g) for _, g in sorted(by_len.items(), key=repr)]
+        for qfs in groups:
+            auto = _reference_instance(ctx, rule, a, combo, flat, qfs, sink, at)
+            if auto is not None:
+                results.append(auto)
+    return results, shared
+
+
+def exact_union(autos):
+    """One normalize of the juxtaposition of the automata."""
+    bld = Builder()
+    for k, x in enumerate(autos):
+        bld.initial |= {(k, q) for q in x.initial}
+        bld.final |= {(k, q) for q in x.final}
+        bld.include(x, lambda q, k=k: (k, q))
+    return normalize(bld.build())
+
+
+REF_LOCS = ("l0", "l1", lock_loc("l0"), collector_loc("l0"))
+REF_INTERVAL = DomainContext("interval", ("x", "y"))
+REF_AFFINE = DomainContext("affine", ("x", "y"))
+
+
+def _ref_rules(rng):
+    """Every rule generator on locations the random automata use, plus
+    one-word rules with non-empty f0 and f(n+1), two-word random rules, and
+    a copy rewriter and a star guard that divide."""
+    send = Edge("l0", Send(rng.choice([None, parse_expr("id + 1")]), "x"), "l1")
+    recv = Edge("l1", Receive(rng.choice([None, parse_expr("id - 1")]), "x"), "l0")
+    out = make_send_receive_rule(send, recv)
+    root = rng.choice(["0", "1", "id - 1"])
+    out.append(make_broadcast_rule(Edge("l0", Broadcast(parse_expr(root), "x"), "l1")))
+    out.append(make_create_rule(Edge("l0", Create("y"), "l1"), "l1"))
+    op = rng.choice(REDUCE_OPS)
+    out += make_reduce_rules(Edge("l0", Reduce("y", "x", op, parse_expr("0")), "l1"))
+    divides = GuardElement.anywhere(GuardAtom(constraints=(
+        Constraint("x", ">=", parse_expr("1 / id")),)))
+    div_copy = HRewrite(kind="copy", loc="l1",
+                        updates=(("x", E.BinOp("/", E.PosVar(0, "x"), E.Var("x"))),))
+    out.append(RewriteRule(
+        "divide", stars=(divides, GuardElement.at("l1")),
+        words=((GuardElement.at(rng.choice(REF_LOCS)),),),
+        f_specs=((), (LetterOut(base=0, loc="l1"),), ()),
+        h_specs=(div_copy, IDENTITY_H)))
+    ends = LetterOut(base=0, loc=rng.choice(REF_LOCS),
+                     updates=(("y", E.PosVar(0, "x")),))
+    out.append(RewriteRule(
+        "frame", stars=(TOP_GUARD, TOP_GUARD),
+        words=((GuardElement.at(rng.choice(REF_LOCS)),),),
+        f_specs=((ends,), (LetterOut(base=0, loc="l0"),), (ends,)),
+        h_specs=(IDENTITY_H, IDENTITY_H)))
+    for _ in range(2):
+        r = _random_rule(rng)
+        out.append(RewriteRule(r.name, r.stars, r.words, r.f_specs,
+                               tuple(rng.choice([IDENTITY_H, HRewrite("relocate", "l1")])
+                                     for _ in r.h_specs)))
+    return out
+
+
+def _ref_letter(rng, ctx):
+    lo = rng.randint(-1, 2)
+    pid = Interval.range(lo, lo + rng.randint(0, 2))
+    if ctx.kind == "interval":
+        x = rng.randint(-2, 2)
+        env = IntervalEnv.make({"x": Interval.range(x, x + rng.randint(0, 2)),
+                                "y": Interval.point(rng.randint(0, 1))})
+    else:
+        rows = [({"x": F(1), "id": F(-rng.randint(-2, 2))}, F(rng.randint(-3, 3)))]
+        env = AffineEnv.from_rows(ctx.affine_vars(), rows if rng.random() < 0.7 else [])
+    return AbstractLocalState(pid, rng.choice(REF_LOCS), env)
+
+
+def _ref_automaton(rng, ctx):
+    n = rng.randint(2, 4)
+    edges = {(rng.randint(0, n - 1), _ref_letter(rng, ctx), rng.randint(0, n - 1))
+             for _ in range(rng.randint(3, 7))}
+    return LatticeAutomaton(frozenset(range(n)), frozenset({0}),
+                            frozenset(rng.sample(range(n), rng.randint(1, 2))),
+                            frozenset(edges))
+
+
+def _layered_automaton(rng, ctx):
+    """Acyclic, every word of one length: the shape of a reach automaton
+    under --procs n without process creation."""
+    layers = [[(k, j) for j in range(rng.randint(1, 2))] for k in range(rng.randint(2, 5))]
+    edges = {(rng.choice(layers[k]), _ref_letter(rng, ctx), rng.choice(layers[k + 1]))
+             for k in range(len(layers) - 1) for _ in range(rng.randint(1, 3))}
+    return LatticeAutomaton(frozenset(q for layer in layers for q in layer),
+                            frozenset({layers[0][0]}), frozenset(layers[-1]),
+                            frozenset(edges))
+
+
+def _check_against_reference(ctx, rng, automaton, tagged, trials):
+    """apply_rule gives the union of the reference instances, exact where
+    it shares states and folded by union_all otherwise, with the same
+    alarms; and it is never coarser than union_all's fold: the same
+    canonical shape, each label below the fold's."""
+    images = alarmed = 0
+    kinds = set()
+    for trial in range(trials):
+        a = automaton(rng, ctx)
+        for rule in _ref_rules(rng):
+            want_sink, sink = AlarmSink(), AlarmSink()
+            instances, shared = reference_instances(ctx, rule, a, want_sink, tagged)
+            fold = union_all(instances)
+            got = apply_rule(ctx, rule, a, sink)
+            assert got == (exact_union(instances) if shared else fold), (trial, rule.name)
+            assert sink.alarms == want_sink.alarms, (trial, rule.name)
+            assert shape(got) == shape(fold) and includes(fold, got), (trial, rule.name)
+            if not is_empty(got):
+                images += 1
+                kinds.add(rule.name.split("[")[0])
+            alarmed += bool(sink.alarms)
+    assert images >= 100 and alarmed >= 10
+    assert kinds >= {"send_recv", "recv_send", "broadcast", "create", "reduce_spawn",
+                     "reduce_swap", "reduce_deliver", "divide", "frame", "rnd"}
+
+
+@pytest.mark.parametrize("ctx", [REF_INTERVAL, REF_AFFINE], ids=["interval", "affine"])
+def test_apply_rule_matches_per_instance_reference(ctx):
+    """Against the per-instance reference, for every kind of rule (shared
+    and per-instance assembly, copy rewriters, create's suffix lengths,
+    the empty star of reduce delivery), on seeded random automata with
+    cycles and final states before a match; the reference runs the
+    segments of shared applications on (i, q) as apply_rule does."""
+    _check_against_reference(ctx, random.Random(707 if ctx is REF_INTERVAL else 708),
+                             _ref_automaton, None, 80)
+
+
+@pytest.mark.parametrize("ctx", [REF_INTERVAL, REF_AFFINE], ids=["interval", "affine"])
+def test_apply_rule_untagged_reference_on_fixed_length_words(ctx):
+    """Where every word has one length and no cycle (--procs n), no state
+    of one segment lies in another, so the reference's instances on the
+    automaton's own states q serve for every rule."""
+    _check_against_reference(ctx, random.Random(717 if ctx is REF_INTERVAL else 718),
+                             _layered_automaton, False, 120)
