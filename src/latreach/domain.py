@@ -295,61 +295,130 @@ class IntervalEnv:
 
 # ---------------------------------------------------------------------------
 # affine-equality environments (Karr's domain, equalities only)
+#
+# The kernel eliminates over the integers, fraction-free (Bareiss 1968).
+# An integer row (coeffs: dict name->int, const: int) stands for
+# sum(coeffs[n] * n) = const.  An echelon form is a dict pivot -> row in
+# which every row is primitive (the gcd of its entries is 1), has a
+# positive coefficient at its pivot and is zero at every other pivot.  A
+# reduced rational row has exactly one primitive integer multiple with a
+# positive pivot, so under a fixed column order the integer form is as
+# canonical as the reduced row echelon form, and Fractions are built only
+# for the output (k / pivot coefficient).
 
 
-def _rref(rows):
-    """Reduced row echelon form over exact rationals.
+def _int_row(coeffs: dict, const):
+    """A rational row scaled to integers by the lcm of its denominators."""
+    den = math.lcm(const.denominator, *(k.denominator for k in coeffs.values()))
+    return ({n: k.numerator * (den // k.denominator) for n, k in coeffs.items() if k},
+            const.numerator * (den // const.denominator))
 
-    rows: list of (coeffs: dict name->Fraction, const: Fraction).
-    Returns the canonical list sorted by pivot, or None when the system is
-    inconsistent.  Column order is the sorted variable names.
-    """
-    work = [({n: Fraction(k) for n, k in coeffs.items() if k != 0}, Fraction(c)) for coeffs, c in rows]
-    pivots = []  # (name, row) in elimination order
-    for coeffs, c in work:
-        coeffs = dict(coeffs)
-        # reduce against existing pivot rows
-        for name, (prow, pc) in pivots:
-            k = coeffs.get(name)
-            if k:
-                for n2, k2 in prow.items():
-                    coeffs[n2] = coeffs.get(n2, Fraction(0)) - k * k2
-                    if coeffs[n2] == 0:
-                        del coeffs[n2]
-                c = c - k * pc
-        if not coeffs:
-            if c != 0:
+
+def _combine(a: int, row, b: int, other):
+    """The row a * row - b * other, without zero entries."""
+    coeffs, c = row
+    ocoeffs, oc = other
+    out = {n: a * k for n, k in coeffs.items()} if a != 1 else dict(coeffs)
+    for n, k in ocoeffs.items():
+        v = out.get(n, 0) - b * k
+        if v:
+            out[n] = v
+        else:
+            out.pop(n, None)
+    return out, a * c - b * oc
+
+
+def _primitive(row, pivot):
+    """The row divided by the gcd of its entries, its pivot made positive."""
+    coeffs, c = row
+    g = math.gcd(c, *coeffs.values())
+    if coeffs[pivot] < 0:
+        g = -g
+    if g == 1:
+        return row
+    return {n: k // g for n, k in coeffs.items()}, c // g
+
+
+def _residual(form: dict, row):
+    """The row reduced against an echelon form, and the positive factor s
+    the reduction scaled it by: on the form's solutions,
+    s * (coeffs . x - const) equals the residual's coeffs . x - const."""
+    scale = 1
+    for p in [n for n in row[0] if n in form]:
+        prow = form[p]
+        a = prow[0][p]
+        row = _combine(a, row, row[0][p], prow)
+        scale *= a
+    return row, scale
+
+
+def _rref(rows, pick=min) -> Optional[dict]:
+    """Reduced row echelon form over the integers, by fraction-free
+    Gauss-Jordan elimination.
+
+    rows: integer rows (rational ones are scaled by _int_row).  A row is
+    made primitive with a positive pivot when it joins the form and after
+    every back-substitution, so the reduced rational row is the integer
+    row divided by its pivot coefficient.  pick chooses the pivot of a row, its first column in
+    the elimination order (min: the sorted names).  Returns the form
+    sorted by pivot name, or None when the rows are inconsistent.  The
+    input rows are not modified."""
+    form = {}
+    for row in rows:
+        row, _ = _residual(form, row)
+        if not row[0]:
+            if row[1]:
                 return None
             continue
-        pivot = sorted(coeffs)[0]
-        inv = 1 / coeffs[pivot]
-        coeffs = {n: k * inv for n, k in coeffs.items()}
-        c = c * inv
-        # back-substitute into previous rows
-        new_pivots = []
-        for name, (prow, pc) in pivots:
-            k = prow.get(pivot)
-            if k:
-                prow = dict(prow)
-                for n2, k2 in coeffs.items():
-                    prow[n2] = prow.get(n2, Fraction(0)) - k * k2
-                    if prow[n2] == 0:
-                        del prow[n2]
-                pc = pc - k * c
-            new_pivots.append((name, (prow, pc)))
-        pivots = new_pivots
-        pivots.append((pivot, (coeffs, c)))
-    pivots.sort(key=lambda item: item[0])
-    return [(row, c) for _, (row, c) in pivots]
+        q = pick(row[0])
+        row = _primitive(row, q)
+        a = row[0][q]
+        for p, prow in form.items():
+            b = prow[0].get(q)
+            if b:
+                form[p] = _primitive(_combine(a, prow, b, row), p)
+        form[q] = row
+    return {p: form[p] for p in sorted(form)}
+
+
+def _project(rows, drop) -> Optional[dict]:
+    """Existentially eliminate the columns in drop, by one elimination with
+    those columns first.  The rows pivoted outside drop are zero on it
+    and, sorted by pivot, are the reduced form of the projection."""
+    def pick(coeffs):
+        first = coeffs.keys() & drop
+        return min(first) if first else min(coeffs)
+    form = _rref(rows, pick)
+    if form is None:
+        return None
+    return {p: row for p, row in form.items() if p not in drop}
+
+
+def _null_vector(form: dict, f: str) -> dict:
+    """The integer solution of the form's rows made homogeneous that has
+    free column f at the lcm of the pivot coefficients it meets and every
+    other free column at 0."""
+    hits = [(p, coeffs) for p, (coeffs, _) in form.items() if f in coeffs]
+    scale = math.lcm(*(coeffs[p] for p, coeffs in hits))
+    vec = {f: scale}
+    for p, coeffs in hits:
+        vec[p] = -coeffs[f] * (scale // coeffs[p])
+    return vec
 
 
 @dataclass(frozen=True)
 class AffineEnv:
     """Conjunction of affine equalities over the program variables plus id.
 
-    rows are in reduced row echelon form, so two environments describe the
-    same affine subspace exactly when they are equal.  The unsatisfiable
-    system is represented by operations returning None.
+    rows are in reduced row echelon form over the sorted variable names,
+    so two environments describe the same affine subspace exactly when
+    they are equal.  The unsatisfiable system is represented by operations
+    returning None.
+
+    Each environment also caches its integer pivot form (`pivots`): the
+    same rows as an echelon form of primitive integer rows.  Queries,
+    inclusion and the lattice operations work on that form and build
+    Fractions only for the rows of a new environment.
     """
 
     vars: tuple
@@ -361,14 +430,30 @@ class AffineEnv:
 
     @staticmethod
     def from_rows(vars, dict_rows) -> Optional["AffineEnv"]:
-        vars = tuple(vars)
-        reduced = _rref(dict_rows)
-        if reduced is None:
+        """The environment of rational rows.  A column outside vars (a
+        property may name a variable the program lacks) is unconstrained,
+        as in the interval domain, so it is projected out."""
+        rows = [_int_row(coeffs, Fraction(c)) for coeffs, c in dict_rows]
+        outside = {n for coeffs, _ in rows for n in coeffs}.difference(vars)
+        form = _project(rows, outside) if outside else _rref(rows)
+        if form is None:
             return None
-        rows = tuple(
-            (tuple(coeffs.get(v, Fraction(0)) for v in vars), c) for coeffs, c in reduced
-        )
-        return AffineEnv(vars, rows)
+        return AffineEnv._from_form(vars, form)
+
+    @staticmethod
+    def _from_form(vars, form: dict) -> "AffineEnv":
+        """The environment of an echelon form over vars, sorted by pivot;
+        the form becomes its cached pivot form."""
+        vars = tuple(vars)
+        zero = Fraction(0)
+        rows = []
+        for p, (coeffs, c) in form.items():
+            a = coeffs[p]
+            rows.append((tuple(Fraction(coeffs[v], a) if v in coeffs else zero for v in vars),
+                         Fraction(c, a)))
+        env = AffineEnv(vars, tuple(rows))
+        env.__dict__["pivots"] = form
+        return env
 
     def dict_rows(self):
         return [
@@ -376,18 +461,29 @@ class AffineEnv:
             for coeffs, c in self.rows
         ]
 
+    @cached_property
+    def pivots(self) -> dict:
+        """The integer pivot form, pivot -> (coeffs, const), computed once
+        per environment; callers must not mutate it.  Scaling a reduced
+        row by the lcm of its denominators gives a primitive row."""
+        form = {}
+        for coeffs, c in self.dict_rows():
+            form[min(coeffs)] = _int_row(coeffs, c)
+        return form
+
     def too_big(self) -> bool:
         """Is a coefficient or constant past the expr.MAX_POW_BITS size cap?"""
         return any(E.number_too_big(c) or any(E.number_too_big(k) for k in coeffs)
                    for coeffs, c in self.rows)
 
     # -- queries
+    def _entails_row(self, row) -> bool:
+        residual, _ = _residual(self.pivots, row)
+        return not residual[0] and not residual[1]
+
     def entails(self, coeffs: dict, const: Fraction) -> bool:
         """Does every point of the subspace satisfy sum(coeffs) = const?"""
-        reduced = _rref(self.dict_rows() + [(coeffs, const)])
-        if reduced is None:
-            return False
-        return len(reduced) == len(self.rows)
+        return self._entails_row(_int_row(coeffs, Fraction(const)))
 
     def refutes(self, coeffs: dict, const: Fraction) -> bool:
         """Is sum(coeffs) = const false at every point? (i.e. the system
@@ -397,20 +493,12 @@ class AffineEnv:
 
     def value_of(self, coeffs: dict):
         """The constant value of the linear form, if the system pins it."""
-        work = dict(coeffs)
-        c = Fraction(0)
-        for row, rc in self.dict_rows():
-            pivot = sorted(row)[0]
-            k = work.get(pivot)
-            if k:
-                for n2, k2 in row.items():
-                    work[n2] = work.get(n2, Fraction(0)) - k * k2
-                    if work[n2] == 0:
-                        del work[n2]
-                c -= k * rc
-        if work:
+        den = math.lcm(*(k.denominator for k in coeffs.values()))
+        row = ({n: k.numerator * (den // k.denominator) for n, k in coeffs.items() if k}, 0)
+        (rest, c), scale = _residual(self.pivots, row)
+        if rest:
             return None
-        return -c
+        return Fraction(-c, scale * den)
 
     def constant(self, name: str):
         return self.value_of({name: Fraction(1)})
@@ -424,90 +512,65 @@ class AffineEnv:
 
     # -- lattice
     def leq(self, other: "AffineEnv") -> bool:
-        return all(self.entails(coeffs, c) for coeffs, c in other.dict_rows())
+        return all(self._entails_row(row) for row in other.pivots.values())
 
     def meet(self, other: "AffineEnv") -> Optional["AffineEnv"]:
-        return AffineEnv.from_rows(self.vars, self.dict_rows() + other.dict_rows())
+        form = _rref([*self.pivots.values(), *other.pivots.values()])
+        if form is None:
+            return None
+        return AffineEnv._from_form(self.vars, form)
 
     @cached_property
     def generators(self):
-        """(particular point, basis of the direction space) as dicts,
-        computed once per environment; callers must not mutate them."""
-        rows = self.dict_rows()
-        pivots = {sorted(coeffs)[0] for coeffs, _ in rows}
-        free = [v for v in self.vars if v not in pivots]
-        point = {v: Fraction(0) for v in self.vars}
-        for coeffs, c in rows:
-            point[sorted(coeffs)[0]] = c  # free vars at 0
-        basis = []
-        for f in free:
-            vec = {v: Fraction(0) for v in self.vars}
-            vec[f] = Fraction(1)
-            for coeffs, _ in rows:
-                pivot = sorted(coeffs)[0]
-                vec[pivot] = -coeffs.get(f, Fraction(0))
-            basis.append(vec)
-        return point, basis
+        """((point numerators, denominator), directions) of the subspace
+        over the integers, computed once per environment; callers must not
+        mutate them.  The point sets the free variables to 0."""
+        form = self.pivots
+        den = math.lcm(*(coeffs[p] for p, (coeffs, c) in form.items() if c))
+        point = {p: c * (den // coeffs[p]) for p, (coeffs, c) in form.items() if c}
+        return (point, den), [_null_vector(form, f) for f in self.vars if f not in form]
 
     def join(self, other: "AffineEnv") -> "AffineEnv":
-        """Affine hull: the least affine subspace containing both."""
-        p1, b1 = self.generators
-        p2, b2 = other.generators
-        span = b1 + b2 + [{v: p2[v] - p1[v] for v in self.vars}]
-        # Constraint rows are the left nullspace of the span: solve
-        # span . a = 0 for the coefficient vector a (one unknown per var).
-        sys_rows = []
-        for vec in span:
-            coeffs = {v: vec[v] for v in self.vars if vec[v] != 0}
-            if coeffs:
-                sys_rows.append((coeffs, Fraction(0)))
-        reduced = _rref(sys_rows)
-        pivots = {sorted(coeffs)[0] for coeffs, _ in reduced}
-        free = [v for v in self.vars if v not in pivots]
-        out_rows = []
-        for f in free:
-            a = {v: Fraction(0) for v in self.vars}
-            a[f] = Fraction(1)
-            for coeffs, _ in reduced:
-                a[sorted(coeffs)[0]] = -coeffs.get(f, Fraction(0))
-            const = sum(a[v] * p1[v] for v in self.vars)
-            out_rows.append(({v: k for v, k in a.items() if k != 0}, const))
-        env = AffineEnv.from_rows(self.vars, out_rows)
-        assert env is not None
-        return env
+        """Affine hull: the least affine subspace containing both.
+
+        Most joins return an operand, so inclusion is tested first, on the
+        cached pivot forms.  Otherwise the constraints are the nullspace of
+        the generator matrix: eliminated with the columns in descending
+        order, each free column f gives one constraint whose other entries
+        sit at pivots after f, zero at the other free columns, which is
+        already the reduced form for the ascending order."""
+        if other.leq(self):
+            return self
+        if self.leq(other):
+            return other
+        (p1, d1), dirs1 = self.generators
+        (p2, d2), dirs2 = other.generators
+        shift = {v: p2.get(v, 0) * d1 - p1.get(v, 0) * d2 for v in p1.keys() | p2.keys()}
+        span = [(vec, 0) for vec in dirs1 + dirs2]
+        span.append(({v: k for v, k in shift.items() if k}, 0))
+        span_form = _rref(span, max)
+        form = {}
+        for f in sorted(v for v in self.vars if v not in span_form):
+            a = _null_vector(span_form, f)
+            # a . x = a . point / d1, scaled by d1
+            const = sum(k * p1[v] for v, k in a.items() if v in p1)
+            form[f] = _primitive(({v: k * d1 for v, k in a.items()}, const), f)
+        return AffineEnv._from_form(self.vars, form)
 
     def widen(self, other: "AffineEnv") -> "AffineEnv":
         return self.join(other)  # finite height in the number of variables
 
     # -- transformers
     def project_out(self, name: str) -> "AffineEnv":
-        rows = []
-        eliminator = None
-        for coeffs, c in self.dict_rows():
-            if coeffs.get(name):
-                if eliminator is None:
-                    eliminator = (coeffs, c)
-                    continue
-                ecoeffs, ec = eliminator
-                k = coeffs[name] / ecoeffs[name]
-                merged = dict(coeffs)
-                for n2, k2 in ecoeffs.items():
-                    merged[n2] = merged.get(n2, Fraction(0)) - k * k2
-                    if merged[n2] == 0:
-                        del merged[n2]
-                rows.append((merged, c - k * ec))
-            else:
-                rows.append((coeffs, c))
-        env = AffineEnv.from_rows(self.vars, rows)
-        assert env is not None
-        return env
+        form = _project(self.pivots.values(), {name})
+        assert form is not None
+        return AffineEnv._from_form(self.vars, form)
 
     def assign_affine(self, name: str, coeffs: dict, const: Fraction) -> "AffineEnv":
         """name := sum(coeffs) + const, exact Karr assignment."""
         tmp = "\x00tmp"
         sys = _LinSys()
-        for row, c in self.dict_rows():
-            sys.add_row(row, c)
+        sys.rows = list(self.pivots.values())
         row = dict(coeffs)
         row[tmp] = row.get(tmp, Fraction(0)) - 1
         sys.add_row(row, -const)
@@ -534,48 +597,30 @@ class AffineEnv:
 
 
 class _LinSys:
-    """Mutable helper for relational computations over several letters."""
+    """Mutable helper for relational computations over several letters:
+    integer rows over tagged columns ("0.x" is x of letter 0)."""
 
     def __init__(self):
-        self.rows = []  # (dict, const)
-        self.inconsistent = False
+        self.rows = []  # integer rows (coeffs, const); never modified in place
 
     def add_row(self, coeffs: dict, const) -> None:
-        self.rows.append((dict(coeffs), Fraction(const)))
+        self.rows.append(_int_row(coeffs, Fraction(const)))
 
     def add_env(self, tag: str, env: AffineEnv) -> None:
-        for coeffs, c in env.dict_rows():
-            self.add_row({f"{tag}.{n}": k for n, k in coeffs.items()}, c)
+        for coeffs, c in env.pivots.values():
+            self.rows.append(({f"{tag}.{n}": k for n, k in coeffs.items()}, c))
 
     def reduce(self) -> bool:
-        reduced = _rref(self.rows)
-        if reduced is None:
-            self.inconsistent = True
+        form = _rref(self.rows)
+        if form is None:
             return False
-        self.rows = reduced
+        self.rows = list(form.values())
         return True
 
     def project_out(self, name: str) -> None:
-        if not self.reduce():
-            return
-        rows = []
-        eliminator = None
-        for coeffs, c in self.rows:
-            if coeffs.get(name):
-                if eliminator is None:
-                    eliminator = (coeffs, c)
-                    continue
-                ecoeffs, ec = eliminator
-                k = coeffs[name] / ecoeffs[name]
-                merged = dict(coeffs)
-                for n2, k2 in ecoeffs.items():
-                    merged[n2] = merged.get(n2, Fraction(0)) - k * k2
-                    if merged[n2] == 0:
-                        del merged[n2]
-                rows.append((merged, c - k * ec))
-            else:
-                rows.append((coeffs, c))
-        self.rows = rows
+        form = _project(self.rows, {name})
+        if form is not None:  # inconsistent rows stay inconsistent
+            self.rows = list(form.values())
 
     def rename(self, old: str, new: str) -> None:
         self.rows = [
@@ -584,34 +629,22 @@ class _LinSys:
         ]
 
     def to_env(self, vars) -> Optional[AffineEnv]:
-        if not self.reduce():
+        form = _rref(self.rows)
+        if form is None:
             return None
-        return AffineEnv.from_rows(vars, self.rows)
+        return AffineEnv._from_form(vars, form)
 
     def project_to_tag(self, tag: str, vars) -> Optional[AffineEnv]:
         """Existentially eliminate every column outside tag, then untag."""
-        if not self.reduce():
-            return None
         prefix = f"{tag}."
-        foreign = sorted({n for coeffs, _ in self.rows for n in coeffs if not n.startswith(prefix)})
-        for name in foreign:
-            self.project_out(name)
-        if not self.reduce():
+        foreign = {n for coeffs, _ in self.rows for n in coeffs if not n.startswith(prefix)}
+        form = _project(self.rows, foreign)
+        if form is None:
             return None
-        rows = [
-            ({n[len(prefix):]: k for n, k in coeffs.items()}, c)
-            for coeffs, c in self.rows
-        ]
-        return AffineEnv.from_rows(vars, rows)
-
-    def value_of(self, coeffs: dict):
-        if not self.reduce():
-            return None
-        env = AffineEnv.from_rows(tuple(sorted({n for r, _ in self.rows for n in r} | set(coeffs))),
-                                  self.rows)
-        if env is None:
-            return None
-        return env.value_of(coeffs)
+        cut = len(prefix)  # untagging keeps the sorted order
+        return AffineEnv._from_form(vars, {
+            p[cut:]: ({n[cut:]: k for n, k in coeffs.items()}, c)
+            for p, (coeffs, c) in form.items()})
 
 
 Env = Union[IntervalEnv, AffineEnv]
@@ -1238,11 +1271,13 @@ def joint_refine(ctx: DomainContext, letters: tuple, conds: tuple, sink=None):
         if not sys.reduce():
             return None
         for i, letter in enumerate(letters):
-            sub = _LinSys()
-            sub.rows = [(dict(r), c) for r, c in sys.rows]
-            env = sub.project_to_tag(str(i), letter.env.vars)
+            env = sys.project_to_tag(str(i), letter.env.vars)
             if env is None:
                 return None
+            if env.too_big():  # keep the letter unrefined, which is sound
+                if sink is not None:
+                    sink.power(", ".join(f"@{pos}.id == {E.to_source(rhs)}" for pos, rhs in conds))
+                continue
             letters[i] = letter.with_env(env)
             val = env.constant("id")
             if val is not None:
@@ -1308,4 +1343,11 @@ def relational_updates(ctx: DomainContext, target: AbstractLocalState, target_po
     env = sys.project_to_tag(tag, target.env.vars)
     if env is None:
         return None
+    if env.too_big():
+        # past the size cap the updated variables are top, as in transfer_assign
+        if sink is not None:
+            sink.power(", ".join(f"{var} := {E.to_source(rhs)}" for var, rhs in updates))
+        env = target.env
+        for var, _ in updates:
+            env = env.havoc(var)
     return target.with_env(env)

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -6,6 +7,7 @@ import pytest
 
 from latreach.cli import main, parse_property, PropertyParseError
 from latreach.engine import PropertyAutomaton
+from latreach.expr import MAX_POW_BITS
 from latreach.frontend import compile_program, load_semantics
 from latreach.syntax import parse
 
@@ -161,6 +163,43 @@ def test_affine_repeated_product_is_top_with_alarm(tmp_path, capsys):
         assert code == 0
         assert f"alarm[power]: (x * {long_literal})" in captured.out
         assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("comm", ["if (id == 0) {\n  receive(2, y);\n} else {\n  send(0, x);\n}",
+                                  "broadcast(2, y);"], ids=["send", "broadcast"])
+def test_affine_communicated_value_past_cap_is_top_with_alarm(comm, tmp_path, capsys):
+    """x = 2^4096 * id is within the size cap while id is unknown; a rule
+    that reads x of process 2 projects 2^4097, past it.  The projected
+    environments of rules are capped like those of assignments: top plus
+    an alarm, where the reach used to keep the huge constant."""
+    k = 2 ** 2048
+    prog = tmp_path / "comm.prog"
+    prog.write_text(f"x := {k} * id;\nx := {k} * x;\ny := x;\n{comm}\n", encoding="utf-8")
+    reach = tmp_path / "reach.json"
+    code, out = run_cli(capsys, "analyze", str(prog), "--procs", "any", "--domain", "affine",
+                        "--json", str(reach))
+    assert code == 0
+    assert "alarm[power]: y := @" in out
+    numbers = re.findall(r"\d+", reach.read_text()) + re.findall(r"\d+", out)
+    assert max(int(n).bit_length() for n in numbers) - 1 <= MAX_POW_BITS
+
+
+@pytest.mark.parametrize("label", ["z == 5", "x + z == 1"])
+def test_property_on_variable_the_program_lacks(label, tmp_path, capsys):
+    """A property may name a variable the program never uses.  Both
+    domains read it as unconstrained, so the initial letter (x = 0)
+    matches; the affine domain used to drop its column, read x + z == 1
+    as x == 1 and z == 5 as false, and answer SAFE."""
+    prog = tmp_path / "one.prog"
+    prog.write_text("x := 1;\n", encoding="utf-8")
+    bad = tmp_path / "z.bad"
+    bad.write_text("state s0 initial\nstate s1 final\n"
+                   f"s0 -> s1 : {label}\ns1 -> s1 : true\n", encoding="utf-8")
+    for domain in ("interval", "affine"):
+        code, out = run_cli(capsys, "analyze", str(prog), "--domain", domain,
+                            "--property", str(bad))
+        assert code == 1
+        assert "property: ALARM" in out
 
 
 def test_exit_three_overlong_literal(chain_prog, tmp_path, capsys):

@@ -1,16 +1,24 @@
-"""Seeded fuzz tests of the program and property parsers.
+"""Seeded fuzz tests of the program and property parsers, and of the
+analysis on longer local programs.
 
 Whatever the input, parsing and compilation end in a result or in the
 error the CLI reports with exit 3 (ParseError, CompileError,
 PropertyParseError), never in another exception.  Programs come from two
 sources: random token streams, and statement mixes built from the
 grammar, some with one token dropped or inserted.
+
+Programs of local statements only (assignments, branches and loops) are
+also analysed under both domains with two processes, and every
+configuration the bounded concrete interpreter reaches must be in the
+reach automaton.
 """
 import random
 
 import pytest
 
 from latreach.cli import PropertyParseError, parse_property
+from latreach.concrete import accepts_concrete, config_word, initial_config, reach_bounded
+from latreach.engine import AnalysisConfig, fixpoint
 from latreach.frontend import CompileError, build_cfg, compile_program
 from latreach.syntax import KEYWORDS, ParseError, parse
 
@@ -139,3 +147,57 @@ def test_property_parser_fuzz():
             pass
         except Exception as exc:
             raise AssertionError(f"{type(exc).__name__} on {text!r}") from exc
+
+
+def _local_expr(rng, depth):
+    if depth <= 0 or rng.random() < 0.4:
+        return rng.choice(VARS + ("id", "0", "1", "2", "3"))
+    kind = rng.random()
+    if kind < 0.15:
+        return f"({_local_expr(rng, depth - 1)} / {rng.choice(('2', '3'))})"
+    op = rng.choice(("+", "-", "+", "-", "*"))
+    return f"({_local_expr(rng, depth - 1)} {op} {_local_expr(rng, depth - 1)})"
+
+
+def _local_cond(rng):
+    if rng.random() < 0.3:
+        return "*"
+    op = rng.choice(("<", "<=", "==", "!=", ">", ">="))
+    return f"{_local_expr(rng, 1)} {op} {_local_expr(rng, 1)}"
+
+
+def _local_stmt(rng, depth):
+    kind = rng.randrange(6 if depth > 0 else 3)
+    if kind < 3:
+        return f"{rng.choice(VARS)} := {_local_expr(rng, 2)};"
+    body = " ".join(_local_stmt(rng, depth - 1) for _ in range(rng.randint(1, 2)))
+    if kind == 3:
+        other = _local_stmt(rng, depth - 1)
+        return f"if ({_local_cond(rng)}) {{ {body} }} else {{ {other} }}"
+    if kind == 4:
+        return f"if ({_local_cond(rng)}) {{ {body} }}"
+    return f"while ({_local_cond(rng)}) {{ {body} }}"
+
+
+def _local_program(rng):
+    decl = "rat q;\n" if rng.random() < 0.3 else ""
+    return decl + "\n".join(_local_stmt(rng, 2) for _ in range(rng.randint(4, 7)))
+
+
+def test_local_program_analysis_contains_concrete_reach():
+    """Seeded local programs of 4 to 7 statements, nested up to two deep:
+    under both domains with two processes, the reach automaton accepts
+    every configuration of the concrete interpreter's reach to depth 14."""
+    rng = random.Random(0)
+    for _ in range(30):
+        text = _local_program(rng)
+        ast = parse(text)
+        cfg = build_cfg(ast)
+        concrete = reach_bounded(cfg, initial_config(cfg, ast.variables, 2), 14, 2,
+                                 rat_vars=ast.rat_vars)
+        for domain in ("interval", "affine"):
+            sem = compile_program(ast, domain, 2)
+            reach = fixpoint(sem, AnalysisConfig()).reach
+            for config in concrete.configs:
+                word = config_word(config)
+                assert accepts_concrete(sem.ctx, reach, word), (domain, text, word)
