@@ -1191,19 +1191,25 @@ def meet_guard(ctx: DomainContext, s: AbstractLocalState, g: GuardElement,
 
 
 def leq_guard(ctx: DomainContext, s: AbstractLocalState, g: GuardElement) -> bool:
-    """True iff every concretisation of the letter matches the guard."""
+    """True when every concretisation of the letter matches the guard (a
+    sound under-approximation of the inclusion).
+
+    A constraint is entailed when meeting the letter with its negation
+    gives bottom: the meet over-approximates, so no concretisation
+    violates the constraint.  That refining by the constraint leaves the
+    letter unchanged proves nothing: x in [0, 10] refined by x != 5 stays
+    x in [0, 10]."""
     atom = g.atom_for(s.loc)
     if atom is None:
         return False
+    if atom.is_trivial:
+        return True
     if not s.pid.leq(atom.pid):
         return False
     if atom.env is not None and not s.env.leq(atom.env):
         return False
-    for con in atom.constraints:
-        refined = _apply_constraint(ctx, s, con)
-        if refined is None or refined != s:
-            return False
-    return True
+    return all(_apply_constraint(ctx, s, Constraint(con.lhs, E.NEGATED[con.op], con.rhs)) is None
+               for con in atom.constraints)
 
 
 # ---------------------------------------------------------------------------
@@ -1247,6 +1253,19 @@ def _add_cond_rows(sys: _LinSys, conds: tuple) -> None:
             continue
         coeffs[f"{pos}.id"] = coeffs.get(f"{pos}.id", Fraction(0)) - 1
         sys.add_row(coeffs, -aff[1])
+
+
+def entails_conds(ctx: DomainContext, letters: tuple, conds: tuple) -> bool:
+    """True when every concretisation of the letters satisfies each
+    identifier condition letters[pos].id == rhs: the letter's id is a
+    point and rhs evaluates to that same point.  The interval view is
+    sound under the affine domain too."""
+    resolver = _posvar_resolver(ctx, letters, None)
+    for pos, rhs in conds:
+        pid = letters[pos].pid
+        if not (pid.is_point and eval_interval(ctx, letters[pos], rhs, None, resolver) == pid):
+            return False
+    return True
 
 
 def joint_refine(ctx: DomainContext, letters: tuple, conds: tuple, sink=None):

@@ -14,7 +14,6 @@ from typing import List, Optional
 from .automaton import (
     LatticeAutomaton,
     includes,
-    is_empty,
     normalize,
     trim,
     union,
@@ -27,11 +26,14 @@ from .domain import (
     Interval,
     IntervalEnv,
     is_finite,
+    leq_guard,
     loc_sort_key,
     meet_guard,
+    transfer_filter,
 )
 from .frontend import CompiledSemantics
-from .rules import apply_rule
+from .rules import apply_rule, enabled, fires
+from .syntax import Filter
 from .transducer import apply_transducer, rule_images
 
 
@@ -233,14 +235,35 @@ def _candidate_paths(reach: LatticeAutomaton, blocking: frozenset, limit: int = 
     return out
 
 
+_OTHER_BRANCH = {"then": "else", "else": "then"}
+
+
+def _local_step_everywhere(sem, letter) -> bool:
+    """Is some local step enabled on every concretisation of the letter?
+    An assignment or a skip always is; a branch is when the letter meets
+    the opposite branch's filter to bottom."""
+    ctx = sem.ctx
+    by_loc, anywhere = sem.transducer.rule_index.get(1, ({}, ()))
+    return any(rule.name != "inactivity" and leq_guard(ctx, letter, rule.guard[0]) and
+               all(not isinstance(out.instr, Filter) or transfer_filter(
+                   ctx, letter, out.instr.cond, _OTHER_BRANCH[out.instr.branch]) is None
+                   for out in rule.outputs)
+               for (_, _, rule, _) in by_loc.get(letter.loc, anywhere))
+
+
+def _movable_everywhere(sem, word) -> bool:
+    """The entailment test: some rule or some local step is enabled on
+    every concretisation of the word.  It builds no automaton, and it
+    implies _movable_somewhere."""
+    return any(_local_step_everywhere(sem, letter) for letter in word) or \
+        any(enabled(sem.ctx, rule, word) for rule in sem.rules)
+
+
 def _rule_fires_on_word(sem, word) -> bool:
-    """Can any rule advance some concretisation of the word?  Checked by
-    applying every rule to the word's chain automaton."""
+    """Can any rule advance some concretisation of the word?  Decided by
+    the rule's instances on the word's chain automaton (rules.fires)."""
     chain = normalize(LatticeAutomaton.from_word(word))
-    for rule in sem.rules:
-        if not is_empty(apply_rule(sem.ctx, rule, chain)):
-            return True
-    return False
+    return any(fires(sem.ctx, rule, chain) for rule in sem.rules)
 
 
 def _transducer_moves_letter(sem, word) -> bool:
@@ -248,6 +271,14 @@ def _transducer_moves_letter(sem, word) -> bool:
     return any(rule.name != "inactivity"
                for letter in word
                for (_, rule, _, _) in rule_images(sem.ctx, sem.transducer, (letter,)))
+
+
+def _movable_somewhere(sem, word) -> bool:
+    """Some rule or some local step can move some concretisation of the
+    word.  The entailment test runs first: it is cheaper, and when it
+    holds so does this."""
+    return _movable_everywhere(sem, word) or _transducer_moves_letter(sem, word) or \
+        _rule_fires_on_word(sem, word)
 
 
 def _atom_refinements(sem, word, cap: int = 512):
@@ -296,7 +327,17 @@ def check_deadlock(sem: CompiledSemantics, result: AnalysisResult) -> List[Deadl
     blocking locations (at least one off the exit) and that no rule and no
     local step can advance.  Alarms may be spurious; when the coarse
     letters are joins, small finite refinements are also tried so that a
-    genuinely stuck combination inside a joined label is still reported."""
+    genuinely stuck combination inside a joined label is still reported.
+
+    Whether a word, coarse or refined, can move is decided by two tests,
+    with no rule image built.  The entailment test comes first: a rule
+    whose guard every concretisation of the word satisfies (leq_guard on
+    the placed guard words, partner conditions on point ids), or a local
+    step enabled on every concretisation of a letter.  When it fails, the
+    existence test decides: some rule has an instance on the word's chain
+    (rules.fires), or some local step applies to a letter.  The
+    entailment test implies the existence test, so it only saves work:
+    a word is treated as movable when some concretisation can move."""
     witnesses = {}
     blocking = sem.blocking_locs
     exit_loc = sem.cfg.exit
@@ -304,11 +345,10 @@ def check_deadlock(sem: CompiledSemantics, result: AnalysisResult) -> List[Deadl
         if all(l.loc == exit_loc for l in word):
             continue
         candidates = [word]
-        if _rule_fires_on_word(sem, word) or _transducer_moves_letter(sem, word):
+        if _movable_somewhere(sem, word):
             candidates = [w for w in _atom_refinements(sem, word)
-                          if not (_rule_fires_on_word(sem, w)
-                                  or _transducer_moves_letter(sem, w)
-                                  or all(l.loc == exit_loc for l in w))]
+                          if not (all(l.loc == exit_loc for l in w)
+                                  or _movable_somewhere(sem, w))]
             if not candidates:
                 continue
         chosen = candidates[0]

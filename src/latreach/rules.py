@@ -27,6 +27,8 @@ from .domain import (
     GuardAtom,
     GuardElement,
     TOP_GUARD,
+    entails_conds,
+    leq_guard,
     meet_guard,
     relational_updates,
 )
@@ -218,20 +220,79 @@ def apply_rule(ctx: DomainContext, rule: RewriteRule, a: LatticeAutomaton,
     delivery match two guard words, create resolves fresh identifiers
     from suffix lengths) each instance is its own automaton on the
     automaton's states, and the instances are unioned."""
-    a = normalize(a)
-    if a.is_trivially_empty:
+    matched = _match(ctx, rule, a, sink)
+    if matched is None:
         return LatticeAutomaton.empty()
-    match_sets = [matches(ctx, w, a) for w in rule.words]
-    if any(not ms for ms in match_sets):
-        return LatticeAutomaton.empty()
-
-    stars = StarImages(ctx, a, sink)
-    combos = _combinations(match_sets)
+    stars, combos = matched
     if len(rule.words) <= 1 and not rule.track_length and \
             (len(combos) == 1 or not (rule.f_specs[0] or rule.f_specs[-1])):
         return _shared_image(stars, rule, combos)
     return union_all([_instance_image(stars, rule, *inst)
                       for inst in _instances(stars, rule, combos)])
+
+
+def fires(ctx: DomainContext, rule: RewriteRule, a: LatticeAutomaton) -> bool:
+    """Is the rule's image of the automaton non-empty?  It is exactly when
+    the rule has an instance: each instance's image holds a path through
+    its viable segments and its f-images, which have no bottom letter.  So
+    this enumerates apply_rule's instances and builds no image."""
+    matched = _match(ctx, rule, a, None)
+    if matched is None:
+        return False
+    stars, combos = matched
+    return any(True for _ in _instances(stars, rule, combos))
+
+
+def _match(ctx, rule, a, sink):
+    """The star-image memo of the normalized automaton and the rule's
+    match combinations, or None when the rule cannot match."""
+    a = normalize(a)
+    if a.is_trivially_empty:
+        return None
+    match_sets = [matches(ctx, w, a) for w in rule.words]
+    if any(not ms for ms in match_sets):
+        return None
+    return StarImages(ctx, a, sink), _combinations(match_sets)
+
+
+def enabled(ctx: DomainContext, rule: RewriteRule, word) -> bool:
+    """Does the rule have an instance on every concretisation of the word?
+
+    Decided on the word itself, with no automaton: some placement of the
+    guard words on the word's positions puts every matched letter and
+    every letter of a starred segment below its guard (leq_guard; a None
+    star admits only the empty segment), and the f-images' partner
+    conditions hold on the matched letters (entails_conds).  Such a
+    placement is an instance on the word's chain, so enabled implies
+    fires there."""
+    n = len(word)
+    # where each guard word fits, before any segment is looked at: most
+    # rules have a guard word that fits nowhere
+    spots = []
+    for w in rule.words:
+        spots.append([p for p in range(n - len(w) + 1) if leq_guard(ctx, word[p], w[0])
+                      and all(leq_guard(ctx, word[p + j], w[j]) for j in range(1, len(w)))])
+        if not spots[-1]:
+            return False
+    # stop[i][j]: the first position from j on whose letter is not below
+    # star i, so the segment word[j:k] fits star i iff k <= stop[i][j]
+    stop = []
+    for g in rule.stars:
+        row = list(range(n + 1))
+        if g is not None:
+            for j in range(n - 1, -1, -1):
+                if leq_guard(ctx, word[j], g):
+                    row[j] = row[j + 1]
+        stop.append(row)
+    # placements as (next free position, matched letters), one guard word
+    # at a time
+    placed = [(0, ())]
+    for i, w in enumerate(rule.words):
+        placed = [(p + len(w), flat + tuple(word[p:p + len(w)]))
+                  for start, flat in placed for p in spots[i] if start <= p <= stop[i][start]]
+    conds = tuple(c for spec in rule.f_specs for out in spec for c in out.conds)
+    return any(stop[-1][start] == n and entails_conds(ctx, flat, conds)
+               for start, flat in placed)
 
 
 def _combinations(match_sets):

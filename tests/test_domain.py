@@ -140,6 +140,55 @@ def test_leq_enumerated_oracle():
     assert leq_guard(CTX, a, b) is False
 
 
+def _constraint_guard(loc, lhs, op, rhs):
+    return GuardElement.at(loc, GuardAtom(constraints=(Constraint(lhs, op, parse_expr(rhs)),)))
+
+
+def test_leq_guard_decides_constraint_entailment_interval():
+    """A constraint the letter can violate is not entailed, even when
+    refining by it leaves the letter unchanged (x = 5 lies in [0, 10])."""
+    a = iletter((0, 3), "l2", x=(0, 10))
+    assert meet_guard(CTX, a, _constraint_guard("l2", "x", "!=", "5")) == a
+    assert not leq_guard(CTX, a, _constraint_guard("l2", "x", "!=", "5"))
+    assert not leq_guard(CTX, a, _constraint_guard("l2", "id", "!=", "2"))
+    assert leq_guard(CTX, a, _constraint_guard("l2", "x", "!=", "11"))
+    assert leq_guard(CTX, a, _constraint_guard("l2", "x", "<", "21 / 2"))
+    assert not leq_guard(CTX, a, _constraint_guard("l2", "x", "<", "10"))
+    root = iletter((2, 2), "l2", x=(0, 10))
+    assert leq_guard(CTX, root, _constraint_guard("l2", "id", "==", "2"))
+    assert leq_guard(CTX, root, _constraint_guard("l2", "id", "==", "1 + 1"))
+    assert not leq_guard(CTX, a, _constraint_guard("l2", "id", "==", "2"))
+    # on these box constraints entailment is exact: it holds iff every
+    # integer point of the letter meets the guard
+    for lhs, op, rhs in (("x", "!=", "5"), ("x", ">=", "0"), ("id", "<=", "3"),
+                         ("id", "==", "x"), ("x", "<", "10")):
+        g = _constraint_guard("l2", lhs, op, rhs)
+        assert leq_guard(CTX, a, g) == all(
+            meet_guard(CTX, iletter((i, i), "l2", x=(v, v)), g) is not None
+            for i in range(4) for v in range(11)), (lhs, op, rhs)
+
+
+def test_leq_guard_decides_constraint_entailment_affine():
+    ctx = DomainContext("affine", ("x",))
+    vars_ = ctx.affine_vars()
+    free = AbstractLocalState(Interval.range(0, 3), "l2", AffineEnv.top(vars_))
+    assert meet_guard(ctx, free, _constraint_guard("l2", "id", "!=", "2")) == free
+    assert not leq_guard(ctx, free, _constraint_guard("l2", "id", "!=", "2"))
+    assert not leq_guard(ctx, free, _constraint_guard("l2", "x", "!=", "2"))
+    assert not leq_guard(ctx, free, _constraint_guard("l2", "id", "==", "2"))
+    pinned = AbstractLocalState(Interval.point(2), "l2",
+                                AffineEnv.from_rows(vars_, [({"id": F(1)}, F(2)),
+                                                            ({"x": F(1), "id": F(-1)}, F(1))]))
+    assert leq_guard(ctx, pinned, _constraint_guard("l2", "id", "==", "2"))
+    assert leq_guard(ctx, pinned, _constraint_guard("l2", "x", "==", "3"))
+    assert leq_guard(ctx, pinned, _constraint_guard("l2", "id", "!=", "0"))
+    assert not leq_guard(ctx, pinned, _constraint_guard("l2", "x", "!=", "3"))
+    # a point id the environment does not know about still entails id == root
+    point_id = AbstractLocalState(Interval.point(2), "l2", AffineEnv.top(vars_))
+    assert leq_guard(ctx, point_id, _constraint_guard("l2", "id", "==", "2"))
+    assert not leq_guard(ctx, point_id, _constraint_guard("l2", "id", "==", "1"))
+
+
 # ---------------------------------------------------------------------------
 # letter lattice operations and the Galois soundness sweep
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from latreach import engine
+from latreach import engine, rules
 from latreach.automaton import includes, is_empty, normalize
 from latreach.concrete import (
     accepts_concrete,
@@ -15,7 +15,7 @@ from latreach.concrete import (
     reach_bounded,
 )
 from latreach.automaton import LatticeAutomaton
-from latreach.domain import POS_INF, AbstractLocalState, Interval, meet_guard
+from latreach.domain import POS_INF, AbstractLocalState, Interval, meet_guard, transfer_assign
 from latreach.engine import (
     AnalysisConfig,
     AnalysisResult,
@@ -27,8 +27,9 @@ from latreach.engine import (
     step,
 )
 from latreach.frontend import build_cfg, compile_program
-from latreach.syntax import parse
+from latreach.syntax import parse, parse_expr
 from latreach.cli import parse_property
+from latreach.rules import apply_rule, enabled, fires
 from latreach.transducer import eval_letter_out
 
 from helpers import load_program
@@ -226,6 +227,86 @@ def test_dining_philosophers_circular_wait():
     stuck = {tuple(s.loc for s in c) for c in r.configs if is_stuck(cfg, c, cfg.exit)}
     assert stuck
     assert stuck & {w.locations for w in witnesses}
+
+
+DEADLOCK_RUNS = (("dining_philosophers.prog", 4), ("deadlock_random.prog", 2),
+                 ("sum_reduce.prog", 4), ("create_chain.prog", "unbounded"))
+
+
+def _rule_image_nonempty(sem, rule, chain) -> bool:
+    """The reference for a rule firing on a word: its image of the word's
+    chain automaton is not empty."""
+    return not is_empty(apply_rule(sem.ctx, rule, chain))
+
+
+def _deadlock_words(sem, res):
+    """Every word the deadlock check may decide on: the candidates off the
+    exit and all their atom refinements."""
+    for word in engine._candidate_paths(res.reach, sem.blocking_locs):
+        if not all(l.loc == sem.cfg.exit for l in word):
+            yield word
+            yield from engine._atom_refinements(sem, word)
+
+
+@pytest.mark.parametrize("domain", ["interval", "affine"])
+def test_deadlock_rule_tests_agree_with_the_rule_image(domain):
+    """On every candidate word and atom of the demo deadlock runs, a rule
+    fires exactly when its image of the word's chain is not empty, and
+    the entailment test holds only where the rule fires (or, for local
+    steps, where the transducer moves a letter)."""
+    counts = {"fires": 0, "still": 0, "enabled": 0}
+    for name, procs in DEADLOCK_RUNS:
+        _, sem, res = analyze(load_program(name), domain=domain, procs=procs)
+        for word in _deadlock_words(sem, res):
+            chain = normalize(LatticeAutomaton.from_word(word))
+            for rule in sem.rules:
+                want = _rule_image_nonempty(sem, rule, chain)
+                assert fires(sem.ctx, rule, chain) == want, (name, rule.name, word)
+                counts["fires" if want else "still"] += 1
+                if enabled(sem.ctx, rule, word):
+                    assert want, (name, rule.name, word)
+                    counts["enabled"] += 1
+            if any(engine._local_step_everywhere(sem, l) for l in word):
+                assert engine._transducer_moves_letter(sem, word), (name, word)
+    assert counts["fires"] >= 20 and counts["still"] >= 100 and counts["enabled"] >= 10, counts
+
+
+@pytest.mark.parametrize("domain", ["interval", "affine"])
+def test_local_step_everywhere(domain):
+    """An assignment is enabled on every letter at its source, a branch
+    only on letters that cannot take the other one; the test implies that
+    the transducer moves the letter."""
+    sem = compile_program(parse("x := id; if (x > 0) { y := 1; } while (*) { y := 2; }"),
+                          domain, 1)
+    branch = sem.cfg.edges[1].src
+    loop = next(iter(sem.cfg.loop_heads))
+
+    def letter(loc, lo, hi):  # x = id, with id in [lo, hi]
+        return transfer_assign(sem.ctx, sem.ctx.zero_letter(Interval.range(lo, hi), loc),
+                               "x", parse_expr("id"))
+
+    # the affine letter does not bound x by the id range
+    cases = {(sem.cfg.entry, 0, 5): True, (branch, 1, 5): domain == "interval",
+             (branch, 0, 0): True, (branch, 0, 5): False, (loop, 0, 5): False,
+             (sem.cfg.exit, 0, 5): False}
+    for (loc, lo, hi), want in cases.items():
+        l = letter(loc, lo, hi)
+        assert engine._local_step_everywhere(sem, l) == want, (loc, lo, hi)
+        assert engine._transducer_moves_letter(sem, (l,)) == (loc != sem.cfg.exit)
+
+
+def test_deadlock_check_builds_no_rule_image(monkeypatch):
+    """The deadlock check decides movability without a rule image."""
+    _, sem, res = analyze(load_program("dining_philosophers.prog"), procs=4)
+    expected = check_deadlock(sem, res)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the deadlock check built a rule image")
+
+    for module, name in ((rules, "apply_rule"), (engine, "apply_rule"),
+                         (rules, "_shared_image"), (rules, "_instance_image")):
+        monkeypatch.setattr(module, name, refuse)
+    assert check_deadlock(sem, res) == expected != []
 
 
 # ---------------------------------------------------------------------------

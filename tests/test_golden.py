@@ -1,11 +1,13 @@
-"""Pinned report and --json bytes for nine analyses.
+"""Pinned report and --json bytes for ten analyses.
 
 The programs are named by paths relative to the repository root because
 the report's first line echoes the path.  Together these runs exercise
 the length bound and the signature quotient of the widening, the path
 lengths of create rules (create_chain-any_k2 on a cyclic reach of
 every size, where one determinization of all instances of a two-word
-rule blows up), the deadlock candidate search, and (dining
+rule blows up), the deadlock candidate search (in
+create_chain-any_k2-deadlock most candidates look movable and cannot be
+split into atoms, so rule instances alone decide them), and (dining
 philosophers) rule application with many match instances per rule, and
 (local_loop) a nondeterministic local loop with a division alarm, which
 only the local-step transducer, joins and widening handle."""
@@ -47,6 +49,11 @@ CASES = [
         "7a6554030b4279045f55ac2f71287a1154b17294e73a9eb57f88542492708d3a",
         "bd5c386dcb172d4b5768ba9d986258b2ac15753f982927d5a9f7d32327b061f5",
         id="create_chain-any_k2"),
+    pytest.param(
+        (P + "create_chain.prog", "--procs", "any", "--shape-k", "2", "--deadlock"), 2,
+        "53f460e71a5ef557fd7b1ee6d344927d8267087c43fe563c33434b5d1b780dc5",
+        "bd5c386dcb172d4b5768ba9d986258b2ac15753f982927d5a9f7d32327b061f5",
+        id="create_chain-any_k2-deadlock"),
     pytest.param(
         (P + "sum_reduce.prog", "--procs", "4", "--domain", "affine", "--deadlock"), 0,
         "3f16598d14d7242ab3c00f15d8fd66ae92d7f19e7f822b34ec1e6287ce8b1d2a",
