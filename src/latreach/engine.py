@@ -26,14 +26,11 @@ from .domain import (
     Interval,
     IntervalEnv,
     is_finite,
-    leq_guard,
     loc_sort_key,
     meet_guard,
-    transfer_filter,
 )
 from .frontend import CompiledSemantics
 from .rules import apply_rule, enabled, fires
-from .syntax import Filter
 from .transducer import apply_transducer, rule_images
 
 
@@ -235,30 +232,6 @@ def _candidate_paths(reach: LatticeAutomaton, blocking: frozenset, limit: int = 
     return out
 
 
-_OTHER_BRANCH = {"then": "else", "else": "then"}
-
-
-def _local_step_everywhere(sem, letter) -> bool:
-    """Is some local step enabled on every concretisation of the letter?
-    An assignment or a skip always is; a branch is when the letter meets
-    the opposite branch's filter to bottom."""
-    ctx = sem.ctx
-    by_loc, anywhere = sem.transducer.rule_index.get(1, ({}, ()))
-    return any(rule.name != "inactivity" and leq_guard(ctx, letter, rule.guard[0]) and
-               all(not isinstance(out.instr, Filter) or transfer_filter(
-                   ctx, letter, out.instr.cond, _OTHER_BRANCH[out.instr.branch]) is None
-                   for out in rule.outputs)
-               for (_, _, rule, _) in by_loc.get(letter.loc, anywhere))
-
-
-def _movable_everywhere(sem, word) -> bool:
-    """The entailment test: some rule or some local step is enabled on
-    every concretisation of the word.  It builds no automaton, and it
-    implies _movable_somewhere."""
-    return any(_local_step_everywhere(sem, letter) for letter in word) or \
-        any(enabled(sem.ctx, rule, word) for rule in sem.rules)
-
-
 def _rule_fires_on_word(sem, word) -> bool:
     """Can any rule advance some concretisation of the word?  Decided by
     the rule's instances on the word's chain automaton (rules.fires)."""
@@ -275,9 +248,10 @@ def _transducer_moves_letter(sem, word) -> bool:
 
 def _movable_somewhere(sem, word) -> bool:
     """Some rule or some local step can move some concretisation of the
-    word.  The entailment test runs first: it is cheaper, and when it
-    holds so does this."""
-    return _movable_everywhere(sem, word) or _transducer_moves_letter(sem, word) or \
+    word.  A rule enabled on every concretisation (rules.enabled) is
+    tried before the rule's instances are enumerated; it implies them."""
+    return _transducer_moves_letter(sem, word) or \
+        any(enabled(sem.ctx, rule, word) for rule in sem.rules) or \
         _rule_fires_on_word(sem, word)
 
 
@@ -329,15 +303,15 @@ def check_deadlock(sem: CompiledSemantics, result: AnalysisResult) -> List[Deadl
     letters are joins, small finite refinements are also tried so that a
     genuinely stuck combination inside a joined label is still reported.
 
-    Whether a word, coarse or refined, can move is decided by two tests,
-    with no rule image built.  The entailment test comes first: a rule
-    whose guard every concretisation of the word satisfies (leq_guard on
-    the placed guard words, partner conditions on point ids), or a local
-    step enabled on every concretisation of a letter.  When it fails, the
-    existence test decides: some rule has an instance on the word's chain
-    (rules.fires), or some local step applies to a letter.  The
-    entailment test implies the existence test, so it only saves work:
-    a word is treated as movable when some concretisation can move."""
+    A word, coarse or refined, can move when some local step applies to
+    a letter or some rule fires on it; a word is treated as movable when
+    some concretisation can move.  Whether a rule fires is decided with
+    no rule image built, by two tests.  The entailment test comes first:
+    every concretisation of the word satisfies the rule's guard
+    (rules.enabled: leq_guard on the placed guard words, partner
+    conditions on point ids).  When it fails, the existence test decides:
+    the rule has an instance on the word's chain (rules.fires).  The
+    entailment test implies the existence test, so it only saves work."""
     witnesses = {}
     blocking = sem.blocking_locs
     exit_loc = sem.cfg.exit

@@ -270,8 +270,8 @@ def enabled(ctx: DomainContext, rule: RewriteRule, word) -> bool:
     # rules have a guard word that fits nowhere
     spots = []
     for w in rule.words:
-        spots.append([p for p in range(n - len(w) + 1) if leq_guard(ctx, word[p], w[0])
-                      and all(leq_guard(ctx, word[p + j], w[j]) for j in range(1, len(w)))])
+        spots.append([p for p in range(n - len(w) + 1)
+                      if all(leq_guard(ctx, word[p + j], w[j]) for j in range(len(w)))])
         if not spots[-1]:
             return False
     # stop[i][j]: the first position from j on whose letter is not below
