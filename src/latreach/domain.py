@@ -485,12 +485,6 @@ class AffineEnv:
         """Does every point of the subspace satisfy sum(coeffs) = const?"""
         return self._entails_row(_int_row(coeffs, Fraction(const)))
 
-    def refutes(self, coeffs: dict, const: Fraction) -> bool:
-        """Is sum(coeffs) = const false at every point? (i.e. the system
-        entails sum(coeffs) = c' for a single c' != const)"""
-        val = self.value_of(coeffs)
-        return val is not None and val != const
-
     def value_of(self, coeffs: dict):
         """The constant value of the linear form, if the system pins it."""
         den = math.lcm(*(k.denominator for k in coeffs.values()))
@@ -1253,19 +1247,6 @@ def _add_cond_rows(sys: _LinSys, conds: tuple) -> None:
             continue
         coeffs[f"{pos}.id"] = coeffs.get(f"{pos}.id", Fraction(0)) - 1
         sys.add_row(coeffs, -aff[1])
-
-
-def entails_conds(ctx: DomainContext, letters: tuple, conds: tuple) -> bool:
-    """True when every concretisation of the letters satisfies each
-    identifier condition letters[pos].id == rhs: the letter's id is a
-    point and rhs evaluates to that same point.  The interval view is
-    sound under the affine domain too."""
-    resolver = _posvar_resolver(ctx, letters, None)
-    for pos, rhs in conds:
-        pid = letters[pos].pid
-        if not (pid.is_point and eval_interval(ctx, letters[pos], rhs, None, resolver) == pid):
-            return False
-    return True
 
 
 def joint_refine(ctx: DomainContext, letters: tuple, conds: tuple, sink=None):

@@ -30,7 +30,7 @@ from .domain import (
     meet_guard,
 )
 from .frontend import CompiledSemantics
-from .rules import apply_rule, enabled, fires
+from .rules import apply_rule, fires
 from .transducer import apply_transducer, rule_images
 
 
@@ -232,13 +232,6 @@ def _candidate_paths(reach: LatticeAutomaton, blocking: frozenset, limit: int = 
     return out
 
 
-def _rule_fires_on_word(sem, word) -> bool:
-    """Can any rule advance some concretisation of the word?  Decided by
-    the rule's instances on the word's chain automaton (rules.fires)."""
-    chain = normalize(LatticeAutomaton.from_word(word))
-    return any(fires(sem.ctx, rule, chain) for rule in sem.rules)
-
-
 def _transducer_moves_letter(sem, word) -> bool:
     """True when a non-inactivity local rule applies to some letter."""
     return any(rule.name != "inactivity"
@@ -247,12 +240,10 @@ def _transducer_moves_letter(sem, word) -> bool:
 
 
 def _movable_somewhere(sem, word) -> bool:
-    """Some rule or some local step can move some concretisation of the
-    word.  A rule enabled on every concretisation (rules.enabled) is
-    tried before the rule's instances are enumerated; it implies them."""
+    """Some local step or some rule can move some concretisation of the
+    word."""
     return _transducer_moves_letter(sem, word) or \
-        any(enabled(sem.ctx, rule, word) for rule in sem.rules) or \
-        _rule_fires_on_word(sem, word)
+        any(fires(sem.ctx, rule, word) for rule in sem.rules)
 
 
 def _atom_refinements(sem, word, cap: int = 512):
@@ -305,13 +296,11 @@ def check_deadlock(sem: CompiledSemantics, result: AnalysisResult) -> List[Deadl
 
     A word, coarse or refined, can move when some local step applies to
     a letter or some rule fires on it; a word is treated as movable when
-    some concretisation can move.  Whether a rule fires is decided with
-    no rule image built, by two tests.  The entailment test comes first:
-    every concretisation of the word satisfies the rule's guard
-    (rules.enabled: leq_guard on the placed guard words, partner
-    conditions on point ids).  When it fails, the existence test decides:
-    the rule has an instance on the word's chain (rules.fires).  The
-    entailment test implies the existence test, so it only saves work."""
+    some concretisation can move.  Whether a rule fires is decided on the
+    word, with no automaton built: the rule's guard words are placed on
+    the word's positions, and a placement whose segments fit their stars
+    and whose f-images have no bottom letter is an instance
+    (rules.fires)."""
     witnesses = {}
     blocking = sem.blocking_locs
     exit_loc = sem.cfg.exit

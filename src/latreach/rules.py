@@ -27,8 +27,6 @@ from .domain import (
     GuardAtom,
     GuardElement,
     TOP_GUARD,
-    entails_conds,
-    leq_guard,
     meet_guard,
     relational_updates,
 )
@@ -220,10 +218,14 @@ def apply_rule(ctx: DomainContext, rule: RewriteRule, a: LatticeAutomaton,
     delivery match two guard words, create resolves fresh identifiers
     from suffix lengths) each instance is its own automaton on the
     automaton's states, and the instances are unioned."""
-    matched = _match(ctx, rule, a, sink)
-    if matched is None:
+    a = normalize(a)
+    if a.is_trivially_empty:
         return LatticeAutomaton.empty()
-    stars, combos = matched
+    match_sets = [matches(ctx, w, a) for w in rule.words]
+    if any(not ms for ms in match_sets):
+        return LatticeAutomaton.empty()
+    stars = StarImages(ctx, a, sink)
+    combos = _combinations(match_sets)
     if len(rule.words) <= 1 and not rule.track_length and \
             (len(combos) == 1 or not (rule.f_specs[0] or rule.f_specs[-1])):
         return _shared_image(stars, rule, combos)
@@ -231,68 +233,56 @@ def apply_rule(ctx: DomainContext, rule: RewriteRule, a: LatticeAutomaton,
                       for inst in _instances(stars, rule, combos)])
 
 
-def fires(ctx: DomainContext, rule: RewriteRule, a: LatticeAutomaton) -> bool:
-    """Is the rule's image of the automaton non-empty?  It is exactly when
-    the rule has an instance: each instance's image holds a path through
-    its viable segments and its f-images, which have no bottom letter.  So
-    this enumerates apply_rule's instances and builds no image."""
-    matched = _match(ctx, rule, a, None)
-    if matched is None:
-        return False
-    stars, combos = matched
-    return any(True for _ in _instances(stars, rule, combos))
+def fires(ctx: DomainContext, rule: RewriteRule, word) -> bool:
+    """Does the rule have an instance on the word, that is, is
+    apply_rule's image of the word's chain automaton non-empty?
 
-
-def _match(ctx, rule, a, sink):
-    """The star-image memo of the normalized automaton and the rule's
-    match combinations, or None when the rule cannot match."""
-    a = normalize(a)
-    if a.is_trivially_empty:
-        return None
-    match_sets = [matches(ctx, w, a) for w in rule.words]
-    if any(not ms for ms in match_sets):
-        return None
-    return StarImages(ctx, a, sink), _combinations(match_sets)
-
-
-def enabled(ctx: DomainContext, rule: RewriteRule, word) -> bool:
-    """Does the rule have an instance on every concretisation of the word?
-
-    Decided on the word itself, with no automaton: some placement of the
-    guard words on the word's positions puts every matched letter and
-    every letter of a starred segment below its guard (leq_guard; a None
-    star admits only the empty segment), and the f-images' partner
-    conditions hold on the matched letters (entails_conds).  Such a
-    placement is an instance on the word's chain, so enabled implies
-    fires there."""
+    Decided on the word itself: the guard words are placed on its
+    positions, in order.  Every matched letter meets its guard element,
+    every letter of a starred segment meets its star and has an h-image
+    (a None star admits only the empty segment), and the f-images, with
+    the segment lengths as suffix lengths, have no bottom letter.  On the
+    chain these placements are exactly apply_rule's instances."""
     n = len(word)
-    # where each guard word fits, before any segment is looked at: most
-    # rules have a guard word that fits nowhere
-    spots = []
+    # fits[i] maps a position to the meets of guard word i placed there:
+    # each guard word is met once per position, not once per placement
+    fits = []
     for w in rule.words:
-        spots.append([p for p in range(n - len(w) + 1)
-                      if all(leq_guard(ctx, word[p + j], w[j]) for j in range(len(w)))])
-        if not spots[-1]:
+        fit = {}
+        for p in range(n - len(w) + 1):
+            ms = tuple(meet_guard(ctx, word[p + j], g) for j, g in enumerate(w))
+            if all(m is not None for m in ms):
+                fit[p] = ms
+        if not fit:
             return False
-    # stop[i][j]: the first position from j on whose letter is not below
-    # star i, so the segment word[j:k] fits star i iff k <= stop[i][j]
-    stop = []
-    for g in rule.stars:
-        row = list(range(n + 1))
-        if g is not None:
-            for j in range(n - 1, -1, -1):
-                if leq_guard(ctx, word[j], g):
-                    row[j] = row[j + 1]
-        stop.append(row)
-    # placements as (next free position, matched letters), one guard word
-    # at a time
-    placed = [(0, ())]
-    for i, w in enumerate(rule.words):
-        placed = [(p + len(w), flat + tuple(word[p:p + len(w)]))
-                  for start, flat in placed for p in spots[i] if start <= p <= stop[i][start]]
-    conds = tuple(c for spec in rule.f_specs for out in spec for c in out.conds)
-    return any(stop[-1][start] == n and entails_conds(ctx, flat, conds)
-               for start, flat in placed)
+        fits.append(fit)
+
+    in_star = {}  # (segment, position, tuple h copies from) -> has an h-image
+
+    def segment_fits(i, a, b, flat):
+        g, h = rule.stars[i], rule.h_specs[i]
+        if g is None:
+            return a == b
+        for k in range(a, b):
+            key = (i, k, flat if h.updates else ())
+            if key not in in_star:
+                m = meet_guard(ctx, word[k], g)
+                in_star[key] = m is not None and h.apply(ctx, m, flat) is not None
+            if not in_star[key]:
+                return False
+        return True
+
+    # placements as (segment bounds so far, next free position, matched letters)
+    placed = [((), 0, ())]
+    for w, fit in zip(rule.words, fits):
+        placed = [(bounds + ((start, p),), p + len(w), flat + ms)
+                  for bounds, start, flat in placed for p, ms in fit.items() if p >= start]
+    for bounds, start, flat in placed:
+        bounds += ((start, n),)
+        if all(segment_fits(i, a, b, flat) for i, (a, b) in enumerate(bounds)) and \
+                _f_images(ctx, rule, flat, [(b - a, b - a) for a, b in bounds]) is not None:
+            return True
+    return False
 
 
 def _combinations(match_sets):
@@ -333,18 +323,21 @@ def _instances(stars: StarImages, rule, combos):
                                (*(frozenset({m.begin}) for m in combo), qfs)))
             if all(stars.viable(g, h, starts, ends, flat) for g, h, (starts, ends)
                    in zip(rule.stars, rule.h_specs, bounds)):
-                f_words = _f_images(stars, rule, flat, bounds)
+                lengths = [
+                    _path_lengths(stars.segment(g, h, starts, ends, flat), starts, ends)
+                    for g, h, (starts, ends) in zip(rule.stars, rule.h_specs, bounds)
+                ] if rule.track_length else None
+                f_words = _f_images(stars.ctx, rule, flat, lengths, stars.sink)
                 if f_words is not None:
                     yield combo, flat, bounds, f_words
 
 
-def _f_images(stars: StarImages, rule, flat, bounds):
+def _f_images(ctx, rule, flat, lengths, sink=None):
     """The words f0 .. f(n+1) of a viable instance, or None when one of
-    their letters is bottom."""
+    their letters is bottom.  lengths[i] is the (shortest, static) length
+    of segment i; only rules that track length read it."""
     inst = InstanceInfo()
     if rule.track_length:
-        lengths = [_path_lengths(stars.segment(g, h, starts, ends, flat), starts, ends)
-                   for g, h, (starts, ends) in zip(rule.stars, rule.h_specs, bounds)]
         later_words = sum(len(w) for w in rule.words[1:])
         statics = [l[1] for l in lengths[1:]]
         suffix_static = None
@@ -358,7 +351,7 @@ def _f_images(stars: StarImages, rule, flat, bounds):
     for spec in rule.f_specs:
         word = []
         for out in spec:
-            img = eval_letter_out(stars.ctx, out, flat, inst, stars.sink)
+            img = eval_letter_out(ctx, out, flat, inst, sink)
             if img is None:
                 return None
             word.append(img)

@@ -13,6 +13,7 @@ make no node: the parser records them in the ``Ast``.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -23,6 +24,13 @@ from . import expr as E
 # Longest number literal accepted; longer ones are parse errors, so no
 # user literal builds an unbounded number.
 MAX_LITERAL_DIGITS = 1000
+
+# Deepest nesting accepted, counted separately for the statements of a
+# program (blocks, ifs and whiles) and for an expression (parentheses,
+# operands and the height of its tree).  Deeper input is a parse error,
+# so the parser and every recursive walker over what it builds stay far
+# below the interpreter's recursion limit.
+MAX_NESTING = 32
 
 
 class ParseError(Exception):
@@ -205,6 +213,7 @@ class _Parser:
         self.pos = 0
         self.names = set()  # every variable declared, read or written
         self.rats = set()  # variables declared rat
+        self.depth = {"statement": 0, "expression": 0}
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -224,6 +233,16 @@ class _Parser:
         t = self.peek()
         raise ParseError(message, t.line, t.col)
 
+    @contextmanager
+    def nested(self, kind: str):
+        """One level deeper in kind; past MAX_NESTING, a parse error.  A
+        with block adds no frame, so the recursion is not deepened."""
+        self.depth[kind] += 1
+        if self.depth[kind] > MAX_NESTING:
+            self.error(f"{kind}s nested deeper than {MAX_NESTING} levels")
+        yield
+        self.depth[kind] -= 1
+
     def ident(self) -> str:
         name = self.expect("ident").text
         self.names.add(name)
@@ -231,7 +250,10 @@ class _Parser:
 
     # expressions ----------------------------------------------------------
     def parse_expr(self):
-        return self._cmp()
+        e = self._cmp()
+        if _height(e) > MAX_NESTING:
+            self.error(f"expressions nested deeper than {MAX_NESTING} levels")
+        return e
 
     def _cmp(self):
         left = self._add()
@@ -256,10 +278,13 @@ class _Parser:
         return out
 
     def _unary(self):
-        if self.peek().kind == "-":
-            self.next()
-            return E.Neg(self._unary())
-        return self._pow()
+        # every nested operand is parsed here, so counting these calls
+        # bounds the parser's recursion
+        with self.nested("expression"):
+            if self.peek().kind == "-":
+                self.next()
+                return E.Neg(self._unary())
+            return self._pow()
 
     def _pow(self):
         base = self._atom()
@@ -341,6 +366,10 @@ class _Parser:
     def parse_stmt(self):
         """One statement: a Block, IfStmt, WhileStmt or instruction, or
         None for a declaration."""
+        with self.nested("statement"):
+            return self._stmt()
+
+    def _stmt(self):
         t = self.peek()
         if t.kind == "{":
             self.next()
@@ -422,6 +451,19 @@ class _Parser:
             self.expect(";")
             return Assign(var, e)
         self.error(f"expected a statement, found {t.text or t.kind!r}")
+
+
+def _height(e) -> int:
+    """Height of an expression tree, found without recursion."""
+    height, stack = 0, [(e, 1)]
+    while stack:
+        node, h = stack.pop()
+        height = max(height, h)
+        if isinstance(node, E.BinOp):
+            stack += [(node.left, h + 1), (node.right, h + 1)]
+        elif isinstance(node, E.Neg):
+            stack.append((node.arg, h + 1))
+    return height
 
 
 def parse(text: str) -> Ast:

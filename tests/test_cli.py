@@ -9,7 +9,7 @@ from latreach.cli import main, parse_property, PropertyParseError
 from latreach.engine import PropertyAutomaton
 from latreach.expr import MAX_POW_BITS
 from latreach.frontend import compile_program, load_semantics
-from latreach.syntax import parse
+from latreach.syntax import MAX_NESTING, parse
 
 from helpers import PROGRAMS, load_program
 
@@ -214,6 +214,40 @@ def test_exit_three_overlong_literal(chain_prog, tmp_path, capsys):
                    encoding="utf-8")
     assert main(["analyze", str(chain), "--property", str(bad)]) == 3
     assert "number literal longer than" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("procs", ["3", "unbounded"])
+@pytest.mark.parametrize("domain", ["interval", "affine"])
+def test_nesting_cap(domain, procs, tmp_path, capsys):
+    """Nesting up to MAX_NESTING analyzes; one level more is a parse error
+    (exit 3), never a RecursionError: a sum of that many terms, as many
+    nested parentheses or statements, in a program or a property label."""
+    def program(sum_terms, parens, ifs):
+        return (f"x := {' + '.join(['1'] * sum_terms)};\n"
+                f"y := {'(' * parens}x{')' * parens};\n"
+                f"{'if (*) ' * ifs}z := 1;\n")
+
+    def label(sum_terms):
+        return ("state a initial\nstate b final\na -> a : true\n"
+                f"a -> b : x == {' + '.join(['1'] * sum_terms)}\nb -> b : true\n")
+
+    def analyze(prog_text, bad_text):
+        prog = tmp_path / "deep.prog"
+        prog.write_text(prog_text, encoding="utf-8")
+        bad = tmp_path / "deep.bad"
+        bad.write_text(bad_text, encoding="utf-8")
+        code = main(["analyze", str(prog), "--domain", domain, "--procs", procs,
+                     "--property", str(bad)])
+        return code, capsys.readouterr().err
+
+    cap = MAX_NESTING
+    code, err = analyze(program(cap, cap - 1, cap - 1), label(cap))
+    assert code == 1 and err == ""  # some process reaches x == cap
+    for too_deep in (program(cap + 1, 0, 0), program(1, cap, 0), program(1, 0, cap)):
+        code, err = analyze(too_deep, label(1))
+        assert code == 3 and f"nested deeper than {cap} levels" in err
+    code, err = analyze(program(1, 0, 0), label(cap + 1))
+    assert code == 3 and f"nested deeper than {cap} levels" in err
 
 
 def test_exit_three_property_location_mismatch(chain_prog, tmp_path, capsys):
