@@ -15,7 +15,6 @@ takes no part in ``==``, ``hash`` or ``repr``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -35,15 +34,16 @@ from .domain import (
     meet_guard,
 )
 from .graph import live, path_lengths, reachable
+from .value import frozen, hidden
 
 
-@dataclass(frozen=True)
+@frozen
 class LatticeAutomaton:
     states: frozenset
     initial: frozenset
     final: frozenset
     transitions: frozenset  # of (src, AbstractLocalState, dst)
-    canonical: bool = field(default=False, compare=False, repr=False)
+    canonical: bool = hidden(False)
 
     @staticmethod
     def empty() -> "LatticeAutomaton":
@@ -416,7 +416,7 @@ def includes(big: LatticeAutomaton, small: LatticeAutomaton) -> bool:
 # matching utilities
 
 
-@dataclass(frozen=True)
+@frozen
 class MatchTriple:
     begin: object
     labels: tuple  # matched letters, all non-bottom

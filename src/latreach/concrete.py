@@ -11,7 +11,6 @@ interpreter, live here too.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -20,9 +19,10 @@ from .automaton import LatticeAutomaton
 from .domain import AbstractLocalState, DomainContext, IntervalEnv
 from .frontend import Cfg
 from .syntax import Assign, Broadcast, Create, Filter, Receive, Reduce, Send, Skip
+from .value import frozen
 
 
-@dataclass(frozen=True)
+@frozen
 class ConcreteLocalState:
     pid: int
     loc: str
@@ -226,7 +226,7 @@ def post(cfg: Cfg, config: ConcreteConfig, rat_vars=frozenset()) -> set:
     return out
 
 
-@dataclass
+@frozen
 class ReachResult:
     configs: set
     pruned: bool

@@ -13,12 +13,12 @@ with two infinities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Union
 
 from . import expr as E
+from .value import frozen
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -81,7 +81,7 @@ def bound_trunc(b):
 # intervals
 
 
-@dataclass(frozen=True)
+@frozen
 class Interval:
     """Closed rational interval; the empty interval is canonically
     (+inf, -inf) so that equality and hashing see a single bottom.
@@ -224,7 +224,7 @@ class Interval:
 # interval environments
 
 
-@dataclass(frozen=True)
+@frozen
 class IntervalEnv:
     """Map variable -> interval; missing variables are unconstrained.
 
@@ -406,7 +406,7 @@ def _null_vector(form: dict, f: str) -> dict:
     return vec
 
 
-@dataclass(frozen=True)
+@frozen
 class AffineEnv:
     """Conjunction of affine equalities over the program variables plus id.
 
@@ -648,7 +648,7 @@ Env = Union[IntervalEnv, AffineEnv]
 # letters
 
 
-@dataclass(frozen=True)
+@frozen
 class AbstractLocalState:
     """One letter of the word alphabet: (id interval, location, environment).
 
@@ -664,9 +664,10 @@ class AbstractLocalState:
         assert not self.pid.is_bottom
 
     def __hash__(self):
-        # the dataclass hash, computed once: letters are rehashed whenever
-        # a transition set is built, and hashing Fractions is costly.  The
-        # cache lives outside the fields, so == and repr never see it.
+        # the field-tuple hash that value.frozen would add, computed once:
+        # letters are rehashed whenever a transition set is built, and
+        # hashing Fractions is costly.  The cache lives outside the
+        # fields, so == and repr never see it.
         try:
             return self._hash
         except AttributeError:
@@ -748,7 +749,7 @@ def letter_widen(a: AbstractLocalState, b: AbstractLocalState) -> AbstractLocalS
 # guards
 
 
-@dataclass(frozen=True)
+@frozen
 class Constraint:
     """Symbolic side constraint of a guard: <lhs> <op> <expr>.
 
@@ -765,11 +766,11 @@ class Constraint:
         return f"{self.lhs} {self.op} {self.rhs}"
 
 
-@dataclass(frozen=True)
+@frozen
 class GuardAtom:
     """Per-location payload of a guard element."""
 
-    pid: Interval = field(default_factory=Interval.top)
+    pid: Interval = Interval.top()  # one shared default: intervals are immutable
     env: Optional[Env] = None  # None = top
     constraints: tuple = ()
 
@@ -780,7 +781,7 @@ class GuardAtom:
         return self.pid.is_top and self.env is None and not self.constraints
 
 
-@dataclass(frozen=True)
+@frozen
 class GuardElement:
     """Join of per-location constraints; unlike letters, a guard may span
     several partition classes (or all of them).
@@ -824,7 +825,7 @@ TOP_GUARD = GuardElement.top()
 # domain context and transfer functions
 
 
-@dataclass(frozen=True)
+@frozen
 class DomainContext:
     """Program-level configuration shared by all letters of one analysis."""
 
@@ -918,14 +919,14 @@ def eval_interval(ctx: DomainContext, letter: AbstractLocalState, e, sink=None,
             return a.sub(b)
         if node.op == "*":
             return a.mul(b)
+        if node.op in ("/", "%") and (b.contains(0) or b.is_bottom):
+            if sink is not None:
+                sink.division(E.to_source(node))
+            return Interval.top()
         if node.op == "/":
-            if b.contains(0) or b.is_bottom:
-                if sink is not None:
-                    sink.division(E.to_source(node))
-                return Interval.top()
             return a.mul(b.inverse())
         if node.op == "%":
-            if a.is_point and b.is_point and b.lo != 0:
+            if a.is_point and b.is_point:
                 av, bv = a.lo, b.lo
                 return Interval.point(av - bv * _trunc(av / bv))
             return Interval.top()

@@ -8,7 +8,6 @@ heads, the entry location of creating programs, and collector locations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import List, Optional
 
 from .automaton import (
@@ -32,6 +31,7 @@ from .domain import (
 from .frontend import CompiledSemantics
 from .rules import apply_rule, fires
 from .transducer import apply_transducer, rule_images
+from .value import frozen
 
 
 # Widening rounds restricted to the program's widening locations; after
@@ -40,7 +40,7 @@ from .transducer import apply_transducer, rule_images
 ESCALATION_DELAY = 40
 
 
-@dataclass(frozen=True)
+@frozen
 class AnalysisConfig:
     widening_delay: int = 2
     shape_k: int = 1
@@ -50,7 +50,7 @@ class AnalysisConfig:
         assert self.step_budget >= 1 and self.widening_delay >= 0 and self.shape_k >= 1
 
 
-@dataclass
+@frozen
 class AnalysisResult:
     reach: LatticeAutomaton
     iterations: int
@@ -100,7 +100,7 @@ def fixpoint(sem: CompiledSemantics, config: AnalysisConfig = AnalysisConfig()
 # safety properties
 
 
-@dataclass(frozen=True)
+@frozen
 class PropertyAutomaton:
     """Bad-configuration automaton; labels are guard elements."""
 
@@ -117,7 +117,7 @@ class PropertyAutomaton:
         return locs
 
 
-@dataclass(frozen=True)
+@frozen
 class SafetyVerdict:
     safe: bool
     witness: Optional[str] = None
@@ -195,7 +195,7 @@ def check_safety(sem: CompiledSemantics, result: AnalysisResult,
 # deadlock detection
 
 
-@dataclass(frozen=True)
+@frozen
 class DeadlockWitness:
     locations: tuple
     description: str

@@ -6,11 +6,12 @@ evaluator lives with its own number representation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .value import frozen
 
-@dataclass(frozen=True)
+
+@frozen
 class Const:
     value: Fraction
 
@@ -20,7 +21,7 @@ class Const:
         return f"({self.value.numerator} / {self.value.denominator})"
 
 
-@dataclass(frozen=True)
+@frozen
 class Var:
     """A program variable; the reserved name ``id`` is the process identifier."""
 
@@ -30,7 +31,7 @@ class Var:
         return self.name
 
 
-@dataclass(frozen=True)
+@frozen
 class PosVar:
     """Variable of the letter matched at a given position of a rewrite rule.
 
@@ -45,7 +46,7 @@ class PosVar:
         return f"@{self.pos}.{self.name}"
 
 
-@dataclass(frozen=True)
+@frozen
 class NProcs:
     """Compile-time process count; only legal under a fixed --procs n."""
 
@@ -53,7 +54,7 @@ class NProcs:
         return "nprocs"
 
 
-@dataclass(frozen=True)
+@frozen
 class FreshId:
     """Identifier handed out by a create step; resolved at rule application."""
 
@@ -61,7 +62,7 @@ class FreshId:
         return "fresh_id"
 
 
-@dataclass(frozen=True)
+@frozen
 class IntervalConst:
     """A range of possible values (integral); bounds are Fractions or the
     float infinities.  Built only while resolving FreshId, never parsed."""
@@ -73,7 +74,7 @@ class IntervalConst:
         return f"[{self.lo},{self.hi}]"
 
 
-@dataclass(frozen=True)
+@frozen
 class Neg:
     arg: "Expr"
 
@@ -81,7 +82,7 @@ class Neg:
         return f"(- {self.arg})"
 
 
-@dataclass(frozen=True)
+@frozen
 class BinOp:
     op: str
     left: "Expr"
@@ -93,7 +94,7 @@ class BinOp:
         return f"({self.left} {self.op} {self.right})"
 
 
-@dataclass(frozen=True)
+@frozen
 class Nondet:
     """The ``*`` condition: both branches of the test are possible."""
 

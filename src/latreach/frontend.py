@@ -8,7 +8,6 @@ read back.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import expr as E
@@ -46,16 +45,17 @@ from .transducer import (
     transducer_from_json,
     transducer_to_json,
 )
+from .value import frozen, replace
 
 
-@dataclass(frozen=True)
+@frozen
 class Edge:
     src: str
     instr: object
     dst: str
 
 
-@dataclass(frozen=True)
+@frozen
 class Cfg:
     locations: tuple
     edges: tuple
@@ -136,7 +136,7 @@ def build_cfg(ast: Ast) -> Cfg:
 INACTIVITY = TransducerRule("inactivity", (TOP_GUARD,), (LetterOut(base=0),))
 
 
-@dataclass(frozen=True)
+@frozen
 class CompiledSemantics:
     ctx: DomainContext
     cfg: Cfg

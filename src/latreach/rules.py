@@ -8,7 +8,6 @@ collector sweep are all instances.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -41,13 +40,14 @@ from .transducer import (
     letter_out_from_json,
     letter_out_to_json,
 )
+from .value import frozen
 
 
 # ---------------------------------------------------------------------------
 # h-rewriters: applied to every letter of a starred segment
 
 
-@dataclass(frozen=True)
+@frozen
 class HRewrite:
     """Rewriter for starred-segment letters: h(x, v1..vN).
 
@@ -76,7 +76,7 @@ class HRewrite:
 IDENTITY_H = HRewrite()
 
 
-@dataclass(frozen=True)
+@frozen
 class RewriteRule:
     """Guard/rewriter pair in the alternating normal form.
 

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from . import expr as E
+from .value import frozen
 
 
 # Longest number literal accepted; longer ones are parse errors, so no
@@ -57,52 +57,52 @@ def instr_exprs(instr: Instr) -> dict:
     return {f: getattr(instr, f) for f in instr.EXPRS}
 
 
-@dataclass(frozen=True)
+@frozen
 class Assign(Instr):
     var: str
     expr: object
     EXPRS = ("expr",)
 
 
-@dataclass(frozen=True)
+@frozen
 class Filter(Instr):
     cond: object
     branch: str  # "then" | "else"
     EXPRS = ("cond",)
 
 
-@dataclass(frozen=True)
+@frozen
 class Skip(Instr):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class Send(Instr):
     target: Optional[object]  # None = any_id
     var: str
     EXPRS = ("target",)
 
 
-@dataclass(frozen=True)
+@frozen
 class Receive(Instr):
     source: Optional[object]  # None = any_id
     var: str
     EXPRS = ("source",)
 
 
-@dataclass(frozen=True)
+@frozen
 class Broadcast(Instr):
     root: object
     var: str
     EXPRS = ("root",)
 
 
-@dataclass(frozen=True)
+@frozen
 class Create(Instr):
     var: str
 
 
-@dataclass(frozen=True)
+@frozen
 class Reduce(Instr):
     acc: str
     src: str
@@ -115,25 +115,25 @@ class Reduce(Instr):
 # AST
 
 
-@dataclass(frozen=True)
+@frozen
 class Block:
     body: tuple
 
 
-@dataclass(frozen=True)
+@frozen
 class IfStmt:
     cond: object
     then_body: object
     else_body: Optional[object]
 
 
-@dataclass(frozen=True)
+@frozen
 class WhileStmt:
     cond: object
     body: object
 
 
-@dataclass(frozen=True)
+@frozen
 class Ast:
     block: Block
     rat_vars: frozenset
@@ -163,7 +163,7 @@ KEYWORDS = {
 }
 
 
-@dataclass
+@frozen
 class Token:
     kind: str
     text: str

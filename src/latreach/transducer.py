@@ -18,7 +18,6 @@ every image were evaluated again.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
@@ -50,13 +49,14 @@ from .domain import (
     transfer_filter,
 )
 from .syntax import Assign, Filter, parse_expr
+from .value import frozen
 
 
 # ---------------------------------------------------------------------------
 # rewriter specifications
 
 
-@dataclass(frozen=True)
+@frozen
 class LetterOut:
     """Recipe for one output letter of a rewriter.
 
@@ -80,7 +80,7 @@ class LetterOut:
     reset_zero: bool = False
 
 
-@dataclass(frozen=True)
+@frozen
 class InstanceInfo:
     """Word-structure facts for one rule instance, used by create steps.
 
@@ -178,7 +178,7 @@ def _resolve_fresh(rhs, inst: InstanceInfo):
 # transducers
 
 
-@dataclass(frozen=True)
+@frozen
 class TransducerRule:
     name: str
     guard: tuple  # tuple of GuardElement, length n >= 1
@@ -188,7 +188,7 @@ class TransducerRule:
         assert len(self.guard) >= 1
 
 
-@dataclass(frozen=True)
+@frozen
 class LatticeTransducer:
     states: frozenset
     initial: frozenset

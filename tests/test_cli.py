@@ -126,6 +126,20 @@ def test_huge_power_is_top_with_alarm(tmp_path, capsys):
         assert "alarm[power]: (3 ^ 1000000000)" in out
 
 
+def test_remainder_by_zero_is_top_with_alarm(tmp_path, capsys):
+    """`%` by a divisor whose range contains 0 is undefined, as in the
+    concrete interpreter: top plus a division alarm under both domains,
+    as for `/`, where it used to pass without an alarm."""
+    prog = tmp_path / "mod.prog"
+    prog.write_text("int x;\nint y;\nx := 7 % 0;\nif (*) {\n  y := 1;\n}\nx := 7 % y;\n",
+                    encoding="utf-8")
+    for domain in ("interval", "affine"):
+        code, out = run_cli(capsys, "analyze", str(prog), "--procs", "2", "--domain", domain)
+        assert code == 0
+        assert "alarm[division]: (7 % 0)" in out
+        assert "alarm[division]: (7 % y)" in out
+
+
 def test_product_of_powers_is_top_with_alarm(tmp_path, capsys):
     """The size cap holds for the result of every arithmetic operator, not
     only a power: products of allowed powers or of long literals give top

@@ -1,10 +1,9 @@
-import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from latreach import automaton, engine, rules
+from latreach import automaton, engine, rules, value
 from latreach.automaton import includes, is_empty, normalize
 from latreach.concrete import (
     accepts_concrete,
@@ -419,7 +418,7 @@ def test_escalation_cuts_a_chain_the_widening_locations_do_not(monkeypatch):
     have passed every location widens, and the analysis ends within the
     budget with x unbounded."""
     sem = compile_program(parse("int x;\nwhile (*) x := x + 1;\n"), "interval", 1)
-    bare = dataclasses.replace(sem, widen_locs=frozenset())
+    bare = value.replace(sem, widen_locs=frozenset())
     assert engine.ESCALATION_DELAY == 40
     for delay in (40, 0, 5):
         monkeypatch.setattr(engine, "ESCALATION_DELAY", delay)

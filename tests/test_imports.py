@@ -1,6 +1,9 @@
-"""Import structure of the package: every import runs at module top, and
-the syntax layer needs nothing of the analyzer but ``expr``."""
+"""Import structure of the package: every import runs at module top, the
+syntax layer needs nothing of the analyzer but ``expr`` and the ``value``
+leaf, and start-up loads neither ``dataclasses`` nor ``inspect``."""
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -21,14 +24,38 @@ def test_no_function_level_imports():
     assert found == []
 
 
-def test_syntax_imports_only_expr_and_the_standard_library():
+def _imports(path):
+    """(package modules, other top-level modules) that a module imports."""
     package, other = set(), set()
-    for node in ast.walk(_tree(SRC / "syntax.py")):
+    for node in ast.walk(_tree(path)):
         if isinstance(node, ast.ImportFrom) and node.level:
             package.update([node.module] if node.module else [a.name for a in node.names])
         elif isinstance(node, ast.ImportFrom):
             other.add(node.module.split(".")[0])
         elif isinstance(node, ast.Import):
             other.update(a.name.split(".")[0] for a in node.names)
-    assert package == {"expr"}
-    assert other <= set(sys.stdlib_module_names) | {"__future__"}
+    return package, other
+
+
+STDLIB = set(sys.stdlib_module_names) | {"__future__"}
+
+
+def test_syntax_imports_only_expr_value_and_the_standard_library():
+    package, other = _imports(SRC / "syntax.py")
+    assert package == {"expr", "value"}
+    assert other <= STDLIB
+
+
+def test_value_imports_only_the_standard_library():
+    package, other = _imports(SRC / "value.py")
+    assert package == set()
+    assert other <= STDLIB
+
+
+def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, latreach.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

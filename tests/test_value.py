@@ -1,0 +1,155 @@
+"""The value classes against ``dataclasses.dataclass(frozen=True)``.
+
+Every class that ``value.frozen`` decorates in the package gets a frozen
+dataclass twin with the same fields, defaults and compared fields.  On
+sample instances the two must agree on ``repr``, ``==`` (both ways and
+across classes), the exact ``hash``, defaults, ``replace`` and refusing
+assignment and deletion: the hash orders set iteration and the repr
+orders rule groups, so both feed the analyzer's output.
+"""
+import dataclasses
+import importlib
+import pkgutil
+from fractions import Fraction
+
+import pytest
+
+import latreach
+from latreach import value
+from latreach.automaton import LatticeAutomaton
+from latreach.domain import (
+    AbstractLocalState,
+    GuardAtom,
+    Interval,
+    IntervalEnv,
+    NEG_INF,
+    POS_INF,
+)
+
+
+def _value_classes():
+    found = []
+    for info in pkgutil.iter_modules(latreach.__path__):
+        if info.name == "__main__":
+            continue
+        mod = importlib.import_module(f"latreach.{info.name}")
+        found += [c for c in vars(mod).values()
+                  if isinstance(c, type) and c.__module__ == mod.__name__
+                  and "_value_fields" in vars(c)]
+    return sorted(found, key=lambda c: (c.__module__, c.__qualname__))
+
+
+CLASSES = _value_classes()
+
+POOL = (Fraction(1, 2), "a", (1, "b"), None, frozenset({2}), 3, "c")
+
+# arguments for the classes whose __post_init__ checks its fields; every
+# sample of a class is compatible with every other, field by field
+SAMPLES = {
+    "Interval": [(Fraction(1), Fraction(3)), (Fraction(0), POS_INF), (Fraction(3), Fraction(1)),
+                 (NEG_INF, POS_INF)],
+    "AbstractLocalState": [(Interval(1, 1), "a", IntervalEnv(())),
+                           (Interval(0, 2), "b", IntervalEnv((("x", Interval(0, 1)),)))],
+    "AnalysisConfig": [(2, 1, 500), (0, 3, 10)],
+    "RewriteRule": [("r", (None, None), (("w",),), (1, 2, 3), (None, None)),
+                    ("s", ("a", "b"), (("v", "u"),), (4, 5, 6), ("h", "h"), True)],
+    "TransducerRule": [("t", ("g",), ()), ("u", ("g", "h"), ("o",))],
+}
+
+
+def _samples(cls):
+    if hasattr(cls, "__post_init__"):
+        return SAMPLES[cls.__name__]
+    n = len(cls._value_fields)
+    return [tuple(POOL[(k + j) % len(POOL)] for j in range(n)) for k in range(3)]
+
+
+def _twin(cls):
+    specs = []
+    for name in cls._value_fields:
+        shown = name in cls._value_compared
+        if name in vars(cls):
+            specs.append((name, object, dataclasses.field(default=vars(cls)[name],
+                                                          compare=shown, repr=shown)))
+        else:
+            specs.append((name, object, dataclasses.field(compare=shown, repr=shown)))
+    return dataclasses.make_dataclass(cls.__qualname__, specs, frozen=True)
+
+
+def _fields(obj, names):
+    return [getattr(obj, f) for f in names]
+
+
+def test_every_value_class_is_found():
+    assert len(CLASSES) == 48
+    hidden = [(c.__name__, f) for c in CLASSES for f in c._value_fields
+              if f not in c._value_compared]
+    assert hidden == [("LatticeAutomaton", "canonical")]
+
+
+def test_defaults_the_package_relies_on():
+    assert GuardAtom().pid == Interval(NEG_INF, POS_INF)
+    assert GuardAtom().pid.is_top
+    empty = frozenset()
+    plain, flagged = (LatticeAutomaton(empty, empty, empty, empty),
+                      LatticeAutomaton(empty, empty, empty, empty, True))
+    assert plain.canonical is False and flagged.canonical is True
+    assert plain == flagged and hash(plain) == hash(flagged) and repr(plain) == repr(flagged)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__qualname__)
+def test_value_class_matches_its_frozen_dataclass_twin(cls):
+    names = cls._value_fields
+    twin = _twin(cls)
+    pairs = []
+    for args in _samples(cls):
+        real = cls(*args)
+        tw = twin(*_fields(real, names))
+        assert repr(real) == repr(tw)
+        assert hash(real) == hash(tw)
+        assert real == cls(*args) and not real != cls(*args)
+        assert real.__eq__(tw) is NotImplemented and tw.__eq__(real) is NotImplemented
+        assert real != tw
+        pairs.append((real, tw))
+    for r1, t1 in pairs:
+        for r2, t2 in pairs:
+            assert (r1 == r2) == (t1 == t2) and (r1 != r2) == (t1 != t2)
+    other = next(c for c in CLASSES if c is not cls)
+    for real, _ in pairs:
+        stranger = other(*_samples(other)[0])
+        assert real.__eq__(stranger) is NotImplemented
+        assert real != stranger and stranger != real
+
+    # defaults: only the fields without one are passed
+    required = [f for f in names if f not in vars(cls)]
+    args = _samples(cls)[0][:len(required)]
+    real, tw = cls(*args), twin(*args)
+    assert _fields(real, names) == _fields(tw, names)
+    assert repr(real) == repr(tw)
+
+    # replace, one field at a time, and with no change
+    (r1, t1), (r2, _) = pairs[0], pairs[-1]
+    for f in names:
+        got = value.replace(r1, **{f: getattr(r2, f)})
+        want = dataclasses.replace(t1, **{f: getattr(r2, f)})
+        assert type(got) is cls
+        assert _fields(got, names) == _fields(want, names)
+        assert repr(got) == repr(want) and hash(got) == hash(want)
+    assert value.replace(r1) == r1
+
+    # assigning or deleting a field raises, with the dataclass message
+    assert issubclass(value.FrozenInstanceError, AttributeError)
+    for f in names:
+        for op in (lambda o: setattr(o, f, 0), lambda o: delattr(o, f)):
+            with pytest.raises(value.FrozenInstanceError) as got:
+                op(r1)
+            with pytest.raises(dataclasses.FrozenInstanceError) as want:
+                op(t1)
+            assert str(got.value) == str(want.value)
+    assert _fields(r1, names) == _fields(t1, names)
+
+
+def test_cached_hash_of_a_letter_is_the_field_tuple_hash():
+    letter = AbstractLocalState(Interval(0, 2), "l", IntervalEnv(()))
+    assert hash(letter) == hash((letter.pid, letter.loc, letter.env))
+    assert "_hash" in vars(letter) and "_hash" not in repr(letter)
