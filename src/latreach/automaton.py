@@ -20,7 +20,6 @@ from functools import cached_property
 
 from .domain import (
     AbstractLocalState,
-    AffineEnv,
     DomainContext,
     Interval,
     IntervalEnv,
@@ -573,30 +572,12 @@ def _bound_json(b):
     return f"{b.numerator}/{b.denominator}"
 
 
-def _bound_from_json(s):
-    if s == "-inf":
-        return NEG_INF
-    if s == "+inf":
-        return POS_INF
-    num, _, den = s.partition("/")
-    return Fraction(int(num), int(den))
-
-
 def interval_to_json(itv: Interval):
     return {"lo": _bound_json(itv.lo), "hi": _bound_json(itv.hi)}
 
 
-def interval_from_json(d) -> Interval:
-    return Interval(_bound_from_json(d["lo"]), _bound_from_json(d["hi"]))
-
-
 def _frac_json(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
-
-
-def _frac_from_json(s) -> Fraction:
-    num, _, den = s.partition("/")
-    return Fraction(int(num), int(den))
 
 
 def env_to_json(env):
@@ -609,22 +590,8 @@ def env_to_json(env):
                      for coeffs, c in env.rows]}
 
 
-def env_from_json(d):
-    if d["kind"] == "interval":
-        return IntervalEnv.make({n: interval_from_json(v) for n, v in d["vars"].items()})
-    rows = tuple(
-        (tuple(_frac_from_json(k) for k in coeffs), _frac_from_json(c))
-        for coeffs, c in d["rows"]
-    )
-    return AffineEnv(tuple(d["vars"]), rows)
-
-
 def letter_to_json(l: AbstractLocalState):
     return {"id": interval_to_json(l.pid), "loc": l.loc, "env": env_to_json(l.env)}
-
-
-def letter_from_json(d) -> AbstractLocalState:
-    return AbstractLocalState(interval_from_json(d["id"]), d["loc"], env_from_json(d["env"]))
 
 
 def to_json(a: LatticeAutomaton) -> dict:
@@ -637,15 +604,6 @@ def to_json(a: LatticeAutomaton) -> dict:
             for (s, l, t) in a.sorted_transitions()
         ],
     }
-
-
-def from_json(d) -> LatticeAutomaton:
-    return LatticeAutomaton(
-        frozenset(d["states"]),
-        frozenset(d["initial"]),
-        frozenset(d["final"]),
-        frozenset((e["src"], letter_from_json(e["label"]), e["dst"]) for e in d["transitions"]),
-    )
 
 
 def to_dot(a: LatticeAutomaton, name="reach") -> str:

@@ -1,8 +1,8 @@
 """Command-line driver: parse, analyze, check properties, export automata.
 
 Exit codes: 0 safe / no alarms, 1 property alarm, 2 potential deadlock
-(with --deadlock and no property alarm), 3 usage or parse error, 4 step
-budget exhausted.  Identical inputs produce byte-identical reports.
+(with --deadlock and no property alarm), 3 usage, parse or file error, 4
+step budget exhausted.  Identical inputs produce byte-identical reports.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ def parse_property(text: str) -> PropertyAutomaton:
     Lines: ``state NAME [initial] [final]`` declares a state;
     ``A -> B : items`` adds a transition where items are comma-separated:
     ``true`` (any letter), ``loc=lN`` or ``loc=any``, and constraints
-    ``id <op> expr`` / ``var <op> expr`` over id and constants."""
+    ``expr <op> expr`` over id, the letter's variables and constants."""
     states = {}
     transitions = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -87,12 +87,11 @@ def _parse_label(label: str, lineno: int) -> GuardElement:
         for op in ("<=", ">=", "==", "!=", "<", ">"):
             if op in item:
                 lhs, _, rhs = item.partition(op)
-                lhs = lhs.strip()
                 try:
-                    rhs_expr = parse_expr(rhs.strip())
+                    constraints.append(Constraint(parse_expr(lhs.strip()), op,
+                                                  parse_expr(rhs.strip())))
                 except ParseError as exc:
                     raise PropertyParseError(f"line {lineno}: {exc}") from exc
-                constraints.append(Constraint(lhs, op, rhs_expr))
                 break
         else:
             raise PropertyParseError(f"line {lineno}: cannot parse label item {item!r}")
@@ -154,7 +153,7 @@ def main(argv=None) -> int:
     try:
         with open(args.program, "r", encoding="utf-8") as fh:
             source = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
@@ -170,14 +169,16 @@ def main(argv=None) -> int:
         try:
             with open(args.property_file, "r", encoding="utf-8") as fh:
                 bad = parse_property(fh.read())
-        except (OSError, PropertyParseError) as exc:
+        except (OSError, UnicodeDecodeError, PropertyParseError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3
 
     if args.dump_semantics_path:
-        with open(args.dump_semantics_path, "w", encoding="utf-8") as fh:
-            json.dump(dump_semantics(sem), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            _write(args.dump_semantics_path, _json_text(dump_semantics(sem)))
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
 
     config = AnalysisConfig(widening_delay=args.widening_delay,
                             shape_k=args.shape_k, step_budget=args.budget)
@@ -220,15 +221,25 @@ def main(argv=None) -> int:
         else:
             print("potential deadlocks: 0", file=out)
 
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(to_dot(result.reach))
-            fh.write("\n")
-    if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            json.dump(to_json(result.reach), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    try:
+        if args.dot:
+            _write(args.dot, to_dot(result.reach))
+        if args.json_path:
+            _write(args.json_path, _json_text(to_json(result.reach)))
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     return exit_code
+
+
+def _json_text(blob) -> str:
+    return json.dumps(blob, indent=2, sort_keys=True)
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+        fh.write("\n")
 
 
 def console_main() -> None:

@@ -72,9 +72,7 @@ def eval_expr(e, pid: int, rho: dict, rat_vars=frozenset()) -> Optional[Fraction
         if e.op == "max":
             return max(a, b)
         if e.op in E.COMPARISONS:
-            holds = {"<": a < b, "<=": a <= b, "==": a == b,
-                     "!=": a != b, ">": a > b, ">=": a >= b}[e.op]
-            return Fraction(1 if holds else 0)
+            return Fraction(int(E.compare(e.op, a, b)))
     raise ValueError(f"cannot evaluate {e!r}")
 
 

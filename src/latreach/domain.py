@@ -751,14 +751,14 @@ def letter_widen(a: AbstractLocalState, b: AbstractLocalState) -> AbstractLocalS
 
 @frozen
 class Constraint:
-    """Symbolic side constraint of a guard: <lhs> <op> <expr>.
+    """Symbolic side constraint of a guard: <lhs> <op> <rhs>.
 
-    lhs is "id" or a variable name; the expression ranges over id, the
-    letter's own variables and constants.  Used by property automata and
-    the broadcast root guard.
+    Both sides are expressions over id, the letter's own variables and
+    constants.  Used by property automata and the broadcast and reduce
+    root guards.
     """
 
-    lhs: str
+    lhs: object  # expr AST
     op: str
     rhs: object  # expr AST
 
@@ -876,7 +876,8 @@ class AlarmSink:
 
 def eval_interval(ctx: DomainContext, letter: AbstractLocalState, e, sink=None,
                   resolver=None) -> Interval:
-    """Interval evaluation of e against a letter (id resolves to its pid).
+    """Interval evaluation of e against a letter (id resolves to its pid;
+    a comparison is 0 or 1, as in C).
 
     resolver, when given, maps a PosVar to an interval; division by an
     interval containing zero, and an arithmetic result with a bound past
@@ -938,6 +939,10 @@ def eval_interval(ctx: DomainContext, letter: AbstractLocalState, e, sink=None,
             if a.is_bottom or b.is_bottom:
                 return Interval.bottom()
             return Interval(max(a.lo, b.lo), max(a.hi, b.hi))
+        if node.op in E.COMPARISONS:  # C truth value
+            if a.is_point and b.is_point:
+                return Interval.point(int(E.compare(node.op, a.lo, b.lo)))
+            return Interval.range(0, 1)
         if node.op == "^":
             if b.is_point and is_finite(b.lo) and b.lo.denominator == 1:
                 k = int(b.lo)
@@ -1105,11 +1110,8 @@ def _apply_comparison(ctx, s, cmp_expr, sink=None) -> Optional[AbstractLocalStat
                     s2 = s.with_env(env)
             else:
                 val = s.env.value_of(coeffs)
-                if val is not None:
-                    holds = {"!=": val != const, "<": val < const, "<=": val <= const,
-                             ">": val > const, ">=": val >= const}[op]
-                    if not holds:
-                        return None
+                if val is not None and not E.compare(op, val, const):
+                    return None
             if s2 is not None and isinstance(left, E.Var) and left.name == "id":
                 rng = eval_interval(ctx, s2, right, sink)
                 s2 = _refine_interval_cmp(ctx, s2, op, "id", rng)
@@ -1123,10 +1125,7 @@ def _apply_comparison(ctx, s, cmp_expr, sink=None) -> Optional[AbstractLocalStat
     li = eval_interval(ctx, s, left, sink)
     ri = eval_interval(ctx, s, right, sink)
     if li.is_point and ri.is_point:
-        a, b = li.lo, ri.lo
-        holds = {"<": a < b, "<=": a <= b, "==": a == b,
-                 "!=": a != b, ">": a > b, ">=": a >= b}[op]
-        return s if holds else None
+        return s if E.compare(op, li.lo, ri.lo) else None
     return s
 
 
@@ -1148,7 +1147,7 @@ def transfer_filter(ctx: DomainContext, s: AbstractLocalState, e, branch: str,
 
 
 def _apply_constraint(ctx, s, con: Constraint, sink=None) -> Optional[AbstractLocalState]:
-    return _apply_comparison(ctx, s, E.BinOp(con.op, E.Var(con.lhs), con.rhs), sink)
+    return _apply_comparison(ctx, s, E.BinOp(con.op, con.lhs, con.rhs), sink)
 
 
 def meet_guard(ctx: DomainContext, s: AbstractLocalState, g: GuardElement,

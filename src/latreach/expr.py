@@ -6,6 +6,7 @@ evaluator lives with its own number representation.
 """
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .value import frozen
@@ -105,6 +106,8 @@ class Nondet:
 Expr = object  # Const | Var | PosVar | NProcs | FreshId | Neg | BinOp | Nondet
 
 COMPARISONS = ("<", "<=", "==", "!=", ">=", ">")
+_COMPARE = {"<": operator.lt, "<=": operator.le, "==": operator.eq,
+            "!=": operator.ne, ">=": operator.ge, ">": operator.gt}
 ARITH_OPS = ("+", "-", "*", "/", "%", "^")
 
 # Size cap on the result of every arithmetic operator: a number whose
@@ -127,6 +130,11 @@ def pow_too_big(base: Fraction, k: int) -> bool:
     twice MAX_POW_BITS bits before number_too_big checks its result."""
     size = max(abs(base.numerator).bit_length(), base.denominator.bit_length())
     return abs(k) * (size - 1) > MAX_POW_BITS
+
+
+def compare(op: str, a, b) -> bool:
+    """Whether a <op> b holds, op one of COMPARISONS."""
+    return _COMPARE[op](a, b)
 
 
 def is_comparison(e) -> bool:
@@ -252,6 +260,6 @@ def at_position(e, pos: int):
 
 
 def to_source(e) -> str:
-    """Deterministic, re-parseable surface form (PosVar/FreshId excluded
-    from the surface grammar but kept readable for dumps)."""
+    """Deterministic surface form.  PosVar and FreshId, which the surface
+    grammar lacks, print readably for dumps as @pos.var and fresh_id."""
     return str(e)

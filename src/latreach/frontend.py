@@ -3,15 +3,15 @@
 ``build_cfg`` lays a parsed program (``syntax.parse``) out as a graph
 whose edges carry one instruction each; ``compile_program`` turns the
 graph into the local-step transducer, the communication rules and the
-initial automaton, which ``dump_semantics``/``load_semantics`` write and
-read back.
+initial automaton, which ``dump_semantics`` writes out as JSON for
+inspection (``--dump-semantics``).
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 from . import expr as E
-from .automaton import LatticeAutomaton, from_json, normalize, to_json
+from .automaton import LatticeAutomaton, normalize, to_json
 from .domain import DomainContext, GuardElement, Interval, POS_INF, TOP_GUARD
 from .rules import (
     collector_loc,
@@ -20,7 +20,6 @@ from .rules import (
     make_create_rule,
     make_reduce_rules,
     make_send_receive_rule,
-    rule_from_json,
     rule_to_json,
 )
 from .syntax import (
@@ -42,7 +41,6 @@ from .transducer import (
     LatticeTransducer,
     LetterOut,
     TransducerRule,
-    transducer_from_json,
     transducer_to_json,
 )
 from .value import frozen, replace
@@ -255,7 +253,7 @@ def _substitute_nprocs(instr, n: int):
 
 
 # ---------------------------------------------------------------------------
-# semantics dump / reload
+# semantics dump
 
 
 def dump_semantics(sem: CompiledSemantics) -> dict:
@@ -274,17 +272,3 @@ def dump_semantics(sem: CompiledSemantics) -> dict:
         "rules": [rule_to_json(r) for r in sem.rules],
         "initial": to_json(sem.initial),
     }
-
-
-def load_semantics(d: dict) -> CompiledSemantics:
-    ctx = DomainContext(d["domain"], tuple(d["variables"]), frozenset(d["rat_vars"]))
-    cfg = Cfg(tuple(d["locations"]), (), d["entry"], d["exit"], frozenset(d["loop_heads"]))
-    return CompiledSemantics(
-        ctx, cfg,
-        transducer_from_json(d["transducer"]),
-        tuple(rule_from_json(r) for r in d["rules"]),
-        from_json(d["initial"]),
-        frozenset(d["widen_locs"]),
-        frozenset(d["blocking_locs"]),
-        d["procs"],
-    )

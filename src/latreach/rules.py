@@ -30,14 +30,12 @@ from .domain import (
     relational_updates,
 )
 from .graph import live, path_lengths, reachable
-from .syntax import Broadcast, Create, Receive, Reduce, Send, parse_expr
+from .syntax import Broadcast, Create, Receive, Reduce, Send
 from .transducer import (
     InstanceInfo,
     LetterOut,
     eval_letter_out,
-    guard_from_json,
     guard_to_json,
-    letter_out_from_json,
     letter_out_to_json,
 )
 from .value import frozen
@@ -465,7 +463,8 @@ def make_broadcast_rule(edge) -> RewriteRule:
     assert isinstance(edge.instr, Broadcast)
     bc = edge.instr
     at_loc = _loc_guard(edge.src)
-    root_guard = GuardElement.at(edge.src, GuardAtom(constraints=(Constraint("id", "==", bc.root),)))
+    root_guard = GuardElement.at(
+        edge.src, GuardAtom(constraints=(Constraint(E.Var("id"), "==", bc.root),)))
     copy_h = HRewrite(kind="copy", loc=edge.dst,
                       updates=((bc.var, E.PosVar(0, bc.var)),))
     root_out = LetterOut(base=0, loc=edge.dst)
@@ -557,7 +556,8 @@ def make_reduce_rules(edge):
         h_specs=(IDENTITY_H, IDENTITY_H),
     )
 
-    root_guard = GuardElement.at(locked, GuardAtom(constraints=(Constraint("id", "==", red.root),)))
+    root_guard = GuardElement.at(
+        locked, GuardAtom(constraints=(Constraint(E.Var("id"), "==", red.root),)))
     deliver_root = LetterOut(base=0, loc=edge.dst,
                              updates=((red.acc, E.PosVar(1, red.acc)),))
     deliver = RewriteRule(
@@ -579,11 +579,6 @@ def h_to_json(h: HRewrite):
             "updates": [[v, E.to_source(rhs)] for v, rhs in h.updates]}
 
 
-def h_from_json(d) -> HRewrite:
-    return HRewrite(d["kind"], d["loc"],
-                    tuple((v, parse_expr(src)) for v, src in d["updates"]))
-
-
 def rule_to_json(rule: RewriteRule):
     return {
         "name": rule.name,
@@ -593,14 +588,3 @@ def rule_to_json(rule: RewriteRule):
         "h_specs": [h_to_json(h) for h in rule.h_specs],
         "track_length": rule.track_length,
     }
-
-
-def rule_from_json(d) -> RewriteRule:
-    return RewriteRule(
-        name=d["name"],
-        stars=tuple(None if g is None else guard_from_json(g) for g in d["stars"]),
-        words=tuple(tuple(guard_from_json(g) for g in w) for w in d["words"]),
-        f_specs=tuple(tuple(letter_out_from_json(o) for o in spec) for spec in d["f_specs"]),
-        h_specs=tuple(h_from_json(h) for h in d["h_specs"]),
-        track_length=d["track_length"],
-    )

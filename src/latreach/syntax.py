@@ -148,7 +148,6 @@ _TOKEN = re.compile(
     r"""
     (?P<ws>\s+)
   | (?P<comment>//[^\n]*)
-  | (?P<posvar>@\d+\.[A-Za-z_][A-Za-z_0-9]*)
   | (?P<num>\d+)
   | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<op>:=|<=|>=|==|!=|[-+*/%^<>(){},;])
@@ -156,6 +155,9 @@ _TOKEN = re.compile(
     re.VERBOSE,
 )
 
+# fresh_id is no expression: it is reserved because --dump-semantics
+# writes create's fresh identifier under that name, which must not be
+# mistaken for a program variable.
 KEYWORDS = {
     "if", "else", "while", "create", "send", "receive", "broadcast",
     "reduce", "any_id", "rat", "int", "min", "max", "id", "nprocs",
@@ -186,8 +188,6 @@ def _lex(text: str):
                 tokens.append(Token(value, value, line, col))
             elif kind == "num":
                 tokens.append(Token("num", value, line, col))
-            elif kind == "posvar":
-                tokens.append(Token("posvar", value, line, col))
             elif kind == "name":
                 tokens.append(Token("ident", value, line, col))
             else:
@@ -308,14 +308,6 @@ class _Parser:
         if t.kind == "nprocs":
             self.next()
             return E.NProcs()
-        if t.kind == "fresh_id":
-            self.next()
-            return E.FreshId()
-        if t.kind == "posvar":
-            # partner-frame atom @<pos>.<var>; only produced by dumps
-            self.next()
-            pos, _, name = t.text[1:].partition(".")
-            return E.PosVar(int(pos), name)
         if t.kind == "(":
             self.next()
             e = self.parse_expr()
@@ -476,12 +468,8 @@ def parse(text: str) -> Ast:
 
 
 def parse_expr(text: str):
-    """Parse a single expression (used by property files and JSON dumps)."""
+    """Parse a single expression (both sides of a property constraint)."""
     p = _Parser(text)
-    if p.peek().kind == "*":
-        p.next()
-        e = E.Nondet()
-    else:
-        e = p.parse_expr()
+    e = p.parse_expr()
     p.expect("eof")
     return e

@@ -3,8 +3,8 @@
 A transducer transition carries a guard tuple (one guard element per read
 letter) and a sequence of rewriters producing the output letters.  The
 rewriters are declarative data (LetterOut), not opaque code, so generated
-transducers serialize to JSON and run unchanged under either environment
-domain.
+transducers run unchanged under either environment domain and print as
+JSON for the semantics dump.
 
 Application costs one evaluation per distinct letter tuple and rule.
 Each transducer carries two things built on first use: a rule index
@@ -26,9 +26,7 @@ from . import expr as E
 from .automaton import (
     Builder,
     LatticeAutomaton,
-    env_from_json,
     env_to_json,
-    interval_from_json,
     interval_to_json,
     normalize,
     path_labels,
@@ -36,9 +34,7 @@ from .automaton import (
 from .domain import (
     AbstractLocalState,
     AlarmSink,
-    Constraint,
     DomainContext,
-    GuardAtom,
     GuardElement,
     Interval,
     POS_INF,
@@ -48,7 +44,7 @@ from .domain import (
     transfer_assign,
     transfer_filter,
 )
-from .syntax import Assign, Filter, parse_expr
+from .syntax import Assign, Filter
 from .value import frozen
 
 
@@ -319,14 +315,15 @@ def apply_transducer(ctx: DomainContext, t: LatticeTransducer, a: LatticeAutomat
 
 
 # ---------------------------------------------------------------------------
-# JSON (de)serialization
+# JSON export
 
 
 def guard_atom_to_json(atom):
     return {
         "id": interval_to_json(atom.pid),
         "env": None if atom.env is None else env_to_json(atom.env),
-        "constraints": [[c.lhs, c.op, E.to_source(c.rhs)] for c in atom.constraints],
+        "constraints": [[E.to_source(c.lhs), c.op, E.to_source(c.rhs)]
+                        for c in atom.constraints],
     }
 
 
@@ -371,62 +368,6 @@ def transducer_to_json(t: LatticeTransducer):
             for (src, rule, dst) in t.sorted_rules()
         ],
     }
-
-
-def guard_atom_from_json(d):
-    return GuardAtom(
-        interval_from_json(d["id"]),
-        None if d["env"] is None else env_from_json(d["env"]),
-        tuple(Constraint(lhs, op, parse_expr(rhs)) for lhs, op, rhs in d["constraints"]),
-    )
-
-
-def guard_from_json(d) -> GuardElement:
-    return GuardElement(
-        None if d["by_loc"] is None else tuple((loc, guard_atom_from_json(a)) for loc, a in d["by_loc"]),
-        None if d["default"] is None else guard_atom_from_json(d["default"]),
-    )
-
-
-def letter_out_from_json(d) -> LetterOut:
-    instr = None
-    if d["instr"] is not None:
-        if "assign" in d["instr"]:
-            var, src = d["instr"]["assign"]
-            instr = Assign(var, parse_expr(src))
-        else:
-            src, branch = d["instr"]["filter"]
-            instr = Filter(parse_expr(src), branch)
-    pid = d["pid"]
-    if pid[0] == "const":
-        num, _, den = pid[1].partition("/")
-        pid = ("const", Fraction(int(num), int(den)))
-    else:
-        pid = tuple(pid)
-    return LetterOut(
-        base=d["base"],
-        loc=d["loc"],
-        instr=instr,
-        updates=tuple((v, parse_expr(src)) for v, src in d["updates"]),
-        conds=tuple((pos, parse_expr(src)) for pos, src in d["conds"]),
-        pid=pid,
-        reset_zero=d["reset_zero"],
-    )
-
-
-def transducer_from_json(d) -> LatticeTransducer:
-    rules = set()
-    for r in d["rules"]:
-        rule = TransducerRule(
-            r["name"],
-            tuple(guard_from_json(g) for g in r["guard"]),
-            tuple(letter_out_from_json(o) for o in r["outputs"]),
-        )
-        rules.add((r["src"], rule, r["dst"]))
-    return LatticeTransducer(
-        frozenset(d["states"]), frozenset(d["initial"]), frozenset(d["final"]),
-        frozenset(rules),
-    )
 
 
 def transducer_to_dot(t: LatticeTransducer, name="transducer") -> str:

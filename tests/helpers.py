@@ -93,7 +93,7 @@ def atom_matches_guard(a: Atom, g: GuardElement) -> bool:
             if not gatom.env.satisfies(assignment):
                 return False
     for con in gatom.constraints:
-        lhs = Fraction(pid) if con.lhs == "id" else dict(rho).get(con.lhs, Fraction(0))
+        lhs = _eval(con.lhs, pid, rho)
         rhs = _eval(con.rhs, pid, rho)
         holds = {"<": lhs < rhs, "<=": lhs <= rhs, "==": lhs == rhs,
                  "!=": lhs != rhs, ">": lhs > rhs, ">=": lhs >= rhs}[con.op]

@@ -6,9 +6,10 @@ import sys
 import pytest
 
 from latreach.cli import main, parse_property, PropertyParseError
-from latreach.engine import PropertyAutomaton
+from latreach.concrete import accepts_concrete, config_word, initial_config, reach_bounded
+from latreach.engine import PropertyAutomaton, fixpoint
 from latreach.expr import MAX_POW_BITS
-from latreach.frontend import compile_program, load_semantics
+from latreach.frontend import build_cfg, compile_program
 from latreach.syntax import MAX_NESTING, parse
 
 from helpers import PROGRAMS, load_program
@@ -91,6 +92,72 @@ def test_exit_three_parse_error(tmp_path, capsys):
     missing = tmp_path / "nope.prog"
     assert main(["analyze", str(missing)]) == 3
     assert main(["analyze"]) == 3  # usage error
+    # input that is not UTF-8, and outputs into a missing directory, used
+    # to end in a traceback
+    latin = tmp_path / "latin.prog"
+    latin.write_bytes(b"x := 1; // caf\xe9\n")
+    ok = tmp_path / "ok.prog"
+    ok.write_text("x := 1;\n", encoding="utf-8")
+    bad = tmp_path / "latin.bad"
+    bad.write_bytes(b"state s0 initial final # caf\xe9\n")
+    nowhere = str(tmp_path / "no" / "such" / "dir")
+    capsys.readouterr()
+    for args in ([str(latin)], [str(ok), "--property", str(bad)],
+                 [str(ok), "--json", nowhere], [str(ok), "--dot", nowhere],
+                 [str(ok), "--dump-semantics", nowhere]):
+        assert main(["analyze", *args]) == 3, args
+        assert capsys.readouterr().err.startswith("error: "), args
+
+
+@pytest.mark.parametrize("domain", ["interval", "affine"])
+@pytest.mark.parametrize("program, label", [
+    ("x := @0.y;", None),
+    ("x := fresh_id;", None),
+    ("if (@0.x) x := 1;", None),
+    ("x := 1;", "x == *"),
+    ("x := 1;", "id == fresh_id"),
+    ("x := 1;", "x == @0.y"),
+], ids=["partner-atom", "fresh-id", "partner-condition",
+        "label-star", "label-fresh-id", "label-partner-atom"])
+def test_dump_only_atoms_are_parse_errors(program, label, domain, tmp_path, capsys):
+    """The partner atom @n.v, create's fresh_id and a bare * appear in
+    --dump-semantics output but are not expressions of the language: in a
+    program or a property label each is a parse error, exit 3 with one
+    error line.  They used to end in a traceback or in a silent SAFE."""
+    prog = tmp_path / "p.prog"
+    prog.write_text(program + "\n", encoding="utf-8")
+    args = ["analyze", str(prog), "--procs", "2", "--domain", domain]
+    if label is not None:
+        bad = tmp_path / "p.bad"
+        bad.write_text(f"state s0 initial\nstate s1 final\ns0 -> s1 : {label}\n",
+                       encoding="utf-8")
+        args += ["--property", str(bad)]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("program", [
+    "x := 1 < 2;",
+    "x := (1 < 2) + 1;",
+    "if ((x < 1) == 1) x := 5;",
+    "while ((x < 3) == 1) x := x + 1;",
+], ids=["assign", "sum", "if", "while"])
+@pytest.mark.parametrize("domain", ["interval", "affine"])
+def test_comparison_as_value(program, domain, tmp_path, capsys):
+    """A comparison used as a value is 0 or 1, as in the concrete
+    interpreter; the abstract evaluator used to raise ValueError."""
+    prog = tmp_path / "cmp.prog"
+    prog.write_text(program + "\n", encoding="utf-8")
+    code, _ = run_cli(capsys, "analyze", str(prog), "--procs", "2", "--domain", domain)
+    assert code == 0
+    ast = parse(program)
+    cfg = build_cfg(ast)
+    sem = compile_program(ast, domain, 2)
+    reach = fixpoint(sem).reach
+    concrete = reach_bounded(cfg, initial_config(cfg, ast.variables, 2), 12, 2)
+    for config in concrete.configs:
+        assert accepts_concrete(sem.ctx, reach, config_word(config)), config
 
 
 @pytest.mark.parametrize("bare, braced, args", [
@@ -196,6 +263,23 @@ def test_affine_communicated_value_past_cap_is_top_with_alarm(comm, tmp_path, ca
     assert "alarm[power]: y := @" in out
     numbers = re.findall(r"\d+", reach.read_text()) + re.findall(r"\d+", out)
     assert max(int(n).bit_length() for n in numbers) - 1 <= MAX_POW_BITS
+
+
+@pytest.mark.parametrize("label, code", [
+    ("x + 1 == 3", 0), ("2 == x", 0), ("x y == 2", 3), ("== 2", 3),
+])
+def test_property_constraint_sides_are_expressions(label, code, tmp_path, capsys):
+    """Both sides of a constraint are expressions.  The left side used to
+    name a variable, whatever it said: x + 1 == 3 constrained a variable
+    called 'x + 1' and gave a false ALARM."""
+    prog = tmp_path / "one.prog"
+    prog.write_text("x := 1;\n", encoding="utf-8")
+    bad = tmp_path / "lhs.bad"
+    bad.write_text("state s0 initial\nstate s1 final\n"
+                   f"s0 -> s1 : {label}\ns1 -> s1 : true\n", encoding="utf-8")
+    for domain in ("interval", "affine"):
+        assert run_cli(capsys, "analyze", str(prog), "--domain", domain,
+                       "--property", str(bad))[0] == code
 
 
 @pytest.mark.parametrize("label", ["z == 5", "x + z == 1"])
@@ -310,20 +394,17 @@ def test_dot_and_json_outputs(tmp_path, chain_prog, capsys):
 
 
 def test_dump_semantics_round_trip(tmp_path, chain_prog, capsys):
-    """Reloading the dumped semantics and re-running the engine gives the
-    identical reach automaton."""
+    """The dumped semantics is JSON, byte-identical across two runs."""
     prog, _ = chain_prog
-    dump = tmp_path / "sem.json"
-    code, _ = run_cli(capsys, "analyze", str(prog), "--domain", "affine",
-                      "--procs", "unbounded", "--dump-semantics", str(dump))
-    assert code == 0
-    from latreach.engine import AnalysisConfig, fixpoint
-
-    sem1 = compile_program(parse(load_program("create_chain.prog")), "affine", "unbounded")
-    res1 = fixpoint(sem1)
-    sem2 = load_semantics(json.loads(dump.read_text()))
-    res2 = fixpoint(sem2)
-    assert res1.reach == res2.reach
+    dumps = []
+    for name in ("sem1.json", "sem2.json"):
+        dump = tmp_path / name
+        code, _ = run_cli(capsys, "analyze", str(prog), "--domain", "affine",
+                          "--procs", "unbounded", "--dump-semantics", str(dump))
+        assert code == 0
+        dumps.append(dump.read_text())
+    assert json.loads(dumps[0])["procs"] == "unbounded"
+    assert dumps[0] == dumps[1]
 
 
 def test_widening_flags_accepted(chain_prog, capsys):

@@ -29,6 +29,7 @@ from latreach.domain import (
     transfer_assign,
     transfer_filter,
 )
+from latreach.automaton import letter_to_json
 from latreach.concrete import concretize_bounded, letter_accepts
 from latreach.syntax import parse_expr
 
@@ -141,7 +142,8 @@ def test_leq_enumerated_oracle():
 
 
 def _constraint_guard(loc, lhs, op, rhs):
-    return GuardElement.at(loc, GuardAtom(constraints=(Constraint(lhs, op, parse_expr(rhs)),)))
+    con = Constraint(parse_expr(lhs), op, parse_expr(rhs))
+    return GuardElement.at(loc, GuardAtom(constraints=(con,)))
 
 
 def test_leq_guard_decides_constraint_entailment_interval():
@@ -560,14 +562,14 @@ def test_meet_guard_refutes_disequality_under_affine():
     env = AffineEnv.from_rows(("id", "x"), [({"x": F(1), "id": F(-4)}, F(5))])
     s = AbstractLocalState(Interval.range(0, 9), "l6", env)
     guard = GuardElement.at("l6", GuardAtom(
-        constraints=(Constraint("x", "!=", parse_expr("5 + 4*id")),)))
+        constraints=(Constraint(parse_expr("x"), "!=", parse_expr("5 + 4*id")),)))
     assert meet_guard(ctx, s, guard) is None
 
 
 def test_meet_guard_keeps_disequality_under_intervals():
     s = iletter((0, 9), "l6", x=(5, 40))
     guard = GuardElement.at("l6", GuardAtom(
-        constraints=(Constraint("x", "!=", parse_expr("5 + 4*id")),)))
+        constraints=(Constraint(parse_expr("x"), "!=", parse_expr("5 + 4*id")),)))
     assert meet_guard(CTX, s, guard) is not None
 
 
@@ -619,7 +621,8 @@ def test_meet_guard_trivial_atom_fast_path():
                for atom in ([g.default] if g.by_loc is None else [a for _, a in g.by_loc]))
     assert not GuardAtom(pid=Interval.range(0, 3)).is_trivial
     assert not GuardAtom(env=IntervalEnv.top()).is_trivial
-    assert not GuardAtom(constraints=(Constraint("x", "<", parse_expr("3")),)).is_trivial
+    con = Constraint(parse_expr("x"), "<", parse_expr("3"))
+    assert not GuardAtom(constraints=(con,)).is_trivial
     for s in _seeded_letters():
         ctx = CTX if isinstance(s.env, IntervalEnv) else DomainContext("affine", ("x",))
         for g in trivial:
@@ -644,45 +647,40 @@ def test_letter_hash_is_the_field_hash():
 
 
 def test_letter_hash_cache_is_not_state():
-    from latreach.automaton import letter_from_json, letter_to_json
-
     for l in _seeded_letters(seed=9):
         fresh = AbstractLocalState(l.pid, l.loc, l.env)
         hash(l)  # fill the cache on one side only
         assert l == fresh and repr(l) == repr(fresh)
-        back = letter_from_json(json.loads(json.dumps(letter_to_json(l))))
-        assert back == l and hash(back) == hash(l)
-        assert letter_to_json(back) == letter_to_json(l)
+        assert hash(fresh) == hash(l)
+        assert letter_to_json(fresh) == letter_to_json(l)
 
 
-def test_letter_hash_by_value_under_another_hash_seed(tmp_path):
-    """The cache is per process: letters read back from JSON in a process
-    with another string-hash seed compare and hash by value there."""
-    from latreach.automaton import letter_to_json
-
+def test_letter_hash_by_value_under_another_hash_seed():
+    """The cache is per process: letters rebuilt from the same seeded
+    generator in a process with another string-hash seed compare and hash
+    by value there, and export the same JSON as here."""
     letters = _seeded_letters(seed=3, n=10)
     for l in letters:
         hash(l)
-    path = tmp_path / "letters.json"
-    path.write_text(json.dumps([letter_to_json(l) for l in letters]))
     script = (
-        "import json, sys\n"
-        "from latreach.automaton import letter_from_json\n"
+        "import json\n"
+        "from latreach.automaton import letter_to_json\n"
         "from latreach.domain import AbstractLocalState\n"
-        "ds = json.load(open(sys.argv[1]))\n"
-        "for d in ds:\n"
-        "    a, b = letter_from_json(d), letter_from_json(d)\n"
+        "from test_domain import _seeded_letters\n"
+        "letters = _seeded_letters(seed=3, n=10)\n"
+        "for a in letters:\n"
+        "    b = AbstractLocalState(a.pid, a.loc, a.env)\n"
         "    hash(a)\n"
         "    assert a == b and hash(a) == hash(b) == hash((a.pid, a.loc, a.env))\n"
-        "    assert hash(a) == hash(AbstractLocalState(b.pid, b.loc, b.env))\n"
-        "print(len(ds))\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONHASHSEED="12345",
-               PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+        "print(json.dumps([letter_to_json(l) for l in letters]))\n")
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests),
+                            os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONHASHSEED="12345", PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == str(len(letters))
+    assert json.loads(proc.stdout) == [letter_to_json(l) for l in letters]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import latreach.expr as E
-from latreach.automaton import normalize, to_json
+from latreach.automaton import to_json
 from latreach.concrete import bounded_language
 from latreach.domain import Interval
 from latreach.frontend import (
@@ -12,7 +12,6 @@ from latreach.frontend import (
     build_cfg,
     compile_program,
     dump_semantics,
-    load_semantics,
 )
 from latreach.syntax import (
     Assign,
@@ -231,15 +230,15 @@ def test_blocking_locations():
 
 
 # ---------------------------------------------------------------------------
-# semantics dump round trip
+# semantics dump
 
 
 def test_dump_semantics_json_serializable():
     sem = compile_program(parse(load_program("create_chain.prog")), "affine", 2)
-    blob = json.dumps(dump_semantics(sem), sort_keys=True)
-    back = load_semantics(json.loads(blob))
-    assert back.ctx == sem.ctx
-    assert back.widen_locs == sem.widen_locs
-    assert back.blocking_locs == sem.blocking_locs
-    assert normalize(back.initial) == normalize(sem.initial)
-    assert to_json(back.initial) == to_json(sem.initial)
+    blob = json.loads(json.dumps(dump_semantics(sem), sort_keys=True))
+    assert blob["domain"] == "affine"
+    assert blob["variables"] == list(sem.ctx.variables)
+    assert blob["widen_locs"] == sorted(sem.widen_locs)
+    assert blob["blocking_locs"] == sorted(sem.blocking_locs)
+    assert len(blob["rules"]) == len(sem.rules)
+    assert blob["initial"] == to_json(sem.initial)

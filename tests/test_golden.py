@@ -1,4 +1,5 @@
-"""Pinned report and --json bytes for ten analyses.
+"""Pinned report and --json bytes for ten analyses, and --dump-semantics
+bytes for three programs.
 
 The programs are named by paths relative to the repository root because
 the report's first line echoes the path.  Together these runs exercise
@@ -10,7 +11,11 @@ create_chain-any_k2-deadlock most candidates look movable and cannot be
 split into atoms, so rule instances alone decide them), and (dining
 philosophers) rule application with many match instances per rule, and
 (local_loop) a nondeterministic local loop with a division alarm, which
-only the local-step transducer, joins and widening handle."""
+only the local-step transducer, joins and widening handle.
+
+The dumps cover send/receive rules with partner conditions (dining
+philosophers), reduce rules with a root-id constraint (sum_reduce) and
+the create rule with its fresh_id and @0.x updates (create_chain)."""
 import hashlib
 from pathlib import Path
 
@@ -88,3 +93,27 @@ def test_golden_outputs(args, code, report, reach, tmp_path, capsys, monkeypatch
     assert main(["analyze", *args, "--json", str(js)]) == code
     assert sha(capsys.readouterr().out.encode()) == report
     assert sha(js.read_bytes()) == reach
+
+
+DUMPS = [
+    pytest.param(
+        (P + "dining_philosophers.prog", "--procs", "4"),
+        "f91bacf7a4a4eab990858a5dbc490ee61f10f670682cb1fbc83c3b708da9035f",
+        id="dining_philosophers"),
+    pytest.param(
+        (P + "sum_reduce.prog", "--procs", "4", "--domain", "affine"),
+        "3f3a28807a1312fe1c1b31d92b460fe369467e622356703bc23f638d9cbb2d96",
+        id="sum_reduce-affine"),
+    pytest.param(
+        (P + "create_chain.prog", "--procs", "unbounded", "--domain", "affine"),
+        "49f4b08c91638b45221378944ddac0e71e3e90ab079b0a1b7680028b0bcda454",
+        id="create_chain-unbounded"),
+]
+
+
+@pytest.mark.parametrize("args,dump", DUMPS)
+def test_golden_semantics_dump(args, dump, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    path = tmp_path / "sem.json"
+    assert main(["analyze", *args, "--dump-semantics", str(path)]) == 0
+    assert sha(path.read_bytes()) == dump

@@ -1,6 +1,7 @@
-"""Import structure of the package: every import runs at module top, the
-syntax layer needs nothing of the analyzer but ``expr`` and the ``value``
-leaf, and start-up loads neither ``dataclasses`` nor ``inspect``."""
+"""Import structure of the package: every import runs at module top and
+is used, the syntax layer needs nothing of the analyzer but ``expr`` and
+the ``value`` leaf, and start-up loads neither ``dataclasses`` nor
+``inspect``."""
 import ast
 import os
 import subprocess
@@ -21,6 +22,31 @@ def test_no_function_level_imports():
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 found += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
                           if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert found == []
+
+
+def _unused_imports(path):
+    """'module:line: name' for each imported name that the module never
+    reads (a ``__future__`` import binds nothing)."""
+    tree = _tree(path)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line}: {name}" for name, line in sorted(imported.items())
+            if name not in read]
+
+
+def test_no_unused_imports():
+    """Every module but the package's ``__init__``, whose imports are
+    re-exports, reads each name it imports."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "__init__.py":
+            found += _unused_imports(path)
     assert found == []
 
 

@@ -47,8 +47,6 @@ from latreach.rules import (
     make_create_rule,
     make_reduce_rules,
     make_send_receive_rule,
-    rule_from_json,
-    rule_to_json,
 )
 from latreach.transducer import InstanceInfo, LetterOut, eval_letter_out
 from latreach.concrete import ConcreteLocalState, config_word, post
@@ -363,22 +361,6 @@ def test_reduce_letter_count_invariant(sum2):
 
 
 # ---------------------------------------------------------------------------
-# serialization
-
-
-def test_rule_json_round_trip(chain):
-    _, cfg, sem, edges = chain
-    for rule in sem.rules:
-        blob = rule_to_json(rule)
-        back = rule_from_json(blob)
-        a = normalize(LatticeAutomaton.from_word([
-            letter(0, cfg.exit, x=5, nxt=1),
-            letter(1, edges["Send"].src, x=9, nxt=2),
-            letter(2, edges["Receive"].src, x=0, nxt=2)]))
-        assert apply_rule(sem.ctx, back, a) == apply_rule(sem.ctx, rule, a)
-
-
-# ---------------------------------------------------------------------------
 # Theorem-style soundness against the word-level interpreter
 
 
@@ -599,7 +581,7 @@ def _ref_rules(rng):
     op = rng.choice(REDUCE_OPS)
     out += make_reduce_rules(Edge("l0", Reduce("y", "x", op, parse_expr("0")), "l1"))
     divides = GuardElement.anywhere(GuardAtom(constraints=(
-        Constraint("x", ">=", parse_expr("1 / id")),)))
+        Constraint(parse_expr("x"), ">=", parse_expr("1 / id")),)))
     div_copy = HRewrite(kind="copy", loc="l1",
                         updates=(("x", E.BinOp("/", E.PosVar(0, "x"), E.Var("x"))),))
     out.append(RewriteRule(
