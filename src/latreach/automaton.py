@@ -338,7 +338,13 @@ def union_all(autos) -> LatticeAutomaton:
 
     Each argument is canonicalized first and duplicates are dropped; the
     union then folds pairwise so the determinization always runs on small
-    canonical inputs instead of one huge juxtaposition."""
+    canonical inputs instead of one huge juxtaposition.
+
+    A fold whose operand already includes the other takes the including
+    one as it is.  That is exact: when nxt simulates out, every subset of
+    the determinization holds one state of nxt, with its keys, finality
+    and, since letter_leq(x, y) makes letter_join(x, y) == y, its labels,
+    so normalize would give back nxt itself."""
     canon = []
     seen = set()
     for a in autos:
@@ -354,7 +360,10 @@ def union_all(autos) -> LatticeAutomaton:
     for nxt in canon[1:]:
         if includes(out, nxt):
             continue
-        out = normalize(_raw_union(out, nxt))
+        if includes(nxt, out):
+            out = nxt
+        else:
+            out = normalize(_raw_union(out, nxt))
     return out
 
 

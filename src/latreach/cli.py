@@ -22,6 +22,7 @@ from .engine import (
     check_safety,
     fixpoint,
 )
+from .expr import is_comparison
 from .frontend import CompileError, compile_program, dump_semantics
 from .syntax import ParseError, parse, parse_expr
 
@@ -75,7 +76,7 @@ def _parse_label(label: str, lineno: int) -> GuardElement:
     loc = None
     pid = Interval.top()
     constraints = []
-    for item in (p.strip() for p in label.split(",")):
+    for item in _top_level_items(label):
         if not item:
             raise PropertyParseError(f"line {lineno}: empty label item")
         if re.match(r"loc\s*=", item):
@@ -84,21 +85,33 @@ def _parse_label(label: str, lineno: int) -> GuardElement:
                 raise PropertyParseError(f"line {lineno}: bad location item {item!r}")
             loc = None if value == "any" else value
             continue
-        for op in ("<=", ">=", "==", "!=", "<", ">"):
-            if op in item:
-                lhs, _, rhs = item.partition(op)
-                try:
-                    constraints.append(Constraint(parse_expr(lhs.strip()), op,
-                                                  parse_expr(rhs.strip())))
-                except ParseError as exc:
-                    raise PropertyParseError(f"line {lineno}: {exc}") from exc
-                break
-        else:
+        try:
+            e = parse_expr(item)
+        except ParseError as exc:
+            raise PropertyParseError(f"line {lineno}: {exc}") from exc
+        if not is_comparison(e):
             raise PropertyParseError(f"line {lineno}: cannot parse label item {item!r}")
+        constraints.append(Constraint(e.left, e.op, e.right))
     atom = GuardAtom(pid, None, tuple(constraints))
     if loc is None:
         return GuardElement.anywhere(atom)
     return GuardElement(((loc, atom),), None)
+
+
+def _top_level_items(label: str):
+    """The label's comma-separated items, stripped; a comma inside
+    parentheses, as in min(x, 1), does not split."""
+    items, depth, start = [], 0, 0
+    for i, ch in enumerate(label):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            items.append(label[start:i].strip())
+            start = i + 1
+    items.append(label[start:].strip())
+    return items
 
 
 def _procs_value(text: str):

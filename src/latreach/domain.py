@@ -1116,12 +1116,11 @@ def _apply_comparison(ctx, s, cmp_expr, sink=None) -> Optional[AbstractLocalStat
                 rng = eval_interval(ctx, s2, right, sink)
                 s2 = _refine_interval_cmp(ctx, s2, op, "id", rng)
             return s2
-        return s  # non-affine comparison degrades to identity
-
-    if isinstance(left, E.Var):
+    elif isinstance(left, E.Var):
         rng = eval_interval(ctx, s, right, sink)
         return _refine_interval_cmp(ctx, s, op, left.name, rng)
-    # no variable on either side: decide constants when possible
+    # a non-affine comparison, or no variable on either side: decide
+    # constants when possible
     li = eval_interval(ctx, s, left, sink)
     ri = eval_interval(ctx, s, right, sink)
     if li.is_point and ri.is_point:

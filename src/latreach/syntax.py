@@ -250,8 +250,11 @@ class _Parser:
 
     # expressions ----------------------------------------------------------
     def parse_expr(self):
+        """An expression; the nesting cap applies to each side of a
+        comparison, so x == e is allowed wherever x := e is."""
         e = self._cmp()
-        if _height(e) > MAX_NESTING:
+        sides = (e.left, e.right) if E.is_comparison(e) else (e,)
+        if max(map(_height, sides)) > MAX_NESTING:
             self.error(f"expressions nested deeper than {MAX_NESTING} levels")
         return e
 

@@ -1,9 +1,13 @@
+import json
 import random
 from fractions import Fraction
+
+import pytest
 
 from latreach.automaton import (
     LatticeAutomaton,
     _length_bound,
+    _raw_union,
     includes,
     intersection,
     is_empty,
@@ -14,11 +18,13 @@ from latreach.automaton import (
     to_json,
     to_dot,
     union,
+    union_all,
     widen_automata,
 )
 from latreach.concrete import accepts_concrete, bounded_language
 from latreach.domain import (
     AbstractLocalState,
+    AffineEnv,
     DomainContext,
     GuardElement,
     Interval,
@@ -94,12 +100,28 @@ def test_normalize_idempotent_on_random_automata():
         assert again == n and again.sorted_transitions() == n.sorted_transitions()
 
 
-def _random_automaton(rng, n_states, n_edges, locs):
+def _interval_letter(rng, locs):
+    lo = rng.randint(-2, 2)
+    return iv(lo, rng.randint(lo, 2), rng.choice(locs))
+
+
+def _affine_letter(rng, locs):
+    """An affine letter: x = k * id + c, sometimes with id fixed, or top."""
+    lo = rng.randint(-2, 2)
+    rows = []
+    if rng.random() < 0.7:
+        rows.append(({"x": F(1), "id": F(-rng.randint(-1, 1))}, F(rng.randint(-2, 2))))
+    if rng.random() < 0.3:
+        rows.append(({"id": F(1)}, F(lo)))
+    pid = Interval.point(lo) if len(rows) == 2 else Interval.range(lo, rng.randint(lo, 2))
+    return AbstractLocalState(pid, rng.choice(locs), AffineEnv.from_rows(("id", "x"), rows))
+
+
+def _random_automaton(rng, n_states, n_edges, locs, letter=_interval_letter):
     edges = set()
     for _ in range(n_edges):
         s, t = rng.randrange(n_states), rng.randrange(n_states)
-        lo = rng.randint(-2, 2)
-        edges.add((s, iv(lo, rng.randint(lo, 2), rng.choice(locs)), t))
+        edges.add((s, letter(rng, locs), t))
     final = {q for q in range(n_states) if rng.random() < 0.3} or {n_states - 1}
     return LatticeAutomaton(frozenset(range(n_states)),
                             frozenset(rng.sample(range(n_states), rng.randint(1, 2))),
@@ -138,6 +160,31 @@ def test_normalize_is_deterministic_minimal_and_language_preserving():
         apart = _distinguishable_pairs(n)
         assert all((p, q) in apart for p in n.states for q in n.states if p != q)
         assert includes(n, a) and includes(a, n)
+
+
+@pytest.mark.parametrize("letter", [_interval_letter, _affine_letter],
+                         ids=["interval", "affine"])
+def test_union_of_a_covered_operand_is_the_full_union(letter):
+    """union_all takes an operand that includes the other as it is, with
+    no determinization; the full construction gives the same automaton,
+    to the byte."""
+    rng = random.Random(53)
+    locs = ["l0", "l1", "l2"]
+    hits = shortcuts = 0
+    for _ in range(80):
+        a, c = (normalize(_random_automaton(rng, rng.randint(2, 5), rng.randint(1, 9),
+                                            locs, letter)) for _ in range(2))
+        b = normalize(union(a, c))
+        if not includes(b, a):
+            continue
+        hits += 1
+        shortcuts += not includes(a, b)
+        full = normalize(_raw_union(a, b))
+        for got in (union_all([a, b]), union_all([b, a])):
+            assert got == full
+            assert got.sorted_transitions() == full.sorted_transitions()
+            assert json.dumps(to_json(got)) == json.dumps(to_json(full))
+    assert hits >= 60 and shortcuts >= 40
 
 
 def test_canonical_flag_hygiene():

@@ -10,7 +10,7 @@ from latreach.concrete import accepts_concrete, config_word, initial_config, rea
 from latreach.engine import PropertyAutomaton, fixpoint
 from latreach.expr import MAX_POW_BITS
 from latreach.frontend import build_cfg, compile_program
-from latreach.syntax import MAX_NESTING, parse
+from latreach.syntax import MAX_NESTING, ParseError, parse
 
 from helpers import PROGRAMS, load_program
 
@@ -267,11 +267,18 @@ def test_affine_communicated_value_past_cap_is_top_with_alarm(comm, tmp_path, ca
 
 @pytest.mark.parametrize("label, code", [
     ("x + 1 == 3", 0), ("2 == x", 0), ("x y == 2", 3), ("== 2", 3),
+    ("min(x, 1) == 0", 1), ("max(x,id) > 2", 0), ("x == (y <= 1)", 1),
+    ("loc=any, min(x, 1) == 1, id >= 0", 1),
+    ("min(x, 1 == 0", 3), ("max(x,) > 2", 3), ("x + 1", 3), ("x == 1,", 3),
+    ("x == 1)", 3),
 ])
 def test_property_constraint_sides_are_expressions(label, code, tmp_path, capsys):
     """Both sides of a constraint are expressions.  The left side used to
     name a variable, whatever it said: x + 1 == 3 constrained a variable
-    called 'x + 1' and gave a false ALARM."""
+    called 'x + 1' and gave a false ALARM.  Items split at commas outside
+    parentheses, and each constraint is one comparison: the label used to
+    split at every comma and cut an item at the first operator found
+    anywhere in it, so min(x, 1) == 0 and x == (y <= 1) exited 3."""
     prog = tmp_path / "one.prog"
     prog.write_text("x := 1;\n", encoding="utf-8")
     bad = tmp_path / "lhs.bad"
@@ -280,6 +287,22 @@ def test_property_constraint_sides_are_expressions(label, code, tmp_path, capsys
     for domain in ("interval", "affine"):
         assert run_cli(capsys, "analyze", str(prog), "--domain", domain,
                        "--property", str(bad))[0] == code
+
+
+def test_affine_decides_a_comparison_of_constant_sides(tmp_path, capsys):
+    """A comparison with a side outside the affine domain is decided when
+    both sides are constants on the letter, as under intervals; the affine
+    domain used to keep the letter whole, so the then branch stayed
+    reachable and the property gave a false ALARM."""
+    prog = tmp_path / "cmp.prog"
+    prog.write_text("x := 0;\nif ((x < 1) == 1) y := 1; else y := 2;\n", encoding="utf-8")
+    bad = tmp_path / "cmp.bad"
+    bad.write_text("state s0 initial\nstate s1 final\n"
+                   "s0 -> s1 : y == 2\ns1 -> s1 : true\n", encoding="utf-8")
+    for domain in ("interval", "affine"):
+        code, out = run_cli(capsys, "analyze", str(prog), "--domain", domain,
+                            "--property", str(bad))
+        assert code == 0 and "property: SAFE" in out, domain
 
 
 @pytest.mark.parametrize("label", ["z == 5", "x + z == 1"])
@@ -346,6 +369,17 @@ def test_nesting_cap(domain, procs, tmp_path, capsys):
         assert code == 3 and f"nested deeper than {cap} levels" in err
     code, err = analyze(program(1, 0, 0), label(cap + 1))
     assert code == 3 and f"nested deeper than {cap} levels" in err
+
+
+def test_nesting_cap_applies_to_each_side_of_a_comparison():
+    """x == e parses wherever x := e does, in a program condition as in a
+    property constraint; one level more on either side is a parse error."""
+    deep = " + ".join(["1"] * MAX_NESTING)
+    for cond in (f"x == {deep}", f"{deep} < x"):
+        parse(f"if ({cond}) x := 1;")
+    for cond in (f"x == {deep} + 1", f"1 + {deep} < x"):
+        with pytest.raises(ParseError, match=f"nested deeper than {MAX_NESTING} levels"):
+            parse(f"if ({cond}) x := 1;")
 
 
 def test_exit_three_property_location_mismatch(chain_prog, tmp_path, capsys):

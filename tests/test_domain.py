@@ -728,3 +728,24 @@ def test_letter_lattice_matches_full_computation():
         assert letter_join(a, b) == _full_join(a, b)
         assert letter_widen(a, b) == _full_widen(a, b)
     assert equal >= 10 and same_loc - equal >= 100
+
+
+@pytest.mark.parametrize("kind", [IntervalEnv, AffineEnv], ids=["interval", "affine"])
+def test_join_with_an_upper_bound_is_that_bound(kind):
+    """letter_leq(x, y) makes letter_join(x, y) and letter_join(y, x) equal
+    to y, field by field and in their JSON; union_all takes an including
+    operand as it is on the strength of this law."""
+    letters = [l for l in _seeded_letters(seed=29, n=80) if isinstance(l.env, kind)]
+    # joins of same-location pairs put many strict upper bounds among them
+    letters += [letter_join(a, b) for a in letters[:12] for b in letters[:12]
+                if a.loc == b.loc]
+    strict = 0
+    for x in letters:
+        for y in letters:
+            if not letter_leq(x, y):
+                continue
+            strict += x != y
+            for joined in (letter_join(x, y), letter_join(y, x)):
+                assert joined == y and repr(joined) == repr(y)
+                assert letter_to_json(joined) == letter_to_json(y)
+    assert strict >= 200

@@ -281,6 +281,39 @@ def test_deadlock_check_builds_no_rule_image(monkeypatch):
     assert check_deadlock(sem, res) == expected != []
 
 
+@pytest.mark.parametrize("domain", ["interval", "affine"])
+def test_union_of_a_covered_operand_runs_no_determinization(domain, monkeypatch):
+    """Each round unions the iterate with its image, which the local steps
+    make include it, and the widening unions them again: union_all takes
+    the including operand as it is and determinizes only a union in which
+    neither operand covers the other.  On local_loop with two processes no
+    union needs one."""
+    real_raw_union = automaton._raw_union
+    real_union_all = automaton.union_all
+    covered = []
+    unions = []
+
+    def counted_raw_union(a, b):
+        if includes(a, b) or includes(b, a):
+            covered.append((a, b))
+        return real_raw_union(a, b)
+
+    def counted_union_all(autos):
+        unions.append(autos)
+        return real_union_all(autos)
+
+    monkeypatch.setattr(automaton, "_raw_union", counted_raw_union)
+    monkeypatch.setattr(automaton, "union_all", counted_union_all)
+    _, _, res = analyze(load_program("local_loop.prog"), domain=domain, procs=2)
+    monkeypatch.undo()
+    _, _, expected = analyze(load_program("local_loop.prog"), domain=domain, procs=2)
+    assert res == expected
+    # union(s, image) in every round but the last, and once more in each
+    # widening round: the check below is not vacuous
+    assert len(unions) > res.iterations
+    assert covered == []
+
+
 # ---------------------------------------------------------------------------
 # randomized end-to-end soundness
 
