@@ -2,13 +2,15 @@
 
 Exit codes: 0 safe / no alarms, 1 property alarm, 2 potential deadlock
 (with --deadlock and no property alarm), 3 usage, parse or file error, 4
-step budget exhausted.  Identical inputs produce byte-identical reports.
+step budget exhausted, or a deadlock check cut at its candidate cap that
+found no deadlock.  Identical inputs produce byte-identical reports.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import re
+import signal
 import sys
 
 from .automaton import to_dot, to_json
@@ -16,6 +18,7 @@ from .domain import Constraint, GuardAtom, GuardElement, Interval
 from .engine import (
     AnalysisConfig,
     BudgetExhausted,
+    DeadlockCheckIncomplete,
     PropertyAutomaton,
     PropertyLocationError,
     check_deadlock,
@@ -224,11 +227,21 @@ def main(argv=None) -> int:
             exit_code = 1
 
     if args.deadlock:
-        witnesses = check_deadlock(sem, result)
+        incomplete = None
+        try:
+            witnesses = check_deadlock(sem, result)
+        except DeadlockCheckIncomplete as exc:
+            if not exc.witnesses:
+                print(f"error: deadlock check incomplete: {exc}, no deadlock found",
+                      file=sys.stderr)
+                return 4
+            witnesses, incomplete = exc.witnesses, exc
         if witnesses:
             print(f"potential deadlocks: {len(witnesses)}", file=out)
             for w in witnesses[:20]:
                 print(f"deadlock witness: {w.description}", file=out)
+            if incomplete is not None:
+                print(f"deadlock list incomplete: {incomplete}", file=out)
             if exit_code == 0:
                 exit_code = 2
         else:
@@ -256,4 +269,8 @@ def _write(path: str, text: str) -> None:
 
 
 def console_main() -> None:
+    # a reader that closes the pipe early, as head does, ends the run
+    # quietly, as it would any Unix filter
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(main())

@@ -29,7 +29,7 @@ from .domain import (
     meet_guard,
 )
 from .frontend import CompiledSemantics
-from .rules import apply_rule, fires
+from .rules import StarImages, WordFits, apply_rule, fires
 from .transducer import apply_transducer, rule_images
 from .value import frozen
 
@@ -38,6 +38,10 @@ from .value import frozen
 # them fixpoint widens at every location, so an increasing chain that the
 # widening locations alone do not cut still ends.
 ESCALATION_DELAY = 40
+
+# The deadlock check decides on at most this many candidate paths; a reach
+# automaton with more makes the check incomplete (DeadlockCheckIncomplete).
+CANDIDATE_CAP = 4096
 
 
 @frozen
@@ -64,10 +68,14 @@ class BudgetExhausted(Exception):
 def step(sem: CompiledSemantics, s: LatticeAutomaton, sink: AlarmSink = None
          ) -> LatticeAutomaton:
     """One application of the extended transducer: local steps union the
-    image of every communication rule."""
+    image of every communication rule.  The rules share one StarImages of
+    the normalized automaton, so guard words and stars that several rules
+    read are matched once per step."""
     parts = [apply_transducer(sem.ctx, sem.transducer, s, sink)]
-    for rule in sem.rules:
-        parts.append(apply_rule(sem.ctx, rule, s, sink))
+    if sem.rules:
+        stars = StarImages(sem.ctx, normalize(s), sink)
+        for rule in sem.rules:
+            parts.append(apply_rule(sem.ctx, rule, s, sink, stars))
     return union_all(parts)
 
 
@@ -201,7 +209,17 @@ class DeadlockWitness:
     description: str
 
 
-def _candidate_paths(reach: LatticeAutomaton, blocking: frozenset, limit: int = 4096):
+class DeadlockCheckIncomplete(Exception):
+    """The reach automaton has more than CANDIDATE_CAP candidate paths;
+    witnesses holds the deadlocks found among the first CANDIDATE_CAP."""
+
+    def __init__(self, witnesses):
+        super().__init__(f"the check stopped after {CANDIDATE_CAP} candidate paths")
+        self.witnesses = witnesses
+
+
+def _candidate_paths(reach: LatticeAutomaton, blocking: frozenset,
+                     limit: int = CANDIDATE_CAP):
     """Accepting paths whose labels all sit at blocking/exit locations;
     each transition is used at most twice (one loop unrolling).  Paths come
     in depth-first order over sorted transitions, at most limit of them."""
@@ -241,9 +259,11 @@ def _transducer_moves_letter(sem, word) -> bool:
 
 def _movable_somewhere(sem, word) -> bool:
     """Some local step or some rule can move some concretisation of the
-    word."""
-    return _transducer_moves_letter(sem, word) or \
-        any(fires(sem.ctx, rule, word) for rule in sem.rules)
+    word.  The rules share the word's WordFits."""
+    if _transducer_moves_letter(sem, word):
+        return True
+    fits = WordFits(sem.ctx, word)
+    return any(fires(sem.ctx, rule, word, fits) for rule in sem.rules)
 
 
 def _atom_refinements(sem, word, cap: int = 512):
@@ -300,11 +320,16 @@ def check_deadlock(sem: CompiledSemantics, result: AnalysisResult) -> List[Deadl
     word, with no automaton built: the rule's guard words are placed on
     the word's positions, and a placement whose segments fit their stars
     and whose f-images have no bottom letter is an instance
-    (rules.fires)."""
+    (rules.fires).
+
+    At most CANDIDATE_CAP candidate paths are decided; when the reach
+    automaton has more, DeadlockCheckIncomplete is raised with the
+    witnesses found among them."""
     witnesses = {}
     blocking = sem.blocking_locs
     exit_loc = sem.cfg.exit
-    for word in _candidate_paths(result.reach, blocking):
+    words = _candidate_paths(result.reach, blocking, CANDIDATE_CAP + 1)
+    for word in words[:CANDIDATE_CAP]:
         if all(l.loc == exit_loc for l in word):
             continue
         candidates = [word]
@@ -319,4 +344,7 @@ def check_deadlock(sem: CompiledSemantics, result: AnalysisResult) -> List[Deadl
         if locs not in witnesses:
             witnesses[locs] = DeadlockWitness(
                 locs, " . ".join(str(l) for l in chosen))
-    return [witnesses[k] for k in sorted(witnesses, key=lambda ls: [loc_sort_key(l) for l in ls])]
+    found = [witnesses[k] for k in sorted(witnesses, key=lambda ls: [loc_sort_key(l) for l in ls])]
+    if len(words) > CANDIDATE_CAP:
+        raise DeadlockCheckIncomplete(found)
+    return found

@@ -9,6 +9,7 @@ collector sweep are all instances.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from . import expr as E
@@ -34,9 +35,10 @@ from .syntax import Broadcast, Create, Receive, Reduce, Send
 from .transducer import (
     InstanceInfo,
     LetterOut,
-    eval_letter_out,
+    eval_outputs,
     guard_to_json,
     letter_out_to_json,
+    memo_image,
 )
 from .value import frozen
 
@@ -98,22 +100,41 @@ class RewriteRule:
         assert len(self.h_specs) == n + 1
         assert all(len(w) >= 1 for w in self.words)
 
+    @cached_property
+    def images(self) -> dict:
+        """The f-image memo of _f_images: ctx -> {(matched tuple,
+        InstanceInfo): (f-words or None, alarms)}, as the transducer's
+        image memo (memo_image).  It lives as long as the rule, which is
+        one per analysis, and serves every application of the rule and
+        the deadlock check's rule tests."""
+        return {}
+
 
 # ---------------------------------------------------------------------------
 # star images and segment extraction
 
 
+def _star_key(guard, h: HRewrite, matched):
+    """The memo key of the star image of (guard, h); see StarImages."""
+    return (guard, h, matched if h.updates else ())
+
+
 class StarImages:
-    """Memo of the star images of one rule application.
+    """Memo of the rule applications to one normalized automaton.
 
     The star image of (g, h) is the automaton's transitions whose letters
     meet g to non-bottom, rewritten by h.  It depends on the matched tuple
     only when h assigns from it (the broadcast copy), so only then is the
     tuple part of the key.  Images are built on first use, so the meets
-    that run (and the alarms they raise) are those of building every
-    segment afresh, each run once.  The states reachable from a start
-    over an image are memoized too, so once a start has been seen,
-    deciding whether a segment is viable costs set lookups."""
+    that run (and the alarms they raise, into the sink given here) are
+    those of building every segment afresh, each run once.  The states
+    reachable from a start over an image are memoized too, so once a
+    start has been seen, deciding whether a segment is viable costs set
+    lookups.  The match set of each guard word, and each segment by its
+    star key and state sets, are memoized as well.  One fixpoint step
+    builds one StarImages and hands it to every rule, so rules that read
+    the same guard words or stars (a send/receive pair and its mirror,
+    every TOP star) share that work."""
 
     def __init__(self, ctx: DomainContext, a: LatticeAutomaton, sink: AlarmSink = None):
         self.ctx = ctx
@@ -121,10 +142,8 @@ class StarImages:
         self.sink = sink
         self._memo = {}  # key -> (transitions, successor sets)
         self._reach = {}  # (key, start) -> states reachable from start
-
-    @staticmethod
-    def key(guard, h: HRewrite, matched):
-        return (guard, h, matched if h.updates else ())
+        self._matches = {}  # guard word -> match triples
+        self._segments = {}  # (key, starts, ends) -> segment transitions
 
     def _entry(self, key):
         hit = self._memo.get(key)
@@ -143,8 +162,15 @@ class StarImages:
             hit = self._memo[key] = (trans, succ)
         return hit
 
+    def match_set(self, w):
+        """automaton.matches of the guard word w on the automaton."""
+        hit = self._matches.get(w)
+        if hit is None:
+            hit = self._matches[w] = matches(self.ctx, w, self.a)
+        return hit
+
     def image(self, guard, h: HRewrite, matched):
-        return self._entry(self.key(guard, h, matched))[0]
+        return self._entry(_star_key(guard, h, matched))[0]
 
     def viable(self, guard, h: HRewrite, starts, ends, matched) -> bool:
         """Does some word of the (g)* segment lead from a start to an end?
@@ -152,7 +178,7 @@ class StarImages:
         admits only the empty word."""
         if guard is None:
             return bool(starts & ends)
-        key = self.key(guard, h, matched)
+        key = _star_key(guard, h, matched)
         # the image is built even when the empty word fits, so the meets
         # and their alarms are those of cutting the segment out
         succ = self._entry(key)[1]
@@ -166,15 +192,20 @@ class StarImages:
                 return True
         return False
 
-    def segment(self, guard, h: HRewrite, starts, ends, matched):
+    def segment(self, guard, h: HRewrite, starts: frozenset, ends: frozenset, matched):
         """The transitions of a viable (g)* segment between two state sets:
         the star image restricted to states lying on some start-to-end
         path."""
         if guard is None:  # segment that must stay empty
             return ()
-        trans = self.image(guard, h, matched)
-        keep = live(trans, starts, ends)
-        return tuple((s, l, t) for (s, l, t) in trans if s in keep and t in keep)
+        key = (_star_key(guard, h, matched), starts, ends)
+        hit = self._segments.get(key)
+        if hit is None:
+            trans = self.image(guard, h, matched)
+            keep = live(trans, starts, ends)
+            hit = self._segments[key] = tuple(
+                (s, l, t) for (s, l, t) in trans if s in keep and t in keep)
+        return hit
 
 
 def _path_lengths(trans, starts, ends):
@@ -193,7 +224,7 @@ END = ("T",)
 
 
 def apply_rule(ctx: DomainContext, rule: RewriteRule, a: LatticeAutomaton,
-               sink: AlarmSink = None) -> LatticeAutomaton:
+               sink: AlarmSink = None, stars: StarImages = None) -> LatticeAutomaton:
     """Sound image of the automaton's language under the rule.
 
     An instance is a combination of matching sequences, one per guard
@@ -215,14 +246,21 @@ def apply_rule(ctx: DomainContext, rule: RewriteRule, a: LatticeAutomaton,
     image is normalized once.  Otherwise (send/receive and reduce
     delivery match two guard words, create resolves fresh identifiers
     from suffix lengths) each instance is its own automaton on the
-    automaton's states, and the instances are unioned."""
-    a = normalize(a)
-    if a.is_trivially_empty:
+    automaton's states, and the instances are unioned.
+
+    Every assembly takes an instance's f-images from the rule's memo
+    (rule.images), so each (matched tuple, InstanceInfo) is evaluated
+    once per analysis and its alarms are added to sink on every use.
+    stars, when given, is the StarImages of normalize(a) that a fixpoint
+    step shares among its rules, and its sink takes the place of sink;
+    match sets, star images and segments then come from it."""
+    if stars is None:
+        stars = StarImages(ctx, normalize(a), sink)
+    if stars.a.is_trivially_empty:
         return LatticeAutomaton.empty()
-    match_sets = [matches(ctx, w, a) for w in rule.words]
+    match_sets = [stars.match_set(w) for w in rule.words]
     if any(not ms for ms in match_sets):
         return LatticeAutomaton.empty()
-    stars = StarImages(ctx, a, sink)
     combos = _combinations(match_sets)
     if len(rule.words) <= 1 and not rule.track_length and \
             (len(combos) == 1 or not (rule.f_specs[0] or rule.f_specs[-1])):
@@ -231,7 +269,49 @@ def apply_rule(ctx: DomainContext, rule: RewriteRule, a: LatticeAutomaton,
                       for inst in _instances(stars, rule, combos)])
 
 
-def fires(ctx: DomainContext, rule: RewriteRule, word) -> bool:
+class WordFits:
+    """Memo of the rule tests on one word (fires): where each guard word
+    can be placed on the word, with the meets of its letters, and which
+    letters meet a star and have an h-image.  The deadlock check builds
+    one per word and hands it to every rule, so rules that read the same
+    guard words or stars share that work."""
+
+    def __init__(self, ctx: DomainContext, word):
+        self.ctx = ctx
+        self.word = word
+        self._fits = {}  # guard word -> {position: meets}
+        self._misfits = {}  # star key -> misfit counts
+
+    def fit(self, w) -> dict:
+        """position -> meets of the guard word placed there, for the
+        positions where no meet is bottom; each guard word is met once
+        per position, not once per placement."""
+        hit = self._fits.get(w)
+        if hit is None:
+            word = self.word
+            hit = self._fits[w] = {}
+            for p in range(len(word) - len(w) + 1):
+                ms = tuple(meet_guard(self.ctx, word[p + j], g) for j, g in enumerate(w))
+                if all(m is not None for m in ms):
+                    hit[p] = ms
+        return hit
+
+    def misfits(self, g, h: HRewrite, flat) -> list:
+        """counts[k] is how many of the first k letters do not meet g or
+        have no h-image, so the letters a..b-1 all fit the (g)* segment
+        exactly when counts[a] == counts[b]."""
+        key = _star_key(g, h, flat)
+        hit = self._misfits.get(key)
+        if hit is None:
+            hit = self._misfits[key] = [0]
+            for letter in self.word:
+                m = meet_guard(self.ctx, letter, g)
+                fits = m is not None and h.apply(self.ctx, m, flat) is not None
+                hit.append(hit[-1] + (not fits))
+        return hit
+
+
+def fires(ctx: DomainContext, rule: RewriteRule, word, fits: WordFits = None) -> bool:
     """Does the rule have an instance on the word, that is, is
     apply_rule's image of the word's chain automaton non-empty?
 
@@ -240,41 +320,34 @@ def fires(ctx: DomainContext, rule: RewriteRule, word) -> bool:
     every letter of a starred segment meets its star and has an h-image
     (a None star admits only the empty segment), and the f-images, with
     the segment lengths as suffix lengths, have no bottom letter.  On the
-    chain these placements are exactly apply_rule's instances."""
+    chain these placements are exactly apply_rule's instances.  fits,
+    when given, is the word's WordFits that the rules tested on the word
+    share; the f-images come from the rule's memo, as in apply_rule."""
+    if fits is None:
+        fits = WordFits(ctx, word)
     n = len(word)
-    # fits[i] maps a position to the meets of guard word i placed there:
-    # each guard word is met once per position, not once per placement
-    fits = []
-    for w in rule.words:
-        fit = {}
-        for p in range(n - len(w) + 1):
-            ms = tuple(meet_guard(ctx, word[p + j], g) for j, g in enumerate(w))
-            if all(m is not None for m in ms):
-                fit[p] = ms
-        if not fit:
-            return False
-        fits.append(fit)
-
-    in_star = {}  # (segment, position, tuple h copies from) -> has an h-image
-
-    def segment_fits(i, a, b, flat):
-        g, h = rule.stars[i], rule.h_specs[i]
-        if g is None:
-            return a == b
-        for k in range(a, b):
-            key = (i, k, flat if h.updates else ())
-            if key not in in_star:
-                m = meet_guard(ctx, word[k], g)
-                in_star[key] = m is not None and h.apply(ctx, m, flat) is not None
-            if not in_star[key]:
-                return False
-        return True
-
     # placements as (segment bounds so far, next free position, matched letters)
     placed = [((), 0, ())]
-    for w, fit in zip(rule.words, fits):
+    for w in rule.words:
+        fit = fits.fit(w)
+        if not fit:
+            return False
         placed = [(bounds + ((start, p),), p + len(w), flat + ms)
                   for bounds, start, flat in placed for p, ms in fit.items() if p >= start]
+    if not placed:
+        return False
+    # a copy rewriter's misfits depend on the matched tuple, so they are
+    # looked up per placement
+    counts = [None if g is None or h.updates else fits.misfits(g, h, ())
+              for g, h in zip(rule.stars, rule.h_specs)]
+
+    def segment_fits(i, a, b, flat):
+        g = rule.stars[i]
+        if g is None:
+            return a == b
+        c = counts[i] if counts[i] is not None else fits.misfits(g, rule.h_specs[i], flat)
+        return c[a] == c[b]
+
     for bounds, start, flat in placed:
         bounds += ((start, n),)
         if all(segment_fits(i, a, b, flat) for i, (a, b) in enumerate(bounds)) and \
@@ -301,10 +374,11 @@ def _final_groups(stars: StarImages, rule, combo):
     last_end = frozenset({combo[-1].end})
     groups = {}
     for qf in sorted(stars.a.final, key=repr):
-        if not stars.viable(rule.stars[-1], rule.h_specs[-1], last_end, {qf}, ()):
+        qfs = frozenset({qf})
+        if not stars.viable(rule.stars[-1], rule.h_specs[-1], last_end, qfs, ()):
             continue
-        seg = stars.segment(rule.stars[-1], rule.h_specs[-1], last_end, {qf}, ())
-        key = _path_lengths(seg, last_end, {qf})
+        seg = stars.segment(rule.stars[-1], rule.h_specs[-1], last_end, qfs, ())
+        key = _path_lengths(seg, last_end, qfs)
         groups.setdefault(key, set()).add(qf)
     return [frozenset(g) for _, g in sorted(groups.items(), key=lambda kv: repr(kv))]
 
@@ -332,8 +406,9 @@ def _instances(stars: StarImages, rule, combos):
 
 def _f_images(ctx, rule, flat, lengths, sink=None):
     """The words f0 .. f(n+1) of a viable instance, or None when one of
-    their letters is bottom.  lengths[i] is the (shortest, static) length
-    of segment i; only rules that track length read it."""
+    their letters is bottom, from the rule's memo.  lengths[i] is the
+    (shortest, static) length of segment i; only rules that track length
+    read it, and only through the InstanceInfo that keys the memo."""
     inst = InstanceInfo()
     if rule.track_length:
         later_words = sum(len(w) for w in rule.words[1:])
@@ -344,17 +419,23 @@ def _f_images(ctx, rule, flat, lengths, sink=None):
         min_len = lengths[0][0] + sum(len(w) for w in rule.words) \
             + sum(l[0] for l in lengths[1:])
         inst = InstanceInfo(suffix_len=suffix_static, min_len=max(1, min_len))
+    return memo_image(rule.images.setdefault(ctx, {}), (flat, inst), sink,
+                      _evaluate_f, ctx, rule, flat, inst)
 
-    f_words = []
+
+def _evaluate_f(ctx, rule, flat, inst, sink):
+    """The f-words of an instance, evaluated; None when a letter is
+    bottom.  The letters of all f-specs are evaluated in order, in one
+    eval_outputs call."""
+    letters = eval_outputs(ctx, [out for spec in rule.f_specs for out in spec],
+                           flat, inst, sink)
+    if letters is None:
+        return None
+    f_words, i = [], 0
     for spec in rule.f_specs:
-        word = []
-        for out in spec:
-            img = eval_letter_out(ctx, out, flat, inst, sink)
-            if img is None:
-                return None
-            word.append(img)
-        f_words.append(word)
-    return f_words
+        f_words.append(letters[i:i + len(spec)])
+        i += len(spec)
+    return tuple(f_words)
 
 
 def _add_bridges(bld: Builder, combo, bounds, f_words, at):
@@ -397,7 +478,7 @@ def _shared_image(stars: StarImages, rule, combos):
             return (i, q, flat) if rule.h_specs[i].updates else (i, q)
 
         for i, (g, h) in enumerate(zip(rule.stars, rule.h_specs)):
-            key = (i, StarImages.key(g, h, flat))
+            key = (i, _star_key(g, h, flat))
             if g is not None and key not in added:
                 added.add(key)
                 for (s, l, t) in stars.image(g, h, flat):

@@ -14,7 +14,8 @@ element can read a letter there) and an image memo ((ctx, rule, labels)
 fixpoint applies one transducer to a reach automaton that barely changes
 between iterations, so almost every image is a memo hit; a hit replays
 its alarms into the caller's sink, so the alarm report is the same as if
-every image were evaluated again.
+every image were evaluated again.  The communication rules keep their
+f-images in a memo of the same kind (memo_image serves both).
 """
 from __future__ import annotations
 
@@ -97,10 +98,11 @@ def _fresh_pid(base: Optional[AbstractLocalState], inst: InstanceInfo) -> Interv
 
 
 def eval_letter_out(ctx: DomainContext, out: LetterOut, matched: tuple,
-                    inst: InstanceInfo = InstanceInfo(), sink: AlarmSink = None
-                    ) -> Optional[AbstractLocalState]:
-    """Evaluate one output recipe on a matched letter tuple (None = bottom)."""
-    if out.conds:
+                    inst: InstanceInfo = InstanceInfo(), sink: AlarmSink = None,
+                    refined: bool = False) -> Optional[AbstractLocalState]:
+    """Evaluate one output recipe on a matched letter tuple (None = bottom).
+    refined says that the tuple is already refined by out.conds."""
+    if out.conds and not refined:
         matched = joint_refine(ctx, matched, out.conds, sink)
         if matched is None:
             return None
@@ -168,6 +170,43 @@ def _resolve_fresh(rhs, inst: InstanceInfo):
     if isinstance(rhs, E.BinOp):
         return E.BinOp(rhs.op, _resolve_fresh(rhs.left, inst), _resolve_fresh(rhs.right, inst))
     return rhs
+
+
+def eval_outputs(ctx: DomainContext, outs, matched: tuple,
+                 inst: InstanceInfo = InstanceInfo(), sink: AlarmSink = None
+                 ) -> Optional[tuple]:
+    """The letters of a sequence of output recipes on one matched tuple,
+    or None when one of them is bottom.  Recipes with the same identifier
+    conditions, such as the two letters a send/receive inserts, share one
+    joint refinement of the tuple; each letter is the one eval_letter_out
+    gives on its own."""
+    refined = {(): matched}
+    letters = []
+    for out in outs:
+        if out.conds not in refined:
+            refined[out.conds] = joint_refine(ctx, matched, out.conds, sink)
+        base = refined[out.conds]
+        letter = None if base is None else \
+            eval_letter_out(ctx, out, base, inst, sink, refined=True)
+        if letter is None:
+            return None
+        letters.append(letter)
+    return tuple(letters)
+
+
+def memo_image(memo: dict, key, sink: AlarmSink, evaluate, *args):
+    """memo[key], computed as evaluate(*args, own sink) on first use and
+    stored with the alarms that evaluation raised; every use, the first
+    included, adds those alarms to sink.  evaluate must be a pure function
+    of key, so a hit reports what evaluating again would."""
+    hit = memo.get(key)
+    if hit is None:
+        own = AlarmSink()
+        hit = memo[key] = (evaluate(*args, own), frozenset(own.alarms))
+    value, alarms = hit
+    if sink is not None:
+        sink.alarms.update(alarms)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -245,14 +284,7 @@ def _evaluate(ctx: DomainContext, rule: TransducerRule, labels: tuple,
         if m is None:
             return None
         matched.append(m)
-    matched = tuple(matched)
-    outs = []
-    for spec in rule.outputs:
-        img = eval_letter_out(ctx, spec, matched, InstanceInfo(), sink)
-        if img is None:
-            return None
-        outs.append(img)
-    return tuple(outs)
+    return eval_outputs(ctx, rule.outputs, tuple(matched), InstanceInfo(), sink)
 
 
 def rule_images(ctx: DomainContext, t: LatticeTransducer, labels: tuple,
@@ -262,23 +294,15 @@ def rule_images(ctx: DomainContext, t: LatticeTransducer, labels: tuple,
 
     Only the rules indexed under the first letter's location are visited;
     any other rule's first guard meet is bottom.  Images come from the
-    memo t.images when present; a fresh one is evaluated into its own sink
-    and stored with the alarms it raised, and every use adds those alarms
-    to sink."""
+    memo t.images (memo_image), so each is evaluated once and its alarms
+    are added to sink on every use."""
     entry = t.rule_index.get(len(labels))
     if entry is None:
         return
     by_loc, anywhere = entry
     memo = t.images.setdefault(ctx, {})
     for (number, p, rule, p2) in by_loc.get(labels[0].loc, anywhere):
-        key = (number, labels)
-        hit = memo.get(key)
-        if hit is None:
-            own = AlarmSink()
-            hit = memo[key] = (_evaluate(ctx, rule, labels, own), frozenset(own.alarms))
-        outs, alarms = hit
-        if sink is not None:
-            sink.alarms.update(alarms)
+        outs = memo_image(memo, (number, labels), sink, _evaluate, ctx, rule, labels)
         if outs is not None:
             yield p, rule, p2, outs
 

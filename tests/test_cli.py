@@ -1,10 +1,12 @@
 import json
 import re
+import signal
 import subprocess
 import sys
 
 import pytest
 
+from latreach import engine
 from latreach.cli import main, parse_property, PropertyParseError
 from latreach.concrete import accepts_concrete, config_word, initial_config, reach_bounded
 from latreach.engine import PropertyAutomaton, fixpoint
@@ -395,6 +397,53 @@ def test_exit_four_budget(chain_prog, capsys):
     code, _ = run_cli(capsys, "analyze", str(prog), "--procs", "unbounded",
                       "--budget", "2")
     assert code == 4
+
+
+def test_deadlock_check_cut_at_its_candidate_cap_says_so(monkeypatch, capsys):
+    """deadlock_random with two processes has 5 candidate paths.  Cut
+    after 2, the check lists the one deadlock found so far and says the
+    list is incomplete; a cap of 5 cuts nothing and changes no byte."""
+    prog = str(PROGRAMS / "deadlock_random.prog")
+    full = run_cli(capsys, "analyze", prog, "--procs", "2", "--deadlock")
+    assert full[0] == 2 and "potential deadlocks: 2\n" in full[1]
+    monkeypatch.setattr(engine, "CANDIDATE_CAP", 5)
+    assert run_cli(capsys, "analyze", prog, "--procs", "2", "--deadlock") == full
+    monkeypatch.setattr(engine, "CANDIDATE_CAP", 2)
+    code, out = run_cli(capsys, "analyze", prog, "--procs", "2", "--deadlock")
+    assert code == 2
+    assert out.splitlines()[-3:] == [
+        "potential deadlocks: 1", full[1].splitlines()[-2],
+        "deadlock list incomplete: the check stopped after 2 candidate paths"]
+
+
+def test_deadlock_check_cut_before_a_deadlock_exits_four(monkeypatch, capsys):
+    """sum_reduce with four processes has 7 candidate paths and no
+    deadlock.  Cut after 4, the check cannot say there is none: the run
+    ends with an error line and exit 4, as a spent step budget does."""
+    prog = str(PROGRAMS / "sum_reduce.prog")
+    monkeypatch.setattr(engine, "CANDIDATE_CAP", 7)
+    code, out = run_cli(capsys, "analyze", prog, "--procs", "4", "--deadlock")
+    assert code == 0 and out.endswith("potential deadlocks: 0\n")
+    monkeypatch.setattr(engine, "CANDIDATE_CAP", 4)
+    code = main(["analyze", prog, "--procs", "4", "--deadlock"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert "potential deadlocks" not in captured.out
+    assert captured.err == ("error: deadlock check incomplete: the check stopped after"
+                            " 4 candidate paths, no deadlock found\n")
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
+def test_closed_stdout_ends_the_run_quietly():
+    """A reader that closes the pipe before the report is written, as
+    head does, ends the run without a traceback."""
+    p = subprocess.Popen([sys.executable, "-m", "latreach", "analyze",
+                          str(PROGRAMS / "deadlock_random.prog"), "--procs", "2", "--deadlock"],
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    p.stdout.close()
+    err = p.stderr.read()
+    assert p.wait() == -signal.SIGPIPE
+    assert err == b""
 
 
 def test_report_byte_identical(tmp_path, chain_prog):
