@@ -11,7 +11,6 @@ from latreach.automaton import (
     includes,
     intersection,
     normalize,
-    to_dot,
     union,
     widen_automata,
 )
@@ -22,6 +21,7 @@ from latreach.domain import (
     Interval,
     IntervalEnv,
 )
+from latreach.export import to_dot
 
 ctx = DomainContext("interval", ())
 

@@ -14,13 +14,13 @@ from latreach.domain import (
     Interval,
     IntervalEnv,
 )
+from latreach.export import transducer_to_dot
 from latreach.syntax import Assign, parse_expr
 from latreach.transducer import (
     LatticeTransducer,
     LetterOut,
     TransducerRule,
     apply_transducer,
-    transducer_to_dot,
 )
 
 ctx = DomainContext("interval", ("x",))

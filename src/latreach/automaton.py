@@ -15,16 +15,10 @@ takes no part in ``==``, ``hash`` or ``repr``.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 
 from .domain import (
-    AbstractLocalState,
     DomainContext,
-    Interval,
-    IntervalEnv,
-    NEG_INF,
-    POS_INF,
     letter_join,
     letter_leq,
     letter_meet,
@@ -567,64 +561,3 @@ def widen_automata(a: LatticeAutomaton, b: LatticeAutomaton,
     if shape(qa) == shape(q):
         return _widen_matched_labels(qa, q, widen_locs)
     return q
-
-
-# ---------------------------------------------------------------------------
-# export
-
-
-def _bound_json(b):
-    if b == NEG_INF:
-        return "-inf"
-    if b == POS_INF:
-        return "+inf"
-    return f"{b.numerator}/{b.denominator}"
-
-
-def interval_to_json(itv: Interval):
-    return {"lo": _bound_json(itv.lo), "hi": _bound_json(itv.hi)}
-
-
-def _frac_json(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
-
-
-def env_to_json(env):
-    if isinstance(env, IntervalEnv):
-        return {"kind": "interval",
-                "vars": {n: interval_to_json(itv) for n, itv in env.items}}
-    return {"kind": "affine",
-            "vars": list(env.vars),
-            "rows": [[[_frac_json(k) for k in coeffs], _frac_json(c)]
-                     for coeffs, c in env.rows]}
-
-
-def letter_to_json(l: AbstractLocalState):
-    return {"id": interval_to_json(l.pid), "loc": l.loc, "env": env_to_json(l.env)}
-
-
-def to_json(a: LatticeAutomaton) -> dict:
-    return {
-        "states": sorted(a.states),
-        "initial": sorted(a.initial),
-        "final": sorted(a.final),
-        "transitions": [
-            {"src": s, "dst": t, "label": letter_to_json(l)}
-            for (s, l, t) in a.sorted_transitions()
-        ],
-    }
-
-
-def to_dot(a: LatticeAutomaton, name="reach") -> str:
-    lines = [f"digraph {name} {{", "  rankdir=LR;"]
-    for q in sorted(a.states):
-        shape_attr = "doublecircle" if q in a.final else "circle"
-        lines.append(f'  "{q}" [shape={shape_attr}];')
-    for i, q in enumerate(sorted(a.initial)):
-        lines.append(f'  "init{i}" [shape=point]; "init{i}" -> "{q}";')
-    for (s, l, t) in a.sorted_transitions():
-        label = f"{l.pid} | {l.loc} | {l.env}"
-        label = label.replace('"', "'")
-        lines.append(f'  "{s}" -> "{t}" [label="{label}"];')
-    lines.append("}")
-    return "\n".join(lines)

@@ -13,7 +13,6 @@ import re
 import signal
 import sys
 
-from .automaton import to_dot, to_json
 from .domain import Constraint, GuardAtom, GuardElement, Interval
 from .engine import (
     AnalysisConfig,
@@ -22,11 +21,13 @@ from .engine import (
     PropertyAutomaton,
     PropertyLocationError,
     check_deadlock,
+    check_property_locations,
     check_safety,
     fixpoint,
 )
 from .expr import is_comparison
-from .frontend import CompileError, compile_program, dump_semantics
+from .export import dump_semantics, to_dot, to_json
+from .frontend import CompileError, compile_program
 from .syntax import ParseError, parse, parse_expr
 
 
@@ -185,7 +186,8 @@ def main(argv=None) -> int:
         try:
             with open(args.property_file, "r", encoding="utf-8") as fh:
                 bad = parse_property(fh.read())
-        except (OSError, UnicodeDecodeError, PropertyParseError) as exc:
+            check_property_locations(sem, bad)
+        except (OSError, UnicodeDecodeError, PropertyParseError, PropertyLocationError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3
 
@@ -214,11 +216,7 @@ def main(argv=None) -> int:
 
     exit_code = 0
     if bad is not None:
-        try:
-            verdict = check_safety(sem, result, bad)
-        except PropertyLocationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
+        verdict = check_safety(sem, result, bad)
         if verdict.safe:
             print("property: SAFE", file=out)
         else:

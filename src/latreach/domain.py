@@ -1301,7 +1301,7 @@ def relational_updates(ctx: DomainContext, target: AbstractLocalState, target_po
         resolver = _posvar_resolver(ctx, letters, sink)
         env = target.env
         for var, rhs in updates:
-            rhs_self = E.map_vars(rhs, lambda n: E.PosVar(target_pos, n))
+            rhs_self = E.at_position(rhs, target_pos)
             val = store_interval(ctx, var,
                                  eval_interval(ctx, target, rhs_self, sink, resolver=resolver))
             env = env.set(var, val)
@@ -1334,7 +1334,7 @@ def relational_updates(ctx: DomainContext, target: AbstractLocalState, target_po
             sys.rename(tmp, f"{tag}.{var}")
         else:
             resolver = _posvar_resolver(ctx, letters, sink)
-            rhs_self = E.map_vars(rhs, lambda n: E.PosVar(target_pos, n))
+            rhs_self = E.at_position(rhs, target_pos)
             val = eval_interval(ctx, target, rhs_self, sink, resolver=resolver)
             if val.is_point:
                 sys.add_row({f"{tag}.{var}": Fraction(1)},

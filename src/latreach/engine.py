@@ -94,13 +94,13 @@ def fixpoint(sem: CompiledSemantics, config: AnalysisConfig = AnalysisConfig()
         image = step(sem, s, sink)
         if includes(s, image):
             return AnalysisResult(s, k + 1, sorted(sink.alarms))
-        grown = union(s, image)
+        # widen_automata takes the union with s itself
         if k < config.widening_delay:
-            s = grown
+            s = union(s, image)
         elif k < escalate_at:
-            s = widen_automata(s, grown, widen_locs=sem.widen_locs, k=config.shape_k)
+            s = widen_automata(s, image, widen_locs=sem.widen_locs, k=config.shape_k)
         else:
-            s = widen_automata(s, grown, widen_locs=None, k=config.shape_k)
+            s = widen_automata(s, image, widen_locs=None, k=config.shape_k)
     raise BudgetExhausted(f"no post-fixpoint within {config.step_budget} steps")
 
 
@@ -181,17 +181,21 @@ def _shortest_witness(product: LatticeAutomaton) -> Optional[str]:
     return None
 
 
-def check_safety(sem: CompiledSemantics, result: AnalysisResult,
-                 bad: PropertyAutomaton) -> SafetyVerdict:
-    """Safe iff the reach set misses the bad language; on alarm, produce
-    one shortest witness word template."""
-    known = set(sem.cfg.locations)
-    for e_src in sem.blocking_locs:
-        known.add(e_src)
-    unknown = bad.locations() - known
+def check_property_locations(sem: CompiledSemantics, bad: PropertyAutomaton) -> None:
+    """Raise PropertyLocationError when the property names a location
+    that is neither a program location nor one the rules introduce (the
+    reduce lock and collector locations, which are blocking)."""
+    unknown = bad.locations() - set(sem.cfg.locations) - sem.blocking_locs
     if unknown:
         raise PropertyLocationError(
             f"property mentions unknown locations: {', '.join(sorted(unknown))}")
+
+
+def check_safety(sem: CompiledSemantics, result: AnalysisResult,
+                 bad: PropertyAutomaton) -> SafetyVerdict:
+    """Safe iff the reach set misses the bad language; on alarm, produce
+    one shortest witness word template.  The property's locations are
+    checked beforehand (check_property_locations)."""
     product = _product_with_property(sem, result.reach, bad)
     witness = _shortest_witness(product)
     if witness is None:
@@ -266,42 +270,52 @@ def _movable_somewhere(sem, word) -> bool:
     return any(fires(sem.ctx, rule, word, fits) for rule in sem.rules)
 
 
-def _atom_refinements(sem, word, cap: int = 512):
-    """Split every letter of the word into single-id, single-value letters
-    when the value ranges are small and finite; [] when infeasible."""
+def _letter_atoms(letter) -> list:
+    """The single-id, single-value letters that the letter splits into
+    when its id and value ranges are small and finite; [] when it does
+    not split."""
+    pid = letter.pid
+    if not (is_finite(pid.lo) and is_finite(pid.hi)) or pid.hi - pid.lo > 8:
+        return []
+    if not isinstance(letter.env, IntervalEnv):
+        return []
+    ids = [pid.lo + i for i in range(int(pid.hi - pid.lo) + 1)]
+    var_choices = []
+    for name, itv in letter.env.items:
+        if not (is_finite(itv.lo) and is_finite(itv.hi)):
+            var_choices.append([(name, None)])
+            continue
+        if itv.hi - itv.lo > 4 or (itv.hi - itv.lo).denominator != 1:
+            var_choices.append([(name, None)])
+            continue
+        var_choices.append([(name, itv.lo + k) for k in range(int(itv.hi - itv.lo) + 1)])
+    options = []
+    for pid_v in ids:
+        for combo in itertools.product(*var_choices):
+            env = dict(letter.env.items)
+            for name, val in combo:
+                if val is not None:
+                    env[name] = Interval.point(val)
+            refined = IntervalEnv.make(env)
+            if refined is not None:
+                options.append(AbstractLocalState(Interval.point(pid_v), letter.loc, refined))
+    return options
+
+
+def _atom_refinements(word, atoms: dict, cap: int = 512):
+    """Split every letter of the word into its atoms (_letter_atoms); []
+    when a letter does not split or the words would number more than cap.
+    atoms memoizes the split by letter for the words of one check."""
     per_letter = []
+    total = 1
     for letter in word:
-        options = []
-        pid = letter.pid
-        if not (is_finite(pid.lo) and is_finite(pid.hi)) or pid.hi - pid.lo > 8:
-            return []
-        if not isinstance(letter.env, IntervalEnv):
-            return []
-        ids = [pid.lo + i for i in range(int(pid.hi - pid.lo) + 1)]
-        var_choices = []
-        for name, itv in letter.env.items:
-            if not (is_finite(itv.lo) and is_finite(itv.hi)):
-                var_choices.append([(name, None)])
-                continue
-            if itv.hi - itv.lo > 4 or (itv.hi - itv.lo).denominator != 1:
-                var_choices.append([(name, None)])
-                continue
-            var_choices.append([(name, itv.lo + k) for k in range(int(itv.hi - itv.lo) + 1)])
-        for pid_v in ids:
-            for combo in itertools.product(*var_choices):
-                env = dict(letter.env.items)
-                for name, val in combo:
-                    if val is not None:
-                        env[name] = Interval.point(val)
-                refined = IntervalEnv.make(env)
-                if refined is not None:
-                    options.append(AbstractLocalState(Interval.point(pid_v), letter.loc, refined))
+        options = atoms.get(letter)
+        if options is None:
+            options = atoms[letter] = _letter_atoms(letter)
         if not options:
             return []
         per_letter.append(options)
-        total = 1
-        for opts in per_letter:
-            total *= len(opts)
+        total *= len(options)
         if total > cap:
             return []
     return [tuple(w) for w in itertools.product(*per_letter)]
@@ -326,6 +340,7 @@ def check_deadlock(sem: CompiledSemantics, result: AnalysisResult) -> List[Deadl
     automaton has more, DeadlockCheckIncomplete is raised with the
     witnesses found among them."""
     witnesses = {}
+    atoms = {}
     blocking = sem.blocking_locs
     exit_loc = sem.cfg.exit
     words = _candidate_paths(result.reach, blocking, CANDIDATE_CAP + 1)
@@ -334,7 +349,7 @@ def check_deadlock(sem: CompiledSemantics, result: AnalysisResult) -> List[Deadl
             continue
         candidates = [word]
         if _movable_somewhere(sem, word):
-            candidates = [w for w in _atom_refinements(sem, word)
+            candidates = [w for w in _atom_refinements(word, atoms)
                           if not (all(l.loc == exit_loc for l in w)
                                   or _movable_somewhere(sem, w))]
             if not candidates:

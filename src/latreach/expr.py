@@ -148,17 +148,6 @@ def negate_comparison(e: BinOp) -> BinOp:
     return BinOp(NEGATED[e.op], e.left, e.right)
 
 
-def free_vars(e) -> set:
-    """Names of Var atoms (PosVar excluded; it names another letter's frame)."""
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, Neg):
-        return free_vars(e.arg)
-    if isinstance(e, BinOp):
-        return free_vars(e.left) | free_vars(e.right)
-    return set()
-
-
 def substitute_nprocs(e, n: int):
     if isinstance(e, NProcs):
         return Const(Fraction(n))
@@ -243,20 +232,15 @@ def _within_cap(coeffs: dict, const: Fraction):
     return coeffs, const
 
 
-def map_vars(e, fn):
-    """Replace every Var atom by fn(name) (an expression)."""
-    if isinstance(e, Var):
-        return fn(e.name)
-    if isinstance(e, Neg):
-        return Neg(map_vars(e.arg, fn))
-    if isinstance(e, BinOp):
-        return BinOp(e.op, map_vars(e.left, fn), map_vars(e.right, fn))
-    return e
-
-
 def at_position(e, pos: int):
     """Move every Var of e into the frame of the letter matched at pos."""
-    return map_vars(e, lambda name: PosVar(pos, name))
+    if isinstance(e, Var):
+        return PosVar(pos, e.name)
+    if isinstance(e, Neg):
+        return Neg(at_position(e.arg, pos))
+    if isinstance(e, BinOp):
+        return BinOp(e.op, at_position(e.left, pos), at_position(e.right, pos))
+    return e
 
 
 def to_source(e) -> str:

@@ -3,15 +3,15 @@
 ``build_cfg`` lays a parsed program (``syntax.parse``) out as a graph
 whose edges carry one instruction each; ``compile_program`` turns the
 graph into the local-step transducer, the communication rules and the
-initial automaton, which ``dump_semantics`` writes out as JSON for
-inspection (``--dump-semantics``).
+initial automaton, which ``export.dump_semantics`` writes out as JSON
+for inspection (``--dump-semantics``).
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 from . import expr as E
-from .automaton import LatticeAutomaton, normalize, to_json
+from .automaton import LatticeAutomaton, normalize
 from .domain import DomainContext, GuardElement, Interval, POS_INF, TOP_GUARD
 from .rules import (
     collector_loc,
@@ -20,7 +20,6 @@ from .rules import (
     make_create_rule,
     make_reduce_rules,
     make_send_receive_rule,
-    rule_to_json,
 )
 from .syntax import (
     Assign,
@@ -41,7 +40,6 @@ from .transducer import (
     LatticeTransducer,
     LetterOut,
     TransducerRule,
-    transducer_to_json,
 )
 from .value import frozen, replace
 
@@ -250,25 +248,3 @@ def compile_program(ast: Ast, domain: str, procs) -> CompiledSemantics:
 def _substitute_nprocs(instr, n: int):
     return replace(instr, **{f: E.substitute_nprocs(ex, n)
                              for f, ex in instr_exprs(instr).items()})
-
-
-# ---------------------------------------------------------------------------
-# semantics dump
-
-
-def dump_semantics(sem: CompiledSemantics) -> dict:
-    return {
-        "domain": sem.ctx.kind,
-        "variables": list(sem.ctx.variables),
-        "rat_vars": sorted(sem.ctx.rat_vars),
-        "locations": list(sem.cfg.locations),
-        "entry": sem.cfg.entry,
-        "exit": sem.cfg.exit,
-        "loop_heads": sorted(sem.cfg.loop_heads),
-        "widen_locs": sorted(sem.widen_locs),
-        "blocking_locs": sorted(sem.blocking_locs),
-        "procs": sem.procs,
-        "transducer": transducer_to_json(sem.transducer),
-        "rules": [rule_to_json(r) for r in sem.rules],
-        "initial": to_json(sem.initial),
-    }

@@ -8,6 +8,7 @@ collector sweep are all instances.
 """
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
@@ -36,8 +37,6 @@ from .transducer import (
     InstanceInfo,
     LetterOut,
     eval_outputs,
-    guard_to_json,
-    letter_out_to_json,
     memo_image,
 )
 from .value import frozen
@@ -261,7 +260,7 @@ def apply_rule(ctx: DomainContext, rule: RewriteRule, a: LatticeAutomaton,
     match_sets = [stars.match_set(w) for w in rule.words]
     if any(not ms for ms in match_sets):
         return LatticeAutomaton.empty()
-    combos = _combinations(match_sets)
+    combos = list(itertools.product(*match_sets))
     if len(rule.words) <= 1 and not rule.track_length and \
             (len(combos) == 1 or not (rule.f_specs[0] or rule.f_specs[-1])):
         return _shared_image(stars, rule, combos)
@@ -354,15 +353,6 @@ def fires(ctx: DomainContext, rule: RewriteRule, word, fits: WordFits = None) ->
                 _f_images(ctx, rule, flat, [(b - a, b - a) for a, b in bounds]) is not None:
             return True
     return False
-
-
-def _combinations(match_sets):
-    if not match_sets:
-        return [()]
-    out = [()]
-    for ms in match_sets:
-        out = [prev + (m,) for prev in out for m in ms]
-    return out
 
 
 def _final_groups(stars: StarImages, rule, combo):
@@ -649,23 +639,3 @@ def make_reduce_rules(edge):
         h_specs=(unlock_h, unlock_h, IDENTITY_H),
     )
     return [spawn, swap, deliver]
-
-
-# ---------------------------------------------------------------------------
-# JSON
-
-
-def h_to_json(h: HRewrite):
-    return {"kind": h.kind, "loc": h.loc,
-            "updates": [[v, E.to_source(rhs)] for v, rhs in h.updates]}
-
-
-def rule_to_json(rule: RewriteRule):
-    return {
-        "name": rule.name,
-        "stars": [None if g is None else guard_to_json(g) for g in rule.stars],
-        "words": [[guard_to_json(g) for g in w] for w in rule.words],
-        "f_specs": [[letter_out_to_json(o) for o in spec] for spec in rule.f_specs],
-        "h_specs": [h_to_json(h) for h in rule.h_specs],
-        "track_length": rule.track_length,
-    }

@@ -4,7 +4,7 @@ A transducer transition carries a guard tuple (one guard element per read
 letter) and a sequence of rewriters producing the output letters.  The
 rewriters are declarative data (LetterOut), not opaque code, so generated
 transducers run unchanged under either environment domain and print as
-JSON for the semantics dump.
+JSON for the semantics dump (export).
 
 Application costs one evaluation per distinct letter tuple and rule.
 Each transducer carries two things built on first use: a rule index
@@ -27,8 +27,6 @@ from . import expr as E
 from .automaton import (
     Builder,
     LatticeAutomaton,
-    env_to_json,
-    interval_to_json,
     normalize,
     path_labels,
 )
@@ -36,7 +34,6 @@ from .domain import (
     AbstractLocalState,
     AlarmSink,
     DomainContext,
-    GuardElement,
     Interval,
     POS_INF,
     joint_refine,
@@ -336,71 +333,3 @@ def apply_transducer(ctx: DomainContext, t: LatticeTransducer, a: LatticeAutomat
                 for (p, rule, p2, outs) in rule_images(ctx, t, labels, sink):
                     bld.add_path((p, q), outs, (p2, q2), tag=rule.name)
     return normalize(bld.build())
-
-
-# ---------------------------------------------------------------------------
-# JSON export
-
-
-def guard_atom_to_json(atom):
-    return {
-        "id": interval_to_json(atom.pid),
-        "env": None if atom.env is None else env_to_json(atom.env),
-        "constraints": [[E.to_source(c.lhs), c.op, E.to_source(c.rhs)]
-                        for c in atom.constraints],
-    }
-
-
-def guard_to_json(g: GuardElement):
-    return {
-        "by_loc": None if g.by_loc is None else [[loc, guard_atom_to_json(atom)] for loc, atom in g.by_loc],
-        "default": None if g.default is None else guard_atom_to_json(g.default),
-    }
-
-
-def letter_out_to_json(out: LetterOut):
-    instr = None
-    if isinstance(out.instr, Assign):
-        instr = {"assign": [out.instr.var, E.to_source(out.instr.expr)]}
-    elif isinstance(out.instr, Filter):
-        instr = {"filter": [E.to_source(out.instr.cond), out.instr.branch]}
-    pid = list(out.pid)
-    if pid[0] == "const":
-        pid[1] = f"{pid[1].numerator}/{pid[1].denominator}"
-    return {
-        "base": out.base,
-        "loc": out.loc,
-        "instr": instr,
-        "updates": [[v, E.to_source(rhs)] for v, rhs in out.updates],
-        "conds": [[pos, E.to_source(rhs)] for pos, rhs in out.conds],
-        "pid": pid,
-        "reset_zero": out.reset_zero,
-    }
-
-
-def transducer_to_json(t: LatticeTransducer):
-    return {
-        "states": sorted(t.states, key=repr),
-        "initial": sorted(t.initial, key=repr),
-        "final": sorted(t.final, key=repr),
-        "rules": [
-            {
-                "src": src, "dst": dst, "name": rule.name,
-                "guard": [guard_to_json(g) for g in rule.guard],
-                "outputs": [letter_out_to_json(o) for o in rule.outputs],
-            }
-            for (src, rule, dst) in t.sorted_rules()
-        ],
-    }
-
-
-def transducer_to_dot(t: LatticeTransducer, name="transducer") -> str:
-    lines = [f"digraph {name} {{", "  rankdir=LR;"]
-    for q in sorted(t.states, key=repr):
-        shape = "doublecircle" if q in t.final else "circle"
-        lines.append(f'  "{q}" [shape={shape}];')
-    for (src, rule, dst) in t.sorted_rules():
-        guard = " . ".join(str(g) for g in rule.guard)
-        lines.append(f'  "{src}" -> "{dst}" [label="{rule.name}: {guard}"];')
-    lines.append("}")
-    return "\n".join(lines)

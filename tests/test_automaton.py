@@ -15,8 +15,6 @@ from latreach.automaton import (
     normalize,
     path_labels,
     shape,
-    to_json,
-    to_dot,
     union,
     union_all,
     widen_automata,
@@ -30,6 +28,7 @@ from latreach.domain import (
     Interval,
     IntervalEnv,
 )
+from latreach.export import to_dot, to_json
 
 F = Fraction
 CTX = DomainContext("interval", ("x",))

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from latreach import engine
+from latreach import cli, engine
 from latreach.cli import main, parse_property, PropertyParseError
 from latreach.concrete import accepts_concrete, config_word, initial_config, reach_bounded
 from latreach.engine import PropertyAutomaton, fixpoint
@@ -390,6 +390,26 @@ def test_exit_three_property_location_mismatch(chain_prog, tmp_path, capsys):
     bad.write_text("state a initial\nstate b final\na -> b : loc=l99, x == 0\n",
                    encoding="utf-8")
     assert main(["analyze", str(prog), "--property", str(bad)]) == 3
+
+
+def test_unknown_property_location_stops_before_the_analysis(monkeypatch, tmp_path, capsys):
+    """A property naming an unknown location is refused before the
+    semantics dump and the fixpoint: nothing on stdout, one error line."""
+    bad = tmp_path / "p.bad"
+    bad.write_text("state s0 initial\nstate s1 final\ns0 -> s1 : loc=l99\n",
+                   encoding="utf-8")
+    dump = tmp_path / "sem.json"
+
+    def no_fixpoint(*args, **kwargs):
+        raise AssertionError("fixpoint called")
+
+    monkeypatch.setattr(cli, "fixpoint", no_fixpoint)
+    code = main(["analyze", str(PROGRAMS / "sum_reduce.prog"), "--procs", "4",
+                 "--property", str(bad), "--dump-semantics", str(dump)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == "error: property mentions unknown locations: l99\n"
+    assert not dump.exists()
 
 
 def test_exit_four_budget(chain_prog, capsys):

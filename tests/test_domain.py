@@ -29,8 +29,8 @@ from latreach.domain import (
     transfer_assign,
     transfer_filter,
 )
-from latreach.automaton import letter_to_json
 from latreach.concrete import concretize_bounded, letter_accepts
+from latreach.export import letter_to_json
 from latreach.syntax import parse_expr
 
 F = Fraction
@@ -664,7 +664,7 @@ def test_letter_hash_by_value_under_another_hash_seed():
         hash(l)
     script = (
         "import json\n"
-        "from latreach.automaton import letter_to_json\n"
+        "from latreach.export import letter_to_json\n"
         "from latreach.domain import AbstractLocalState\n"
         "from test_domain import _seeded_letters\n"
         "letters = _seeded_letters(seed=3, n=10)\n"

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -14,13 +15,14 @@ from latreach.concrete import (
     reach_bounded,
 )
 from latreach.automaton import LatticeAutomaton
-from latreach.domain import POS_INF, AbstractLocalState, Interval, meet_guard
+from latreach.domain import POS_INF, AbstractLocalState, Interval, IntervalEnv, meet_guard
 from latreach.engine import (
     AnalysisConfig,
     AnalysisResult,
     BudgetExhausted,
     PropertyLocationError,
     check_deadlock,
+    check_property_locations,
     check_safety,
     fixpoint,
     step,
@@ -169,11 +171,11 @@ def test_safety_empty_bad_automaton_is_safe():
 
 
 def test_safety_unknown_location_rejected():
-    ast, sem, res = analyze("x := 1;")
+    sem = compile_program(parse("x := 1;"), "interval", 1)
     bad = parse_property(
         "state a initial\nstate b final\na -> b : loc=l99, x == 0\n")
-    with pytest.raises(PropertyLocationError):
-        check_safety(sem, res, bad)
+    with pytest.raises(PropertyLocationError, match="unknown locations: l99"):
+        check_property_locations(sem, bad)
 
 
 def test_safety_witness_deterministic():
@@ -232,6 +234,40 @@ DEADLOCK_RUNS = (("dining_philosophers.prog", 4), ("deadlock_random.prog", 2),
                  ("sum_reduce.prog", 4), ("create_chain.prog", "unbounded"))
 
 
+def test_atom_split_runs_once_per_distinct_letter(monkeypatch):
+    """The deadlock check splits each distinct letter into atoms once; the
+    refinements of a word with repeated letters are the product of the
+    letters' splits, and a memo shared over the candidate words of a run
+    gives each word the refinements a fresh one does."""
+    a = AbstractLocalState(Interval.range(0, 1), "l0",
+                           IntervalEnv.make({"x": Interval.range(0, 1)}))
+    b = AbstractLocalState(Interval.point(2), "l1",
+                           IntervalEnv.make({"x": Interval.range(0, 2)}))
+    word = (a, b, a, b)
+    direct = list(itertools.product(*(engine._letter_atoms(l) for l in word)))
+    real_split = engine._letter_atoms
+    split = []
+
+    def counted_split(letter):
+        split.append(letter)
+        return real_split(letter)
+
+    monkeypatch.setattr(engine, "_letter_atoms", counted_split)
+    atoms = {}
+    assert engine._atom_refinements(word, atoms) == direct and len(direct) == 144
+    assert engine._atom_refinements(word[::-1], atoms) == \
+        list(itertools.product(*(real_split(l) for l in word[::-1])))
+    assert split == [a, b]
+    monkeypatch.undo()
+
+    _, sem, res = analyze(load_program("dining_philosophers.prog"), procs=4)
+    shared = {}
+    words = engine._candidate_paths(res.reach, sem.blocking_locs)
+    assert any(engine._atom_refinements(w, {}) for w in words)
+    for word in words:
+        assert engine._atom_refinements(word, shared) == engine._atom_refinements(word, {})
+
+
 def _rule_image_nonempty(sem, rule, chain) -> bool:
     """The reference for a rule firing on a word: its image of the word's
     chain automaton is not empty."""
@@ -244,7 +280,7 @@ def _deadlock_words(sem, res):
     for word in engine._candidate_paths(res.reach, sem.blocking_locs):
         if not all(l.loc == sem.cfg.exit for l in word):
             yield word
-            yield from engine._atom_refinements(sem, word)
+            yield from engine._atom_refinements(word, {})
 
 
 @pytest.mark.parametrize("domain", ["interval", "affine"])
@@ -284,7 +320,7 @@ def test_deadlock_check_builds_no_rule_image(monkeypatch):
 @pytest.mark.parametrize("domain", ["interval", "affine"])
 def test_union_of_a_covered_operand_runs_no_determinization(domain, monkeypatch):
     """Each round unions the iterate with its image, which the local steps
-    make include it, and the widening unions them again: union_all takes
+    make include it: union_all takes
     the including operand as it is and determinizes only a union in which
     neither operand covers the other.  On local_loop with two processes no
     union needs one."""
@@ -308,9 +344,10 @@ def test_union_of_a_covered_operand_runs_no_determinization(domain, monkeypatch)
     monkeypatch.undo()
     _, _, expected = analyze(load_program("local_loop.prog"), domain=domain, procs=2)
     assert res == expected
-    # union(s, image) in every round but the last, and once more in each
-    # widening round: the check below is not vacuous
-    assert len(unions) > res.iterations
+    # union(s, image) in every round but the last, by fixpoint in the join
+    # rounds and by widen_automata in the widening rounds: the check below
+    # is not vacuous
+    assert len(unions) >= res.iterations - 1
     assert covered == []
 
 
@@ -443,6 +480,23 @@ def test_any_mode_covers_every_initial_size():
                 for c in r.configs:
                     assert accepts_concrete(sem.ctx, res.reach, config_word(c)), \
                         (text, domain, k, config_word(c))
+
+
+@pytest.mark.parametrize("domain", ["interval", "affine"])
+def test_fixpoint_unions_only_in_join_rounds(domain, monkeypatch):
+    """widen_automata takes the union of the iterate and its image itself,
+    so fixpoint calls union only in the widening_delay join rounds."""
+    real_union = engine.union
+    calls = []
+
+    def counted_union(a, b):
+        calls.append((a, b))
+        return real_union(a, b)
+
+    monkeypatch.setattr(engine, "union", counted_union)
+    _, _, res = analyze(load_program("local_loop.prog"), domain=domain, procs=2)
+    assert res.iterations > AnalysisConfig().widening_delay + 1  # widening rounds ran
+    assert len(calls) == AnalysisConfig().widening_delay
 
 
 def test_escalation_cuts_a_chain_the_widening_locations_do_not(monkeypatch):

@@ -4,14 +4,13 @@ from fractions import Fraction
 import pytest
 
 import latreach.expr as E
-from latreach.automaton import to_json
 from latreach.concrete import bounded_language
 from latreach.domain import Interval
+from latreach.export import dump_semantics, to_json
 from latreach.frontend import (
     CompileError,
     build_cfg,
     compile_program,
-    dump_semantics,
 )
 from latreach.syntax import (
     Assign,

@@ -1,9 +1,10 @@
 """Import structure of the package: every import runs at module top and
 is used, the syntax layer needs nothing of the analyzer but ``expr`` and
-the ``value`` leaf, and start-up loads neither ``dataclasses`` nor
-``inspect``."""
+the ``value`` leaf, only ``export`` holds the output writers, and
+start-up loads neither ``dataclasses`` nor ``inspect``."""
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -85,3 +86,22 @@ def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
          "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+WRITER = re.compile(r"(.+_)?to_(json|dot)|dump_semantics")
+
+
+def test_only_export_defines_writers():
+    """The JSON and DOT writers live in ``export`` alone, and of the
+    package only the driver imports it."""
+    writers, importers = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = _tree(path)
+        if path.name != "export.py":
+            writers += [f"{path.name}: {node.name}" for node in ast.walk(tree)
+                        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and WRITER.fullmatch(node.name)]
+        if "export" in _imports(path)[0]:
+            importers.append(path.name)
+    assert writers == []
+    assert importers == ["cli.py"]

@@ -8,9 +8,10 @@ import random
 import pytest
 
 from latreach import engine, rules, transducer
-from latreach.automaton import LatticeAutomaton, is_empty, normalize, to_json
+from latreach.automaton import LatticeAutomaton, is_empty, normalize
 from latreach.domain import AlarmSink, GuardElement
 from latreach.engine import AnalysisConfig, check_deadlock, fixpoint
+from latreach.export import to_json
 from latreach.frontend import compile_program
 from latreach.rules import IDENTITY_H, RewriteRule, StarImages, apply_rule
 from latreach.syntax import parse, parse_expr
