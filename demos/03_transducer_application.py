@@ -1,7 +1,8 @@
 """Walkthrough: applying a lattice transducer to a lattice automaton.
 
-Local instructions become self-loop rules of a one-state transducer; the
-application is a product construction that rewrites every matching path.
+Local instructions become the rules of a letter-to-letter transducer; the
+application replaces every transition label by its images under the
+rules, on the same two states.
 The inactivity rule (match anything, change nothing) makes the image
 contain the original language, so one application computes "zero or one
 local step per process".
@@ -27,10 +28,10 @@ ctx = DomainContext("interval", ("x",))
 
 bump = TransducerRule(
     "assign_x_plus_4",
-    (GuardElement.at("l7"),),
-    (LetterOut(base=0, loc="l8", instr=Assign("x", parse_expr("x + 4"))),))
-idle = TransducerRule("inactivity", (GuardElement.top(),), (LetterOut(base=0),))
-t = LatticeTransducer.single_state([bump, idle])
+    GuardElement.at("l7"),
+    LetterOut(base=0, loc="l8", instr=Assign("x", parse_expr("x + 4"))))
+idle = TransducerRule("inactivity", GuardElement.top(), LetterOut(base=0))
+t = LatticeTransducer((bump, idle))
 print(transducer_to_dot(t))
 
 singleton = normalize(LatticeAutomaton.from_word([

@@ -425,15 +425,6 @@ class MatchTriple:
     end: object
 
 
-def path_labels(a: LatticeAutomaton, q, n: int):
-    """All (label sequence, end state) for paths of length n from q."""
-    out = a.out_by_src
-    acc = [((), q)]
-    for _ in range(n):
-        acc = [(labels + (l,), t) for labels, cur in acc for (l, t) in out.get(cur, ())]
-    return acc
-
-
 def _moves(a: LatticeAutomaton, q, g):
     """The (letter, dst) moves from q whose location the guard element
     names, in the order of a.out_by_src."""

@@ -38,10 +38,11 @@ class PropertyParseError(Exception):
 def parse_property(text: str) -> PropertyAutomaton:
     """Textual bad-configuration automaton.
 
-    Lines: ``state NAME [initial] [final]`` declares a state;
+    Lines: ``state NAME [initial] [final]`` declares a state, once;
     ``A -> B : items`` adds a transition where items are comma-separated:
-    ``true`` (any letter), ``loc=lN`` or ``loc=any``, and constraints
-    ``expr <op> expr`` over id, the letter's variables and constants."""
+    ``true`` (any letter), at most one ``loc=lN`` or ``loc=any``, and
+    constraints ``expr <op> expr`` over id, the letter's variables and
+    constants."""
     states = {}
     transitions = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -55,6 +56,8 @@ def parse_property(text: str) -> PropertyAutomaton:
             bad = [f for f in flags if f not in ("initial", "final")]
             if bad:
                 raise PropertyParseError(f"line {lineno}: unknown flag {bad[0]!r}")
+            if name in states:
+                raise PropertyParseError(f"line {lineno}: state {name!r} declared twice")
             states[name] = ("initial" in flags, "final" in flags)
             continue
         if "->" not in line or ":" not in line:
@@ -77,7 +80,7 @@ def parse_property(text: str) -> PropertyAutomaton:
 def _parse_label(label: str, lineno: int) -> GuardElement:
     if label == "true":
         return GuardElement.top()
-    loc = None
+    loc = None  # the location item's value, "any" included
     pid = Interval.top()
     constraints = []
     for item in _top_level_items(label):
@@ -87,7 +90,9 @@ def _parse_label(label: str, lineno: int) -> GuardElement:
             value = item.partition("=")[2].strip()
             if not value:
                 raise PropertyParseError(f"line {lineno}: bad location item {item!r}")
-            loc = None if value == "any" else value
+            if loc is not None:
+                raise PropertyParseError(f"line {lineno}: second location item {item!r}")
+            loc = value
             continue
         try:
             e = parse_expr(item)
@@ -97,7 +102,7 @@ def _parse_label(label: str, lineno: int) -> GuardElement:
             raise PropertyParseError(f"line {lineno}: cannot parse label item {item!r}")
         constraints.append(Constraint(e.left, e.op, e.right))
     atom = GuardAtom(pid, None, tuple(constraints))
-    if loc is None:
+    if loc in (None, "any"):
         return GuardElement.anywhere(atom)
     return GuardElement(((loc, atom),), None)
 

@@ -258,7 +258,7 @@ def _transducer_moves_letter(sem, word) -> bool:
     """True when a non-inactivity local rule applies to some letter."""
     return any(rule.name != "inactivity"
                for letter in word
-               for (_, rule, _, _) in rule_images(sem.ctx, sem.transducer, (letter,)))
+               for rule, _ in rule_images(sem.ctx, sem.transducer, letter))
 
 
 def _movable_somewhere(sem, word) -> bool:

@@ -118,29 +118,27 @@ def letter_out_to_json(out: LetterOut):
 
 
 def transducer_to_json(t: LatticeTransducer):
+    """The general transducer format, written for the one-state,
+    letter-to-letter case: state "t", one-letter guards and outputs."""
     return {
-        "states": sorted(t.states, key=repr),
-        "initial": sorted(t.initial, key=repr),
-        "final": sorted(t.final, key=repr),
+        "states": ["t"],
+        "initial": ["t"],
+        "final": ["t"],
         "rules": [
             {
-                "src": src, "dst": dst, "name": rule.name,
-                "guard": [guard_to_json(g) for g in rule.guard],
-                "outputs": [letter_out_to_json(o) for o in rule.outputs],
+                "src": "t", "dst": "t", "name": rule.name,
+                "guard": [guard_to_json(rule.guard)],
+                "outputs": [letter_out_to_json(rule.output)],
             }
-            for (src, rule, dst) in t.sorted_rules()
+            for rule in t.rules
         ],
     }
 
 
 def transducer_to_dot(t: LatticeTransducer, name="transducer") -> str:
-    lines = [f"digraph {name} {{", "  rankdir=LR;"]
-    for q in sorted(t.states, key=repr):
-        shape = "doublecircle" if q in t.final else "circle"
-        lines.append(f'  "{q}" [shape={shape}];')
-    for (src, rule, dst) in t.sorted_rules():
-        guard = " . ".join(str(g) for g in rule.guard)
-        lines.append(f'  "{src}" -> "{dst}" [label="{rule.name}: {guard}"];')
+    lines = [f"digraph {name} {{", "  rankdir=LR;", '  "t" [shape=doublecircle];']
+    for rule in t.rules:
+        lines.append(f'  "t" -> "t" [label="{rule.name}: {rule.guard}"];')
     lines.append("}")
     return "\n".join(lines)
 

@@ -129,7 +129,7 @@ def build_cfg(ast: Ast) -> Cfg:
 # compilation into transducer + rules + initial automaton
 
 
-INACTIVITY = TransducerRule("inactivity", (TOP_GUARD,), (LetterOut(base=0),))
+INACTIVITY = TransducerRule("inactivity", TOP_GUARD, LetterOut(base=0))
 
 
 @frozen
@@ -150,12 +150,8 @@ class CompileError(Exception):
 
 def _local_rule(edge: Edge) -> TransducerRule:
     instr = None if isinstance(edge.instr, Skip) else edge.instr
-    out = LetterOut(base=0, loc=edge.dst, instr=instr)
-    return TransducerRule(
-        f"local[{edge.src}->{edge.dst}]",
-        (GuardElement.at(edge.src),),
-        (out,),
-    )
+    return TransducerRule(f"local[{edge.src}->{edge.dst}]", GuardElement.at(edge.src),
+                          LetterOut(base=0, loc=edge.dst, instr=instr))
 
 
 def initial_automaton(ctx: DomainContext, entry: str, procs) -> LatticeAutomaton:
@@ -226,7 +222,8 @@ def compile_program(ast: Ast, domain: str, procs) -> CompiledSemantics:
         else:
             raise CompileError(f"cannot compile edge {e!r}")
 
-    transducer = LatticeTransducer.single_state(tuple(local_rules) + (INACTIVITY,))
+    transducer = LatticeTransducer(tuple(sorted(local_rules + [INACTIVITY],
+                                                key=lambda r: r.name)))
     widen_locs = set(cfg.loop_heads)
     if has_create:
         # The spawn chain is an implicit loop: its head is the entry and its

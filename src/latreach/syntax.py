@@ -4,7 +4,8 @@ The surface language is a small C-flavoured imperative language with
 synchronous communications (send/receive/broadcast), dynamic process
 creation and an all-to-one reduce.  ``//`` comments run to end of line;
 variables default to integers, a ``rat`` declaration makes them exact
-rationals; the condition ``*`` is a nondeterministic coin flip.
+rationals, and declaring a variable both ``rat`` and ``int`` is an error;
+the condition ``*`` is a nondeterministic coin flip.
 
 Primitive statements parse directly into the instructions that label the
 edges of the control-flow graph (``frontend.build_cfg``).  Declarations
@@ -212,7 +213,7 @@ class _Parser:
         self.toks = _lex(text)
         self.pos = 0
         self.names = set()  # every variable declared, read or written
-        self.rats = set()  # variables declared rat
+        self.kinds = {}  # variable -> "rat" or "int", as declared
         self.depth = {"statement": 0, "expression": 0}
 
     def peek(self) -> Token:
@@ -247,6 +248,12 @@ class _Parser:
         name = self.expect("ident").text
         self.names.add(name)
         return name
+
+    def declare(self, kind: str) -> None:
+        t = self.peek()
+        name = self.ident()
+        if self.kinds.setdefault(name, kind) != kind:
+            raise ParseError(f"{name} is declared both rat and int", t.line, t.col)
 
     # expressions ----------------------------------------------------------
     def parse_expr(self):
@@ -431,13 +438,11 @@ class _Parser:
             return Reduce(acc, src, op_tok.kind, root)
         if t.kind in ("rat", "int"):
             kind = self.next().kind
-            names = [self.ident()]
+            self.declare(kind)
             while self.peek().kind == ",":
                 self.next()
-                names.append(self.ident())
+                self.declare(kind)
             self.expect(";")
-            if kind == "rat":
-                self.rats.update(names)
             return None
         if t.kind == "ident":
             var = self.ident()
@@ -465,9 +470,10 @@ def parse(text: str) -> Ast:
     """Parse a program; raises ParseError with line/column on bad input."""
     p = _Parser(text)
     block = p.parse_block("eof")
-    if "id" in p.rats:
+    rats = frozenset(name for name, kind in p.kinds.items() if kind == "rat")
+    if "id" in rats:
         raise ParseError("id cannot be declared rational", 1, 1)
-    return Ast(block, frozenset(p.rats), tuple(sorted(p.names)))
+    return Ast(block, rats, tuple(sorted(p.names)))
 
 
 def parse_expr(text: str):

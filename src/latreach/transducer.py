@@ -1,21 +1,23 @@
 """Lattice transducers and their application to lattice automata.
 
-A transducer transition carries a guard tuple (one guard element per read
-letter) and a sequence of rewriters producing the output letters.  The
-rewriters are declarative data (LetterOut), not opaque code, so generated
-transducers run unchanged under either environment domain and print as
-JSON for the semantics dump (export).
+Local steps are a letter-to-letter symbolic transducer with one state,
+the case of the paper's transducers that the compiler needs: a rule
+reads one letter through its guard element and writes one letter in its
+place.  The rewriter producing that letter is declarative data
+(LetterOut), not opaque code, so generated transducers run unchanged
+under either environment domain and print as JSON for the semantics dump
+(export); the communication rules use the same rewriters.
 
-Application costs one evaluation per distinct letter tuple and rule.
-Each transducer carries two things built on first use: a rule index
-(guard length -> first letter's location -> the rules whose first guard
-element can read a letter there) and an image memo ((ctx, rule, labels)
--> the outputs, or bottom, with the alarms their evaluation raised).  The
-fixpoint applies one transducer to a reach automaton that barely changes
-between iterations, so almost every image is a memo hit; a hit replays
-its alarms into the caller's sink, so the alarm report is the same as if
-every image were evaluated again.  The communication rules keep their
-f-images in a memo of the same kind (memo_image serves both).
+Application relabels each transition, one evaluation per distinct letter
+and rule.  Each transducer carries two things built on first use: a rule
+index (location -> the rules whose guard can read a letter there) and an
+image memo ((ctx, rule, letter) -> the output, or bottom, with the
+alarms its evaluation raised).  The fixpoint applies one transducer to a
+reach automaton that barely changes between iterations, so almost every
+image is a memo hit; a hit replays its alarms into the caller's sink, so
+the alarm report is the same as if every image were evaluated again.
+The communication rules keep their f-images in a memo of the same kind
+(memo_image serves both).
 """
 from __future__ import annotations
 
@@ -24,16 +26,12 @@ from functools import cached_property
 from typing import Optional
 
 from . import expr as E
-from .automaton import (
-    Builder,
-    LatticeAutomaton,
-    normalize,
-    path_labels,
-)
+from .automaton import LatticeAutomaton, normalize
 from .domain import (
     AbstractLocalState,
     AlarmSink,
     DomainContext,
+    GuardElement,
     Interval,
     POS_INF,
     joint_refine,
@@ -212,96 +210,74 @@ def memo_image(memo: dict, key, sink: AlarmSink, evaluate, *args):
 
 @frozen
 class TransducerRule:
-    name: str
-    guard: tuple  # tuple of GuardElement, length n >= 1
-    outputs: tuple  # tuple of LetterOut, length m >= 0
+    """One local step: a letter that the guard element reads becomes the
+    letter that output makes of it, in place."""
 
-    def __post_init__(self):
-        assert len(self.guard) >= 1
+    name: str
+    guard: GuardElement
+    output: LetterOut
 
 
 @frozen
 class LatticeTransducer:
-    states: frozenset
-    initial: frozenset
-    final: frozenset
-    rules: frozenset  # of (src, TransducerRule, dst)
+    """A one-state, letter-to-letter symbolic transducer: every rule reads
+    one letter and writes one letter back in its place."""
 
-    @staticmethod
-    def single_state(rules) -> "LatticeTransducer":
-        q = "t"
-        return LatticeTransducer(
-            frozenset({q}), frozenset({q}), frozenset({q}),
-            frozenset((q, r, q) for r in rules),
-        )
-
-    def sorted_rules(self):
-        return sorted(self.rules, key=lambda r: (repr(r[0]), r[1].name, repr(r[2])))
+    rules: tuple  # of TransducerRule, sorted by name
 
     @cached_property
-    def rule_index(self) -> dict:
-        """guard length -> (by_loc, anywhere), built once per transducer.
+    def rule_index(self) -> tuple:
+        """(by_loc, anywhere), built once per transducer.
 
-        anywhere lists the rules whose first guard element reads every
-        location (by_loc None, with a default atom).  by_loc maps each
-        location that some first guard element names to the rules naming
-        it, followed by anywhere's.  No other rule can read a letter at
-        that location.  Entries are (number, src, rule, dst); the number
-        keys the rule's images in the memo."""
-        numbers = {}
-        index = {}
-        for (p, rule, p2) in self.sorted_rules():
-            entry = (numbers.setdefault(rule, len(numbers)), p, rule, p2)
-            by_loc, anywhere = index.setdefault(len(rule.guard), ({}, []))
-            first = rule.guard[0]
-            if first.by_loc is not None:
-                for loc in dict.fromkeys(loc for loc, _ in first.by_loc):
-                    by_loc.setdefault(loc, []).append(entry)
-            elif first.default is not None:
-                anywhere.append(entry)
-        return {n: ({loc: tuple(rules + anywhere) for loc, rules in by_loc.items()},
-                    tuple(anywhere))
-                for n, (by_loc, anywhere) in index.items()}
+        anywhere lists the rules whose guard reads every location (by_loc
+        None, with a default atom).  by_loc maps each location that some
+        guard names to the rules naming it, followed by anywhere's.  No
+        other rule can read a letter at that location.  Entries are
+        (number, rule); the number keys the rule's images in the memo."""
+        by_loc, anywhere = {}, []
+        for number, rule in enumerate(self.rules):
+            g = rule.guard
+            if g.by_loc is not None:
+                for loc in dict.fromkeys(loc for loc, _ in g.by_loc):
+                    by_loc.setdefault(loc, []).append((number, rule))
+            elif g.default is not None:
+                anywhere.append((number, rule))
+        return ({loc: tuple(rules + anywhere) for loc, rules in by_loc.items()},
+                tuple(anywhere))
 
     @cached_property
     def images(self) -> dict:
-        """The image memo of rule_images: ctx -> {(rule number, labels):
-        (outputs or None, alarms)}.  It lives as long as the transducer,
+        """The image memo of rule_images: ctx -> {(rule number, letter):
+        (output or None, alarms)}.  It lives as long as the transducer,
         which is one per analysis; an image is a pure function of its key."""
         return {}
 
 
-def _evaluate(ctx: DomainContext, rule: TransducerRule, labels: tuple,
-              sink: AlarmSink) -> Optional[tuple]:
-    """The rule's outputs on a label tuple: meet each letter with its
-    guard element, then evaluate every output recipe (None = bottom)."""
-    matched = []
-    for letter, g in zip(labels, rule.guard):
-        m = meet_guard(ctx, letter, g, sink)
-        if m is None:
-            return None
-        matched.append(m)
-    return eval_outputs(ctx, rule.outputs, tuple(matched), InstanceInfo(), sink)
+def _evaluate(ctx: DomainContext, rule: TransducerRule, letter: AbstractLocalState,
+              sink: AlarmSink) -> Optional[AbstractLocalState]:
+    """The rule's output on a letter: meet the letter with the guard, then
+    evaluate the output recipe (None = bottom)."""
+    matched = meet_guard(ctx, letter, rule.guard, sink)
+    if matched is None:
+        return None
+    return eval_letter_out(ctx, rule.output, (matched,), InstanceInfo(), sink)
 
 
-def rule_images(ctx: DomainContext, t: LatticeTransducer, labels: tuple,
+def rule_images(ctx: DomainContext, t: LatticeTransducer, letter: AbstractLocalState,
                 sink: AlarmSink = None):
-    """Yield (src, rule, dst, outputs) for every transducer rule with a
-    guard as long as labels whose image on labels is not bottom.
+    """Yield (rule, output) for every transducer rule whose image of the
+    letter is not bottom.
 
-    Only the rules indexed under the first letter's location are visited;
-    any other rule's first guard meet is bottom.  Images come from the
-    memo t.images (memo_image), so each is evaluated once and its alarms
-    are added to sink on every use."""
-    entry = t.rule_index.get(len(labels))
-    if entry is None:
-        return
-    by_loc, anywhere = entry
+    Only the rules indexed under the letter's location are visited; any
+    other rule's guard meet is bottom.  Images come from the memo
+    t.images (memo_image), so each is evaluated once and its alarms are
+    added to sink on every use."""
+    by_loc, anywhere = t.rule_index
     memo = t.images.setdefault(ctx, {})
-    for (number, p, rule, p2) in by_loc.get(labels[0].loc, anywhere):
-        outs = memo_image(memo, (number, labels), sink, _evaluate, ctx, rule, labels)
-        if outs is not None:
-            yield p, rule, p2, outs
+    for number, rule in by_loc.get(letter.loc, anywhere):
+        out = memo_image(memo, (number, letter), sink, _evaluate, ctx, rule, letter)
+        if out is not None:
+            yield rule, out
 
 
 def apply_transducer(ctx: DomainContext, t: LatticeTransducer, a: LatticeAutomaton,
@@ -309,27 +285,13 @@ def apply_transducer(ctx: DomainContext, t: LatticeTransducer, a: LatticeAutomat
     """Image of the automaton under the transducer (sound: contains the
     image of every accepted word).
 
-    Product over (transducer state, automaton state); for every rule with a
-    guard of length n and every automaton path of length n whose pointwise
-    meet with the guard is non-bottom, the output letters form a fresh path
-    between the product endpoints.  Rule instances with a bottom output
-    letter contribute nothing.
-
-    The paths of each guard length are walked once, and each path visits
-    only the rules indexed under its first letter's location, with images
-    from the transducer's memo (rule_images).  The order in which paths
-    and rules are visited does not matter: it only names the fresh states,
-    normalize joins labels exactly (interval join and affine hull) and
-    names states canonically, and the alarms go to a set."""
+    Each transition label is replaced by its images (rule_images), on the
+    same two states; a label with no image drops its transition.  The
+    order in which labels are visited does not matter: normalize joins
+    labels exactly (interval join and affine hull) and names states
+    canonically, and the alarms go to a set."""
     a = normalize(a)
-    if a.is_trivially_empty:
-        return LatticeAutomaton.empty()
-    bld = Builder()
-    bld.initial = {(p, q) for p in t.initial for q in a.initial}
-    bld.final = {(p, q) for p in t.final for q in a.final}
-    for n in t.rule_index:
-        for q in a.states:
-            for labels, q2 in path_labels(a, q, n):
-                for (p, rule, p2, outs) in rule_images(ctx, t, labels, sink):
-                    bld.add_path((p, q), outs, (p2, q2), tag=rule.name)
-    return normalize(bld.build())
+    return normalize(LatticeAutomaton(
+        a.states, a.initial, a.final,
+        frozenset((q, out, q2) for (q, letter, q2) in a.transitions
+                  for _, out in rule_images(ctx, t, letter, sink))))

@@ -1,10 +1,10 @@
 """Independent word-level interpreters used as oracles.
 
 These re-implement rule and transducer application directly on concrete
-atom words by enumerating decompositions, with plain dictionary
-arithmetic.  They share the declarative rule data with the analyzer but
-none of its automaton or lattice machinery, so inclusion checks between
-the two routes are meaningful.
+atom words, rules by enumerating decompositions and the transducer letter
+by letter, with plain dictionary arithmetic.  They share the declarative
+rule data with the analyzer but none of its automaton or lattice
+machinery, so inclusion checks between the two routes are meaningful.
 """
 from __future__ import annotations
 
@@ -276,46 +276,29 @@ def _slices(word, cuts, lens):
 
 
 def transducer_image_words(t, word, rat_vars=frozenset()):
-    """All images of one concrete word under the transducer, enumerating
-    chunk decompositions along transducer paths."""
-    n = len(word)
-    # dp[(i, state)] = set of output prefixes
-    from collections import defaultdict
-
-    dp = defaultdict(set)
-    for q in t.initial:
-        dp[(0, q)].add(())
-    rules_from = {}
-    for (src, rule, dst) in t.rules:
-        rules_from.setdefault(src, []).append((rule, dst))
-    for i in range(n + 1):
-        for q in list(t.states):
-            prefixes = dp.get((i, q))
-            if not prefixes:
-                continue
-            for rule, dst in rules_from.get(q, ()):
-                k = len(rule.guard)
-                if i + k > n:
-                    continue
-                chunk = word[i:i + k]
-                if not all(atom_matches_guard(a, g) for a, g in zip(chunk, rule.guard)):
-                    continue
-                outs = []
-                dead = False
-                for spec in rule.outputs:
-                    img = eval_letter_out_concrete(spec, tuple(chunk), word, rat_vars)
-                    if img is None:
-                        dead = True
-                        break
-                    outs.append(img)
-                if dead:
-                    continue
-                for p in prefixes:
-                    dp[(i + k, dst)].add(p + tuple(outs))
-    out = set()
-    for q in t.final:
-        out.update(dp.get((n, q), ()))
+    """All images of one concrete word under the letter-to-letter
+    transducer: every letter is rewritten, in place, by some rule whose
+    guard it meets."""
+    out = {()}
+    for a in word:
+        images = set()
+        for rule in t.rules:
+            if atom_matches_guard(a, rule.guard):
+                img = eval_letter_out_concrete(rule.output, (a,), word, rat_vars)
+                if img is not None:
+                    images.add(img)
+        out = {prefix + (img,) for prefix in out for img in images}
     return out
+
+
+def path_labels(a, q, n: int):
+    """All (label sequence, end state) for the paths of length n from
+    state q of a lattice automaton, read off its transition set."""
+    acc = [((), q)]
+    for _ in range(n):
+        acc = [(labels + (l,), t) for labels, cur in acc
+               for (s, l, t) in a.transitions if s == cur]
+    return acc
 
 
 def load_program(name: str) -> str:

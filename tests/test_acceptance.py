@@ -71,9 +71,9 @@ def test_criterion_1_single_rule_transducer_golden():
     yields exactly (id=0, l8, x=5), bit-exact, under a millisecond."""
     ctx = DomainContext("interval", ("x",))
     rule = TransducerRule(
-        "bump", (GuardElement.at("l7"),),
-        (LetterOut(base=0, loc="l8", instr=Assign("x", parse_expr("x + 4"))),))
-    t = LatticeTransducer.single_state([rule])
+        "bump", GuardElement.at("l7"),
+        LetterOut(base=0, loc="l8", instr=Assign("x", parse_expr("x + 4"))))
+    t = LatticeTransducer((rule,))
     a = normalize(LatticeAutomaton.from_word([
         AbstractLocalState(Interval.point(0), "l7",
                            IntervalEnv.make({"x": Interval.point(1)}))]))

@@ -13,7 +13,6 @@ from latreach.automaton import (
     is_empty,
     matches,
     normalize,
-    path_labels,
     shape,
     union,
     union_all,
@@ -29,6 +28,8 @@ from latreach.domain import (
     IntervalEnv,
 )
 from latreach.export import to_dot, to_json
+
+from helpers import path_labels
 
 F = Fraction
 CTX = DomainContext("interval", ("x",))
@@ -280,13 +281,6 @@ def test_matches_two_letter_path_enumeration():
             if labels[0].loc == "l8" and labels[1].loc == "l4":
                 expect.add((q, tuple(l.pid for l in labels), end))
     assert got == expect and len(got) == 2
-
-
-def test_path_labels_lengths():
-    a = normalize(auto([(0, iv(0, 0), 1)]))
-    q0 = next(iter(a.initial))
-    assert len(path_labels(a, q0, 1)) == 1
-    assert path_labels(a, q0, 2) == []
 
 
 # ---------------------------------------------------------------------------

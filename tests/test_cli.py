@@ -392,6 +392,41 @@ def test_exit_three_property_location_mismatch(chain_prog, tmp_path, capsys):
     assert main(["analyze", str(prog), "--property", str(bad)]) == 3
 
 
+@pytest.mark.parametrize("text, line", [
+    ("state s0 initial\nstate s1 final\ns0 -> s1 : loc=l0, loc=l1\n", 3),
+    ("state s0 initial\nstate s1 final\ns0 -> s1 : loc=l1, loc=any\n", 3),
+    ("state s0 initial\nstate s0 final\ns0 -> s0 : true\n", 2),
+], ids=["two-locations", "location-then-any", "state-twice"])
+def test_exit_three_self_contradicting_property(text, line, tmp_path, capsys):
+    """A second location item in one label, or a second declaration of a
+    state, is refused at its line.  Each used to replace the first: the
+    label loc=l0, loc=l1 read as loc=l1, loc=l1, loc=any as any location,
+    and a state declared initial, then final, was only final."""
+    prog = tmp_path / "ok.prog"
+    prog.write_text("x := 1;\n", encoding="utf-8")
+    bad = tmp_path / "twice.bad"
+    bad.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["analyze", str(prog), "--property", str(bad)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: line {line}: ")
+
+
+@pytest.mark.parametrize("source, where", [
+    ("rat x;\nint x;\nx := 1 / 2;\n", "2:5"),
+    ("int x;\nrat y, x;\nx := 1 / 2;\n", "2:8"),
+], ids=["rat-then-int", "int-then-rat"])
+def test_exit_three_variable_declared_rat_and_int(source, where, tmp_path, capsys):
+    """A variable declared both rat and int is a parse error at the second
+    declaration; it used to stay rational, so x kept the value 1/2."""
+    prog = tmp_path / "both.prog"
+    prog.write_text(source, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["analyze", str(prog)]) == 3
+    assert capsys.readouterr().err == f"error: {where}: x is declared both rat and int\n"
+    assert parse("rat x;\nrat x;\n").rat_vars == {"x"}
+    assert parse("int x;\nint x;\n").rat_vars == set()
+
+
 def test_unknown_property_location_stops_before_the_analysis(monkeypatch, tmp_path, capsys):
     """A property naming an unknown location is refused before the
     semantics dump and the fixpoint: nothing on stdout, one error line."""

@@ -520,12 +520,12 @@ def test_escalation_cuts_a_chain_the_widening_locations_do_not(monkeypatch):
 def _moves_by_scanning_every_rule(sem, word) -> bool:
     """The deadlock check's local-step test as a scan of every rule."""
     for letter in word:
-        for (_, rule, _) in sem.transducer.rules:
+        for rule in sem.transducer.rules:
             if rule.name == "inactivity":
                 continue
-            matched = meet_guard(sem.ctx, letter, rule.guard[0])
+            matched = meet_guard(sem.ctx, letter, rule.guard)
             if matched is not None and \
-                    eval_letter_out(sem.ctx, rule.outputs[0], (matched,)) is not None:
+                    eval_letter_out(sem.ctx, rule.output, (matched,)) is not None:
                 return True
     return False
 

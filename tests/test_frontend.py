@@ -154,11 +154,12 @@ def test_compile_edge_partition():
     ast = parse(load_program("create_chain.prog"))
     cfg = build_cfg(ast)
     sem = compile_program(ast, "interval", 2)
-    local = [r for (_, r, _) in sem.transducer.rules if r.name != "inactivity"]
+    local = [r for r in sem.transducer.rules if r.name != "inactivity"]
     comm_edges = [e for e in cfg.edges
                   if isinstance(e.instr, (Send, Receive, Broadcast, Create, Reduce))]
     assert len(local) + len(comm_edges) == len(cfg.edges)
-    assert any(r.name == "inactivity" for (_, r, _) in sem.transducer.rules)
+    names = [r.name for r in sem.transducer.rules]
+    assert "inactivity" in names and names == sorted(set(names))
 
 
 def test_compile_no_communication_means_no_rules():
@@ -193,8 +194,8 @@ def test_initial_automaton_any_is_letter_loop():
 def test_nprocs_requires_fixed_count():
     ast = parse("x := nprocs;")
     sem = compile_program(ast, "interval", 3)
-    (edge_rule,) = [r for (_, r, _) in sem.transducer.rules if r.name != "inactivity"]
-    assert edge_rule.outputs[0].instr.expr == E.Const(F(3))
+    (edge_rule,) = [r for r in sem.transducer.rules if r.name != "inactivity"]
+    assert edge_rule.output.instr.expr == E.Const(F(3))
     with pytest.raises(CompileError):
         compile_program(ast, "interval", "unbounded")
     with pytest.raises(CompileError):

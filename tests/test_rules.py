@@ -14,7 +14,6 @@ from latreach.automaton import (
     is_empty,
     matches,
     normalize,
-    path_labels,
     shape,
     union_all,
 )
@@ -51,7 +50,7 @@ from latreach.rules import (
 from latreach.transducer import InstanceInfo, LetterOut, eval_letter_out
 from latreach.concrete import ConcreteLocalState, config_word, post
 
-from helpers import load_program, rule_image_words
+from helpers import load_program, path_labels, rule_image_words
 
 F = Fraction
 CTX = DomainContext("interval", ("next", "x"))

@@ -5,13 +5,7 @@ import pytest
 
 import latreach.expr as E
 import latreach.transducer as T
-from latreach.automaton import (
-    Builder,
-    LatticeAutomaton,
-    is_empty,
-    normalize,
-    path_labels,
-)
+from latreach.automaton import Builder, LatticeAutomaton, is_empty, normalize
 from latreach.domain import (
     AbstractLocalState,
     AffineEnv,
@@ -35,7 +29,7 @@ from latreach.transducer import (
     eval_letter_out,
 )
 
-from helpers import transducer_image_words
+from helpers import path_labels, transducer_image_words
 
 F = Fraction
 CTX = DomainContext("interval", ("x",))
@@ -48,12 +42,12 @@ def letter(pid, loc, **vars_):
 
 def add4_transducer():
     rule = TransducerRule(
-        "bump", (GuardElement.at("l7"),),
-        (LetterOut(base=0, loc="l8", instr=Assign("x", parse_expr("x + 4"))),))
-    return LatticeTransducer.single_state([rule])
+        "bump", GuardElement.at("l7"),
+        LetterOut(base=0, loc="l8", instr=Assign("x", parse_expr("x + 4"))))
+    return LatticeTransducer((rule,))
 
 
-INACTIVE = TransducerRule("inactivity", (GuardElement.top(),), (LetterOut(base=0),))
+INACTIVE = TransducerRule("inactivity", GuardElement.top(), LetterOut(base=0))
 
 
 def test_single_rule_application_golden():
@@ -66,7 +60,7 @@ def test_single_rule_application_golden():
 
 
 def test_inactivity_rule_preserves_language():
-    t = LatticeTransducer.single_state([INACTIVE])
+    t = LatticeTransducer((INACTIVE,))
     a = normalize(LatticeAutomaton.from_word([
         letter((0, 0), "l7", x=(1, 2)), letter((1, 1), "l9", x=(0, 0))]))
     out = apply_transducer(CTX, t, a)
@@ -76,45 +70,11 @@ def test_inactivity_rule_preserves_language():
 
 def test_bottom_outputs_drop_rule_instance():
     rule = TransducerRule(
-        "dead", (GuardElement.at("l7"),),
-        (LetterOut(base=0, conds=((0, E.Const(F(99))),)),))  # id must be 99
-    t = LatticeTransducer.single_state([rule])
+        "dead", GuardElement.at("l7"),
+        LetterOut(base=0, conds=((0, E.Const(F(99))),)))  # id must be 99
+    t = LatticeTransducer((rule,))
     a = normalize(LatticeAutomaton.from_word([letter((0, 0), "l7", x=(1, 1))]))
     assert is_empty(apply_transducer(CTX, t, a))
-
-
-def test_path_enumerate():
-    a = normalize(LatticeAutomaton.from_word([
-        letter((0, 0), "l0", x=(0, 0)), letter((1, 1), "l1", x=(0, 0))]))
-    q0 = next(iter(a.initial))
-    one = set(path_labels(a, q0, 1))
-    assert len(one) == 1
-    single = normalize(LatticeAutomaton.from_word([letter((0, 0), "l0", x=(0, 0))]))
-    assert set(path_labels(single, next(iter(single.initial)), 2)) == set()
-    # branching automaton: hand-counted two length-2 paths from the start
-    branching = normalize(LatticeAutomaton(
-        frozenset(range(4)), frozenset({0}), frozenset({3}),
-        frozenset({(0, letter((0, 0), "l0", x=(0, 0)), 1),
-                   (1, letter((1, 1), "l1", x=(0, 0)), 3),
-                   (1, letter((2, 2), "l2", x=(0, 0)), 3)})))
-    q0 = next(iter(branching.initial))
-    assert len(set(path_labels(branching, q0, 2))) == 2
-
-
-def test_two_letter_guard_neighbour_communication():
-    """Guards of length two work: the library example swaps a value to the
-    right neighbour."""
-    rule = TransducerRule(
-        "pass_right",
-        (GuardElement.at("ls"), GuardElement.at("lr")),
-        (LetterOut(base=0, loc="ls2"),
-         LetterOut(base=1, loc="lr2", updates=(("x", E.PosVar(0, "x")),))))
-    t = LatticeTransducer.single_state([rule, INACTIVE])
-    a = normalize(LatticeAutomaton.from_word([
-        letter((0, 0), "ls", x=(7, 7)), letter((1, 1), "lr", x=(0, 0))]))
-    out = apply_transducer(CTX, t, a)
-    moved = ((0, "ls2", (("x", F(7)),)), (1, "lr2", (("x", F(7)),)))
-    assert accepts_concrete(CTX, out, moved)
 
 
 # ---------------------------------------------------------------------------
@@ -129,17 +89,13 @@ def _random_transducer(rng):
         dst = rng.choice(locs)
         lo = rng.randint(-2, 1)
         guard = GuardElement.at(src, GuardAtom(pid=Interval.range(lo, rng.randint(lo, 2))))
-        kind = rng.random()
-        if kind < 0.4:
-            out = (LetterOut(base=0, loc=dst,
-                             instr=Assign("x", parse_expr(rng.choice(
-                                 ["x + 1", "x - 1", "0", "x"])))),)
-        elif kind < 0.7:
-            out = (LetterOut(base=0, loc=dst),)
+        if rng.random() < 0.4:
+            out = LetterOut(base=0, loc=dst, instr=Assign("x", parse_expr(rng.choice(
+                ["x + 1", "x - 1", "0", "x"]))))
         else:
-            out = ()  # deletion
-        rules.append(TransducerRule(f"r{i}", (guard,), out))
-    return LatticeTransducer.single_state(rules)
+            out = LetterOut(base=0, loc=dst)
+        rules.append(TransducerRule(f"r{i}", guard, out))
+    return LatticeTransducer(tuple(rules))
 
 
 def _random_automaton(rng):
@@ -186,40 +142,44 @@ LOCS = ("l0", "l1", "l2")
 
 
 def naive_apply(ctx, t, a, sink=None):
-    """Reference application: every rule against every path of its guard
+    """Reference application: the product construction of a general
+    transducer over (transducer state, automaton state), with t read as
+    the one-state transducer whose every rule is a loop with a one-letter
+    guard and one output.  Every rule meets every path of its guard
     length, each image evaluated afresh, with no index and no memo."""
     a = normalize(a)
     if a.is_trivially_empty:
         return LatticeAutomaton.empty()
+    states = {"t"}
+    rules = [("t", (rule.guard,), (rule.output,), "t") for rule in t.rules]
     bld = Builder()
-    bld.initial = {(p, q) for p in t.initial for q in a.initial}
-    bld.final = {(p, q) for p in t.final for q in a.final}
-    for (p, rule, p2) in t.sorted_rules():
+    bld.initial = {(p, q) for p in states for q in a.initial}
+    bld.final = {(p, q) for p in states for q in a.final}
+    for (p, guard, outputs, p2) in rules:
         for q in sorted(a.states, key=repr):
-            for labels, q2 in sorted(path_labels(a, q, len(rule.guard)), key=repr):
+            for labels, q2 in sorted(path_labels(a, q, len(guard)), key=repr):
                 matched = []
-                for letter, g in zip(labels, rule.guard):
+                for letter, g in zip(labels, guard):
                     m = meet_guard(ctx, letter, g, sink)
                     if m is None:
                         break
                     matched.append(m)
                 else:
                     outs = []
-                    for spec in rule.outputs:
+                    for spec in outputs:
                         img = eval_letter_out(ctx, spec, tuple(matched), InstanceInfo(), sink)
                         if img is None:
                             break
                         outs.append(img)
                     else:
-                        bld.add_path((p, q), outs, (p2, q2), tag=rule.name)
+                        bld.add_path((p, q), outs, (p2, q2))
     return normalize(bld.build())
 
 
 def _rich_transducer(rng):
     """Local rules at one location each (some dividing by a value that may
-    be 0 or building a power past the size cap), a rule reading any
-    location through a constraint that divides by id, a length-2 rule
-    into a second transducer state, and a deletion."""
+    be 0 or building a power past the size cap) and a rule reading any
+    location through a constraint that divides by id."""
     rules = []
     for i in range(rng.randint(2, 4)):
         lo = rng.randint(-1, 1)
@@ -233,21 +193,12 @@ def _rich_transducer(rng):
             instr = Filter(parse_expr("x < 1"), rng.choice(("then", "else")))
         else:
             instr = None
-        rules.append(("t", TransducerRule(
-            f"r{i}", (guard,), (LetterOut(base=0, loc=rng.choice(LOCS), instr=instr),)), "t"))
+        rules.append(TransducerRule(
+            f"r{i}", guard, LetterOut(base=0, loc=rng.choice(LOCS), instr=instr)))
     divides = Constraint(parse_expr("x"), ">=", parse_expr("1 / id"))
-    rules.append(("t", TransducerRule(
-        "any", (GuardElement.anywhere(GuardAtom(constraints=(divides,))),),
-        (LetterOut(base=0, loc="l2"),)), "t"))
-    rules.append(("t", TransducerRule(
-        "pair", (GuardElement.at(rng.choice(LOCS)),
-                 GuardElement.anywhere(GuardAtom(pid=Interval.range(0, 2)))),
-        (LetterOut(base=0, loc="l1"),
-         LetterOut(base=1, updates=(("x", E.PosVar(0, "x")),)))), "u"))
-    rules.append(("t", TransducerRule("drop", (GuardElement.at(rng.choice(LOCS)),), ()), "t"))
-    rules += [("t", INACTIVE, "t"), ("u", INACTIVE, "u")]
-    return LatticeTransducer(frozenset({"t", "u"}), frozenset({"t"}),
-                             frozenset({"t", "u"}), frozenset(rules))
+    anywhere = TransducerRule("any", GuardElement.anywhere(GuardAtom(constraints=(divides,))),
+                              LetterOut(base=0, loc="l2"))
+    return LatticeTransducer((anywhere, INACTIVE, *rules))
 
 
 def _rich_letter(rng, ctx):
@@ -272,8 +223,9 @@ def _rich_automaton(rng, ctx):
 
 @pytest.mark.parametrize("ctx", [CTX, AFFINE], ids=["interval", "affine"])
 def test_apply_transducer_matches_naive_reference(ctx):
-    """Same automaton and same alarms as the per-rule scan, on the first
-    application and on a second one served from the memo."""
+    """The relabelling gives the product construction's automaton and
+    alarms, on the first application and on a second one served from the
+    memo."""
     rng = random.Random(404 if ctx is CTX else 405)
     images = alarmed = 0
     for trial in range(60):
@@ -281,10 +233,13 @@ def test_apply_transducer_matches_naive_reference(ctx):
         a = _rich_automaton(rng, ctx)
         want_sink = AlarmSink()
         want = naive_apply(ctx, t, a, want_sink)
+        memo_sizes = []
         for _ in range(2):
             sink = AlarmSink()
             assert apply_transducer(ctx, t, a, sink) == want, trial
             assert sink.alarms == want_sink.alarms, trial
+            memo_sizes.append(len(t.images.get(ctx, ())))
+        assert memo_sizes[0] == memo_sizes[1], trial
         images += not is_empty(want)
         alarmed += bool(want_sink.alarms)
     assert images >= 25 and alarmed >= 10
@@ -294,13 +249,12 @@ def test_memo_replays_alarms_into_every_sink(monkeypatch):
     """Two applications of one transducer to one automaton, each with a
     fresh sink, report the same division and power alarms, although the
     second evaluates no image."""
-    t = LatticeTransducer.single_state([
-        TransducerRule("div", (GuardElement.at("l0"),),
-                       (LetterOut(base=0, loc="l1", instr=Assign("x", parse_expr("1 / x"))),)),
-        TransducerRule("pow", (GuardElement.at("l0"),),
-                       (LetterOut(base=0, loc="l2",
-                                  instr=Assign("x", parse_expr("2 ^ 5000"))),)),
-        INACTIVE])
+    t = LatticeTransducer((
+        TransducerRule("div", GuardElement.at("l0"),
+                       LetterOut(base=0, loc="l1", instr=Assign("x", parse_expr("1 / x")))),
+        INACTIVE,
+        TransducerRule("pow", GuardElement.at("l0"),
+                       LetterOut(base=0, loc="l2", instr=Assign("x", parse_expr("2 ^ 5000"))))))
     a = normalize(LatticeAutomaton.from_word([
         letter((0, 0), "l0", x=(0, 2)), letter((1, 1), "l0", x=(-1, 1))]))
     first, second = AlarmSink(), AlarmSink()
@@ -316,18 +270,17 @@ def test_memo_replays_alarms_into_every_sink(monkeypatch):
 
 
 def test_rule_index_by_first_location():
-    """A location lists the rules naming it in their first guard element,
-    then the rules reading any location; a rule whose first element reads
-    nothing is in no list."""
-    at_l0 = TransducerRule("a", (GuardElement.at("l0"),), ())
+    """A location lists the rules naming it in their guard, then the rules
+    reading any location; a rule whose guard reads nothing is in no list."""
+    keep = LetterOut(base=0)
+    at_l0 = TransducerRule("a", GuardElement.at("l0"), keep)
     at_both = TransducerRule(
-        "b", (GuardElement((("l1", GuardAtom()), ("l0", GuardAtom()), ("l1", GuardAtom())), None),
-              GuardElement.at("l2")), ())
-    nothing = TransducerRule("c", (GuardElement(None, None),), ())
-    t = LatticeTransducer.single_state([at_l0, at_both, nothing, INACTIVE])
-    names = {n: ({loc: [r.name for _, _, r, _ in rules] for loc, rules in by_loc.items()},
-                 [r.name for _, _, r, _ in anywhere])
-             for n, (by_loc, anywhere) in t.rule_index.items()}
-    assert names == {1: ({"l0": ["a", "inactivity"]}, ["inactivity"]),
-                     2: ({"l0": ["b"], "l1": ["b"]}, [])}
+        "b", GuardElement((("l1", GuardAtom()), ("l0", GuardAtom()), ("l1", GuardAtom())), None),
+        keep)
+    nothing = TransducerRule("c", GuardElement(None, None), keep)
+    t = LatticeTransducer((at_l0, at_both, nothing, INACTIVE))
+    by_loc, anywhere = t.rule_index
+    assert {loc: [(n, r.name) for n, r in rules] for loc, rules in by_loc.items()} == \
+        {"l0": [(0, "a"), (1, "b"), (3, "inactivity")], "l1": [(1, "b"), (3, "inactivity")]}
+    assert anywhere == ((3, INACTIVE),)
     assert t.rule_index is t.rule_index

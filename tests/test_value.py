@@ -53,7 +53,6 @@ SAMPLES = {
     "AnalysisConfig": [(2, 1, 500), (0, 3, 10)],
     "RewriteRule": [("r", (None, None), (("w",),), (1, 2, 3), (None, None)),
                     ("s", ("a", "b"), (("v", "u"),), (4, 5, 6), ("h", "h"), True)],
-    "TransducerRule": [("t", ("g",), ()), ("u", ("g", "h"), ("o",))],
 }
 
 
