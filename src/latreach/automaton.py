@@ -338,7 +338,10 @@ def union_all(autos) -> LatticeAutomaton:
     one as it is.  That is exact: when nxt simulates out, every subset of
     the determinization holds one state of nxt, with its keys, finality
     and, since letter_leq(x, y) makes letter_join(x, y) == y, its labels,
-    so normalize would give back nxt itself."""
+    so normalize would give back nxt itself.  The larger operand nxt is
+    asked first, the likely hit; two canonical automata that include
+    each other are equal, and equal operands were dropped, so the order
+    does not change the result."""
     canon = []
     seen = set()
     for a in autos:
@@ -352,11 +355,9 @@ def union_all(autos) -> LatticeAutomaton:
     canon.sort(key=lambda a: (len(a.states), len(a.transitions)))
     out = canon[0]
     for nxt in canon[1:]:
-        if includes(out, nxt):
-            continue
         if includes(nxt, out):
             out = nxt
-        else:
+        elif not includes(out, nxt):
             out = normalize(_raw_union(out, nxt))
     return out
 

@@ -1,9 +1,11 @@
 """Fixpoint engine: reachability computation, safety and deadlock checks.
 
 One analysis step applies the local-step transducer and every
-communication rule, then normalizes the union.  Iteration joins for a
-few rounds and then widens; label-level widening fires only at loop
-heads, the entry location of creating programs, and collector locations.
+communication rule, then normalizes the union.  The inactivity rule
+copies every letter, so each step's image includes its iterate: the
+join rounds take the image as the next iterate, and the later rounds
+widen; label-level widening fires only at loop heads, the entry
+location of creating programs, and collector locations.
 """
 from __future__ import annotations
 
@@ -15,7 +17,6 @@ from .automaton import (
     includes,
     normalize,
     trim,
-    union,
     union_all,
     widen_automata,
 )
@@ -30,7 +31,7 @@ from .domain import (
 )
 from .frontend import CompiledSemantics
 from .rules import StarImages, WordFits, apply_rule, fires
-from .transducer import apply_transducer, rule_images
+from .transducer import apply_transducer
 from .value import frozen
 
 
@@ -42,6 +43,10 @@ ESCALATION_DELAY = 40
 # The deadlock check decides on at most this many candidate paths; a reach
 # automaton with more makes the check incomplete (DeadlockCheckIncomplete).
 CANDIDATE_CAP = 4096
+
+# The deadlock check tries a movable candidate's atom refinements only
+# when they number at most this many (_atom_refinements).
+ATOM_CAP = 512
 
 
 @frozen
@@ -86,7 +91,9 @@ def fixpoint(sem: CompiledSemantics, config: AnalysisConfig = AnalysisConfig()
     Joins only for the first widening_delay rounds, then widening
     restricted to the program's widening locations; if the iteration still
     has not settled ESCALATION_DELAY rounds past that point, the
-    restriction is dropped so every increasing chain is eventually cut."""
+    restriction is dropped so every increasing chain is eventually cut.
+    A join round takes the image itself: the inactivity rule makes it
+    include the iterate, so it is the union of the two."""
     sink = AlarmSink()
     s = normalize(sem.initial)
     escalate_at = config.widening_delay + ESCALATION_DELAY
@@ -94,9 +101,8 @@ def fixpoint(sem: CompiledSemantics, config: AnalysisConfig = AnalysisConfig()
         image = step(sem, s, sink)
         if includes(s, image):
             return AnalysisResult(s, k + 1, sorted(sink.alarms))
-        # widen_automata takes the union with s itself
         if k < config.widening_delay:
-            s = union(s, image)
+            s = image
         elif k < escalate_at:
             s = widen_automata(s, image, widen_locs=sem.widen_locs, k=config.shape_k)
         else:
@@ -254,22 +260,6 @@ def _candidate_paths(reach: LatticeAutomaton, blocking: frozenset,
     return out
 
 
-def _transducer_moves_letter(sem, word) -> bool:
-    """True when a non-inactivity local rule applies to some letter."""
-    return any(rule.name != "inactivity"
-               for letter in word
-               for rule, _ in rule_images(sem.ctx, sem.transducer, letter))
-
-
-def _movable_somewhere(sem, word) -> bool:
-    """Some local step or some rule can move some concretisation of the
-    word.  The rules share the word's WordFits."""
-    if _transducer_moves_letter(sem, word):
-        return True
-    fits = WordFits(sem.ctx, word)
-    return any(fires(sem.ctx, rule, word, fits) for rule in sem.rules)
-
-
 def _letter_atoms(letter) -> list:
     """The single-id, single-value letters that the letter splits into
     when its id and value ranges are small and finite; [] when it does
@@ -302,9 +292,10 @@ def _letter_atoms(letter) -> list:
     return options
 
 
-def _atom_refinements(word, atoms: dict, cap: int = 512):
+def _atom_refinements(word, atoms: dict):
     """Split every letter of the word into its atoms (_letter_atoms); []
-    when a letter does not split or the words would number more than cap.
+    when a letter does not split or the words would number more than
+    ATOM_CAP.
     atoms memoizes the split by letter for the words of one check."""
     per_letter = []
     total = 1
@@ -316,29 +307,37 @@ def _atom_refinements(word, atoms: dict, cap: int = 512):
             return []
         per_letter.append(options)
         total *= len(options)
-        if total > cap:
+        if total > ATOM_CAP:
             return []
     return [tuple(w) for w in itertools.product(*per_letter)]
 
 
 def check_deadlock(sem: CompiledSemantics, result: AnalysisResult) -> List[DeadlockWitness]:
     """Potential deadlocks: abstract words whose letters all wait at
-    blocking locations (at least one off the exit) and that no rule and no
-    local step can advance.  Alarms may be spurious; when the coarse
-    letters are joins, small finite refinements are also tried so that a
-    genuinely stuck combination inside a joined label is still reported.
+    blocking locations (at least one off the exit) and that no rule can
+    advance.  Alarms may be spurious; when the coarse letters are joins,
+    the word's small finite refinements (when they number at most
+    ATOM_CAP) are also tried so that a genuinely stuck combination inside
+    a joined label is still reported.
 
-    A word, coarse or refined, can move when some local step applies to
-    a letter or some rule fires on it; a word is treated as movable when
-    some concretisation can move.  Whether a rule fires is decided on the
-    word, with no automaton built: the rule's guard words are placed on
-    the word's positions, and a placement whose segments fit their stars
-    and whose f-images have no bottom letter is an instance
-    (rules.fires).
+    Only the rules are asked: compilation gives every location the edges
+    of one statement, so no local rule but inactivity, which moves no
+    letter, reads a blocking location (CompiledSemantics.blocking_locs).
+    A word, coarse or refined, is movable when some rule fires on some
+    concretisation of it.  Whether a rule fires is decided on the word,
+    with no automaton built: the rule's guard words are placed on the
+    word's positions, and a placement whose segments fit their stars and
+    whose f-images have no bottom letter is an instance (rules.fires).
+    The rules share one WordFits per word.
 
     At most CANDIDATE_CAP candidate paths are decided; when the reach
     automaton has more, DeadlockCheckIncomplete is raised with the
     witnesses found among them."""
+
+    def movable(word) -> bool:
+        fits = WordFits(sem.ctx, word)
+        return any(fires(sem.ctx, rule, word, fits) for rule in sem.rules)
+
     witnesses = {}
     atoms = {}
     blocking = sem.blocking_locs
@@ -348,10 +347,9 @@ def check_deadlock(sem: CompiledSemantics, result: AnalysisResult) -> List[Deadl
         if all(l.loc == exit_loc for l in word):
             continue
         candidates = [word]
-        if _movable_somewhere(sem, word):
+        if movable(word):
             candidates = [w for w in _atom_refinements(word, atoms)
-                          if not (all(l.loc == exit_loc for l in w)
-                                  or _movable_somewhere(sem, w))]
+                          if not (all(l.loc == exit_loc for l in w) or movable(w))]
             if not candidates:
                 continue
         chosen = candidates[0]

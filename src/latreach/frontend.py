@@ -140,7 +140,12 @@ class CompiledSemantics:
     rules: tuple
     initial: LatticeAutomaton
     widen_locs: frozenset
-    blocking_locs: frozenset  # locations where only rules can move a letter
+    # Locations where only rules can move a letter: the exit, the sources
+    # of send, receive, broadcast and reduce edges (build_cfg gives each
+    # location one statement's edges, and these compile to rules) and the
+    # reduce lock and collector locations.  No local rule but inactivity
+    # reads them, so the deadlock check asks only the rules.
+    blocking_locs: frozenset
     procs: object  # int | "unbounded" | "any"
 
 

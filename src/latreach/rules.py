@@ -610,12 +610,7 @@ def make_reduce_rules(edge):
         h_specs=(lock_h,),
     )
 
-    if red.op in ("+", "*"):
-        fold = E.BinOp(red.op, E.Var(red.acc), E.PosVar(1, red.src))
-    elif red.op == "min":
-        fold = E.BinOp("min", E.Var(red.acc), E.PosVar(1, red.src))
-    else:
-        fold = E.BinOp("max", E.Var(red.acc), E.PosVar(1, red.src))
+    fold = E.BinOp(red.op, E.Var(red.acc), E.PosVar(1, red.src))
     swap = RewriteRule(
         name=f"reduce_swap[{at}]",
         stars=(_loc_guard(locked), _loc_guard(locked)),

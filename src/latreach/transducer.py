@@ -8,14 +8,15 @@ place.  The rewriter producing that letter is declarative data
 under either environment domain and print as JSON for the semantics dump
 (export); the communication rules use the same rewriters.
 
-Application relabels each transition, one evaluation per distinct letter
-and rule.  Each transducer carries two things built on first use: a rule
-index (location -> the rules whose guard can read a letter there) and an
-image memo ((ctx, rule, letter) -> the output, or bottom, with the
-alarms its evaluation raised).  The fixpoint applies one transducer to a
-reach automaton that barely changes between iterations, so almost every
-image is a memo hit; a hit replays its alarms into the caller's sink, so
-the alarm report is the same as if every image were evaluated again.
+Application (apply_transducer) relabels each transition, one evaluation
+per distinct letter and rule.  Each transducer carries two things built
+on first use: a rule index (location -> the rules whose guard can read a
+letter there) and an image memo ((ctx, rule, letter) -> the output, or
+bottom, with the alarms its evaluation raised).  The fixpoint applies
+one transducer to a reach automaton that barely changes between
+iterations, so almost every image is a memo hit; a hit replays its
+alarms into the caller's sink, so the alarm report is the same as if
+every image were evaluated again.
 The communication rules keep their f-images in a memo of the same kind
 (memo_image serves both).
 """
@@ -247,7 +248,7 @@ class LatticeTransducer:
 
     @cached_property
     def images(self) -> dict:
-        """The image memo of rule_images: ctx -> {(rule number, letter):
+        """The image memo of apply_transducer: ctx -> {(rule number, letter):
         (output or None, alarms)}.  It lives as long as the transducer,
         which is one per analysis; an image is a pure function of its key."""
         return {}
@@ -263,35 +264,26 @@ def _evaluate(ctx: DomainContext, rule: TransducerRule, letter: AbstractLocalSta
     return eval_letter_out(ctx, rule.output, (matched,), InstanceInfo(), sink)
 
 
-def rule_images(ctx: DomainContext, t: LatticeTransducer, letter: AbstractLocalState,
-                sink: AlarmSink = None):
-    """Yield (rule, output) for every transducer rule whose image of the
-    letter is not bottom.
-
-    Only the rules indexed under the letter's location are visited; any
-    other rule's guard meet is bottom.  Images come from the memo
-    t.images (memo_image), so each is evaluated once and its alarms are
-    added to sink on every use."""
-    by_loc, anywhere = t.rule_index
-    memo = t.images.setdefault(ctx, {})
-    for number, rule in by_loc.get(letter.loc, anywhere):
-        out = memo_image(memo, (number, letter), sink, _evaluate, ctx, rule, letter)
-        if out is not None:
-            yield rule, out
-
-
 def apply_transducer(ctx: DomainContext, t: LatticeTransducer, a: LatticeAutomaton,
                      sink: AlarmSink = None) -> LatticeAutomaton:
     """Image of the automaton under the transducer (sound: contains the
     image of every accepted word).
 
-    Each transition label is replaced by its images (rule_images), on the
-    same two states; a label with no image drops its transition.  The
-    order in which labels are visited does not matter: normalize joins
-    labels exactly (interval join and affine hull) and names states
-    canonically, and the alarms go to a set."""
+    Each transition label is replaced by its images, on the same two
+    states; a label with no image drops its transition.  Only the rules
+    indexed under the label's location are evaluated, since any other
+    rule's guard meet is bottom.  Images come from the memo t.images
+    (memo_image), so each is evaluated once and its alarms are added to
+    sink on every use.  The order in which labels are visited does not
+    matter: normalize joins labels exactly (interval join and affine
+    hull) and names states canonically, and the alarms go to a set."""
     a = normalize(a)
-    return normalize(LatticeAutomaton(
-        a.states, a.initial, a.final,
-        frozenset((q, out, q2) for (q, letter, q2) in a.transitions
-                  for _, out in rule_images(ctx, t, letter, sink))))
+    by_loc, anywhere = t.rule_index
+    memo = t.images.setdefault(ctx, {})
+    trans = set()
+    for (q, letter, q2) in a.transitions:
+        for number, rule in by_loc.get(letter.loc, anywhere):
+            out = memo_image(memo, (number, letter), sink, _evaluate, ctx, rule, letter)
+            if out is not None:
+                trans.add((q, out, q2))
+    return normalize(LatticeAutomaton(a.states, a.initial, a.final, frozenset(trans)))

@@ -187,6 +187,38 @@ def test_union_of_a_covered_operand_is_the_full_union(letter):
     assert hits >= 60 and shortcuts >= 40
 
 
+def _two_copies(a):
+    """a unrolled over two copies of its states: each transition crosses
+    from one copy to the other, and the language stays the same."""
+    return LatticeAutomaton(
+        frozenset((q, i) for q in a.states for i in (0, 1)),
+        frozenset((q, 0) for q in a.initial),
+        frozenset((q, i) for q in a.final for i in (0, 1)),
+        frozenset(((s, i), l, (t, 1 - i)) for (s, l, t) in a.transitions for i in (0, 1)))
+
+
+@pytest.mark.parametrize("letter", [_interval_letter, _affine_letter],
+                         ids=["interval", "affine"])
+def test_canonical_automata_that_include_each_other_are_equal(letter):
+    """Two canonical automata that include each other are equal, to the
+    byte, so union_all may ask either operand first.  Pairs come from a
+    pool of small random automata over two locations, and each automaton
+    is also paired with its two-copy unrolling."""
+    rng = random.Random(61)
+    pool = [normalize(_random_automaton(rng, rng.randint(2, 3), rng.randint(1, 4),
+                                        ["l0", "l1"], letter)) for _ in range(150)]
+    pairs = [(a, b) for i, a in enumerate(pool) for b in pool[i + 1:]]
+    pairs += [(a, normalize(_two_copies(a))) for a in pool]
+    mutual = apart = 0
+    for a, b in pairs:
+        if includes(a, b) and includes(b, a):
+            assert a == b and json.dumps(to_json(a)) == json.dumps(to_json(b))
+            mutual += not a.is_trivially_empty
+        else:
+            apart += 1
+    assert mutual >= 400 and apart >= 5000, (mutual, apart)
+
+
 def test_canonical_flag_hygiene():
     a = auto([(0, iv(0, 2, "l0"), 1), (0, iv(2, 4, "l0"), 1), (1, iv(1, 1, "l1"), 2)],
              final={2})

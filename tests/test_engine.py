@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from latreach import automaton, engine, rules, value
+from latreach import automaton, engine, rules, transducer, value
 from latreach.automaton import includes, is_empty, normalize
 from latreach.concrete import (
     accepts_concrete,
@@ -15,7 +15,7 @@ from latreach.concrete import (
     reach_bounded,
 )
 from latreach.automaton import LatticeAutomaton
-from latreach.domain import POS_INF, AbstractLocalState, Interval, IntervalEnv, meet_guard
+from latreach.domain import POS_INF, AbstractLocalState, Interval, IntervalEnv
 from latreach.engine import (
     AnalysisConfig,
     AnalysisResult,
@@ -31,7 +31,6 @@ from latreach.frontend import build_cfg, compile_program
 from latreach.syntax import parse
 from latreach.cli import parse_property
 from latreach.rules import apply_rule, fires
-from latreach.transducer import eval_letter_out
 
 from helpers import load_program
 
@@ -301,29 +300,33 @@ def test_deadlock_rule_tests_agree_with_the_rule_image(domain):
 
 
 def test_deadlock_check_builds_no_rule_image(monkeypatch):
-    """The deadlock check decides movability on the word: it builds no
-    rule image, no star image, no match list and no normalized chain."""
-    _, sem, res = analyze(load_program("dining_philosophers.prog"), procs=4)
+    """The deadlock check decides movability on the word and asks only the
+    rules: it builds no rule image, no star image, no match list and no
+    normalized chain, and evaluates no local-step image.  The check runs
+    on a second analysis, so no memo holds what a first check evaluated."""
+    program = load_program("dining_philosophers.prog")
+    _, sem, res = analyze(program, procs=4)
     expected = check_deadlock(sem, res)
+    _, sem, res = analyze(program, procs=4)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the deadlock check built an automaton")
+        raise AssertionError("the deadlock check built an automaton or an image")
 
     for module, name in ((rules, "apply_rule"), (engine, "apply_rule"),
                          (rules, "_shared_image"), (rules, "_instance_image"),
                          (rules, "StarImages"), (rules, "matches"), (rules, "normalize"),
-                         (engine, "normalize"), (automaton, "normalize")):
+                         (engine, "normalize"), (automaton, "normalize"),
+                         (transducer, "_evaluate")):
         monkeypatch.setattr(module, name, refuse)
     assert check_deadlock(sem, res) == expected != []
 
 
 @pytest.mark.parametrize("domain", ["interval", "affine"])
 def test_union_of_a_covered_operand_runs_no_determinization(domain, monkeypatch):
-    """Each round unions the iterate with its image, which the local steps
-    make include it: union_all takes
-    the including operand as it is and determinizes only a union in which
-    neither operand covers the other.  On local_loop with two processes no
-    union needs one."""
+    """Each widening round unions the iterate with its image, which the
+    local steps make include it: union_all takes the including operand as
+    it is and determinizes only a union in which neither operand covers
+    the other.  On local_loop with two processes no union needs one."""
     real_raw_union = automaton._raw_union
     real_union_all = automaton.union_all
     covered = []
@@ -344,10 +347,9 @@ def test_union_of_a_covered_operand_runs_no_determinization(domain, monkeypatch)
     monkeypatch.undo()
     _, _, expected = analyze(load_program("local_loop.prog"), domain=domain, procs=2)
     assert res == expected
-    # union(s, image) in every round but the last, by fixpoint in the join
-    # rounds and by widen_automata in the widening rounds: the check below
-    # is not vacuous
-    assert len(unions) >= res.iterations - 1
+    # widen_automata takes union(s, image) in every widening round: the
+    # check below is not vacuous
+    assert len(unions) >= res.iterations - 1 - AnalysisConfig().widening_delay > 0
     assert covered == []
 
 
@@ -483,20 +485,54 @@ def test_any_mode_covers_every_initial_size():
 
 
 @pytest.mark.parametrize("domain", ["interval", "affine"])
-def test_fixpoint_unions_only_in_join_rounds(domain, monkeypatch):
-    """widen_automata takes the union of the iterate and its image itself,
-    so fixpoint calls union only in the widening_delay join rounds."""
-    real_union = engine.union
-    calls = []
+def test_fixpoint_never_unions(domain, monkeypatch):
+    """The image of a step includes its iterate, so a join round takes it
+    as it is: the only unions of a run are those widen_automata takes."""
+    real_widen = engine.widen_automata
+    real_union_all = automaton.union_all
+    widening = []
+    in_widening = []
 
-    def counted_union(a, b):
-        calls.append((a, b))
-        return real_union(a, b)
+    def traced_widen(*args, **kwargs):
+        widening.append(True)
+        try:
+            return real_widen(*args, **kwargs)
+        finally:
+            widening.pop()
 
-    monkeypatch.setattr(engine, "union", counted_union)
+    def counted_union_all(autos):
+        in_widening.append(bool(widening))
+        return real_union_all(autos)
+
+    monkeypatch.setattr(engine, "widen_automata", traced_widen)
+    monkeypatch.setattr(automaton, "union_all", counted_union_all)
     _, _, res = analyze(load_program("local_loop.prog"), domain=domain, procs=2)
+    monkeypatch.undo()
+    assert res == analyze(load_program("local_loop.prog"), domain=domain, procs=2)[2]
     assert res.iterations > AnalysisConfig().widening_delay + 1  # widening rounds ran
-    assert len(calls) == AnalysisConfig().widening_delay
+    assert in_widening and all(in_widening)
+
+
+DEMO_RUNS = DEADLOCK_RUNS + (("create_chain.prog", "any"), ("local_loop.prog", 3))
+
+
+@pytest.mark.parametrize("domain", ["interval", "affine"])
+def test_every_step_image_includes_its_iterate(domain, monkeypatch):
+    """The inactivity rule copies every letter, so on the demo runs each
+    step's image includes the iterate it was taken of, the fact that lets
+    a join round take the image as it is."""
+    real_step = engine.step
+    checked = []
+
+    def checked_step(sem, s, sink=None):
+        image = real_step(sem, s, sink)
+        checked.append(includes(image, s))
+        return image
+
+    monkeypatch.setattr(engine, "step", checked_step)
+    for name, procs in DEMO_RUNS:
+        analyze(load_program(name), domain=domain, procs=procs)
+    assert len(checked) >= 50 and all(checked)
 
 
 def test_escalation_cuts_a_chain_the_widening_locations_do_not(monkeypatch):
@@ -515,37 +551,3 @@ def test_escalation_cuts_a_chain_the_widening_locations_do_not(monkeypatch):
     monkeypatch.setattr(engine, "ESCALATION_DELAY", 60)
     with pytest.raises(BudgetExhausted):
         fixpoint(bare, AnalysisConfig(step_budget=60))
-
-
-def _moves_by_scanning_every_rule(sem, word) -> bool:
-    """The deadlock check's local-step test as a scan of every rule."""
-    for letter in word:
-        for rule in sem.transducer.rules:
-            if rule.name == "inactivity":
-                continue
-            matched = meet_guard(sem.ctx, letter, rule.guard)
-            if matched is not None and \
-                    eval_letter_out(sem.ctx, rule.output, (matched,)) is not None:
-                return True
-    return False
-
-
-@pytest.mark.parametrize("domain", ["interval", "affine"])
-def test_transducer_moves_letter_matches_every_rule_scan(domain):
-    """Through the rule index and the image memo, the deadlock check's
-    local-step test answers as the scan of every rule does."""
-    moved = still = 0
-    for name in ("dining_philosophers.prog", "deadlock_random.prog", "sum_reduce.prog",
-                 "create_chain.prog", "local_loop.prog"):
-        sem = compile_program(parse(load_program(name)), domain, 2)
-        letters = []
-        for loc in sorted(set(sem.cfg.locations) | sem.blocking_locs):
-            for pid in (Interval.point(0), Interval.point(1), Interval(F(0), POS_INF)):
-                letters.append(sem.ctx.zero_letter(pid, loc))
-                letters.append(AbstractLocalState(pid, loc, sem.ctx.top_env()))
-        for word in [(l,) for l in letters] + list(zip(letters, reversed(letters))):
-            want = _moves_by_scanning_every_rule(sem, word)
-            assert engine._transducer_moves_letter(sem, word) == want, (name, word)
-            moved += want
-            still += not want
-    assert moved >= 50 and still >= 50

@@ -7,6 +7,10 @@ PropertyParseError), never in another exception.  Programs come from two
 sources: random token streams, and statement mixes built from the
 grammar, some with one token dropped or inserted.
 
+Every program compiles to local rules that read no blocking location:
+only the inactivity rule, which moves no letter, reads one, so the
+deadlock check may ask the communication rules alone.
+
 Programs of local statements only (assignments, branches and loops) are
 also analysed under both domains with two processes, and every
 configuration the bounded concrete interpreter reaches must be in the
@@ -19,8 +23,10 @@ import pytest
 from latreach.cli import PropertyParseError, parse_property
 from latreach.concrete import accepts_concrete, config_word, initial_config, reach_bounded
 from latreach.engine import AnalysisConfig, fixpoint
-from latreach.frontend import CompileError, build_cfg, compile_program
+from latreach.frontend import INACTIVITY, CompileError, build_cfg, compile_program
 from latreach.syntax import KEYWORDS, ParseError, parse
+
+from helpers import PROGRAMS
 
 VARS = ("x", "y", "q")
 TOKENS = sorted(KEYWORDS) + list(VARS) + [
@@ -112,6 +118,36 @@ def test_program_parser_fuzz(make):
             _compile_all(text)
         except Exception as exc:
             raise AssertionError(f"{type(exc).__name__} on {text!r}") from exc
+
+
+def test_no_local_rule_reads_a_blocking_location():
+    """On the demo programs and the seeded grammar and local programs,
+    under both domains and every --procs mode they compile under, every
+    local rule but inactivity names its locations, none of them blocking."""
+    texts = [path.read_text() for path in sorted(PROGRAMS.glob("*.prog"))]
+    rng = random.Random(0)
+    texts += [_grammar_program(rng) for _ in range(1000)]
+    rng = random.Random(0)
+    texts += [_local_program(rng) for _ in range(30)]
+    checked = 0
+    for text in texts:
+        try:
+            ast = parse(text)
+        except ParseError:
+            continue
+        for domain in ("interval", "affine"):
+            for procs in (2, "any", "unbounded"):
+                try:
+                    sem = compile_program(ast, domain, procs)
+                except CompileError:
+                    continue
+                checked += 1
+                for rule in sem.transducer.rules:
+                    if rule != INACTIVITY:
+                        locs = {loc for loc, _ in rule.guard.by_loc or ()}
+                        assert locs and not locs & sem.blocking_locs, (text, rule.name)
+                assert INACTIVITY in sem.transducer.rules
+    assert checked >= 1000, checked
 
 
 LABEL_ITEMS = ("true", "loc=l3", "loc=any", "id >= 0", "x != 5 + 4*id", "y < 7",
