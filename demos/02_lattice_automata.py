@@ -3,8 +3,9 @@
 A set of global states is a language of letter words.  The language is
 defined over atoms, so automata whose labels split an interval
 differently are the same set; normalization merges them into one
-canonical machine.  Widening compares canonical shapes and, when words
-keep growing, quotients states by their recent history.
+canonical machine.  Widening compares canonical shapes: equal shapes
+widen their labels, and while words keep growing longer the larger
+operand's states are quotiented by their recent history.
 """
 from latreach.automaton import (
     LatticeAutomaton,
@@ -57,7 +58,8 @@ print()
 print("== widening growing chains into a loop ==")
 chain2 = normalize(LatticeAutomaton.from_word([iv(0, 0), iv(0, 0)]))
 chain3 = normalize(LatticeAutomaton.from_word([iv(0, 0), iv(0, 0), iv(0, 0)]))
-wide = widen_automata(chain2, chain3)
+# the widening asks for nested operands: the second is the union
+wide = widen_automata(chain2, union(chain2, chain3))
 print(wide)
 lengths = {len(w) for w in bounded_language(ctx, wide, 6, [0])}
 print("accepted word lengths up to 6:", sorted(lengths))

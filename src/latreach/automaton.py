@@ -513,43 +513,36 @@ def _signature_quotient(a: LatticeAutomaton, k: int) -> LatticeAutomaton:
 
 
 def _widen_matched_labels(a: LatticeAutomaton, b: LatticeAutomaton, widen_locs):
-    """Labelwise widening of two automata with identical canonical shape."""
+    """Labelwise widening of two automata with identical canonical shape,
+    whose transitions pair up by source and key."""
     a_out = a.out_by_key
     trans = set()
     for (s, l, t) in b.transitions:
-        prev, a_dst = a_out.get((s, l.loc), (None, None))
-        if a_dst != t:
-            trans.add((s, l, t))
-        elif widen_locs is None or l.loc in widen_locs:
-            trans.add((s, letter_widen(prev, letter_join(prev, l)), t))
-        else:
-            trans.add((s, letter_join(prev, l), t))
+        prev = a_out[(s, l.loc)][0]
+        label = letter_join(prev, l)
+        if widen_locs is None or l.loc in widen_locs:
+            label = letter_widen(prev, label)
+        trans.add((s, label, t))
     return normalize(LatticeAutomaton(b.states, b.initial, b.final, frozenset(trans)))
 
 
 def widen_automata(a: LatticeAutomaton, b: LatticeAutomaton,
                    widen_locs=None, k: int = 1) -> LatticeAutomaton:
-    """Widening of lattice automata; intended use has L(a) <= L(b).
-
-    If the canonical shapes agree, labels of matched transitions are widened
-    (restricted to the widening locations).  Otherwise, while the iterates
-    keep growing longer words, b is quotiented by its k-bounded incoming-key
-    history before retrying the label widening.  The result's language
-    contains L(a) and L(b).
-    """
+    """Widening of lattice automata for L(a) <= L(b), with three outcomes:
+    - equal canonical shapes: matched labels are widened at widen_locs
+      (None: everywhere) and joined elsewhere;
+    - words still growing longer: b quotiented by its k-bounded
+      incoming-key history;
+    - otherwise b, whose shape settles by itself.
+    Canonical shapes are minimal location-DFAs, so the quotient, whose
+    location language contains b's and so strictly contains a's, never
+    has a's shape."""
     a = normalize(a)
-    b = normalize(union(a, b))
+    b = normalize(b)
     if shape(a) == shape(b):
         return _widen_matched_labels(a, b, widen_locs)
     la = _length_bound(a)
     lb = _length_bound(b)
-    growing = lb is None or (la is not None and lb > la)
-    if not growing:
-        return b  # bounded word lengths: shapes stabilize by themselves
-    q = normalize(_signature_quotient(b, k))
-    if shape(a) == shape(q):
-        return _widen_matched_labels(a, q, widen_locs)
-    qa = normalize(_signature_quotient(union(a, q), k))
-    if shape(qa) == shape(q):
-        return _widen_matched_labels(qa, q, widen_locs)
-    return q
+    if lb is None or (la is not None and lb > la):
+        return normalize(_signature_quotient(b, k))
+    return b

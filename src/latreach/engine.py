@@ -92,8 +92,11 @@ def fixpoint(sem: CompiledSemantics, config: AnalysisConfig = AnalysisConfig()
     restricted to the program's widening locations; if the iteration still
     has not settled ESCALATION_DELAY rounds past that point, the
     restriction is dropped so every increasing chain is eventually cut.
-    A join round takes the image itself: the inactivity rule makes it
-    include the iterate, so it is the union of the two."""
+    The inactivity rule makes each image include its iterate: a join round
+    takes the image itself, the union of the two, and a widening round
+    meets widen_automata's precondition L(s) <= L(image): it widens the
+    labels of equal shapes, quotients an image whose words keep growing
+    longer, and otherwise takes the image."""
     sink = AlarmSink()
     s = normalize(sem.initial)
     escalate_at = config.widening_delay + ESCALATION_DELAY
@@ -103,10 +106,9 @@ def fixpoint(sem: CompiledSemantics, config: AnalysisConfig = AnalysisConfig()
             return AnalysisResult(s, k + 1, sorted(sink.alarms))
         if k < config.widening_delay:
             s = image
-        elif k < escalate_at:
-            s = widen_automata(s, image, widen_locs=sem.widen_locs, k=config.shape_k)
         else:
-            s = widen_automata(s, image, widen_locs=None, k=config.shape_k)
+            s = widen_automata(s, image, sem.widen_locs if k < escalate_at else None,
+                               config.shape_k)
     raise BudgetExhausted(f"no post-fixpoint within {config.step_budget} steps")
 
 
@@ -317,8 +319,8 @@ def check_deadlock(sem: CompiledSemantics, result: AnalysisResult) -> List[Deadl
     blocking locations (at least one off the exit) and that no rule can
     advance.  Alarms may be spurious; when the coarse letters are joins,
     the word's small finite refinements (when they number at most
-    ATOM_CAP) are also tried so that a genuinely stuck combination inside
-    a joined label is still reported.
+    ATOM_CAP) are tried until one is stuck, so that a genuinely stuck
+    combination inside a joined label is still reported.
 
     Only the rules are asked: compilation gives every location the edges
     of one statement, so no local rule but inactivity, which moves no
@@ -346,13 +348,12 @@ def check_deadlock(sem: CompiledSemantics, result: AnalysisResult) -> List[Deadl
     for word in words[:CANDIDATE_CAP]:
         if all(l.loc == exit_loc for l in word):
             continue
-        candidates = [word]
+        chosen = word
         if movable(word):
-            candidates = [w for w in _atom_refinements(word, atoms)
-                          if not (all(l.loc == exit_loc for l in w) or movable(w))]
-            if not candidates:
+            chosen = next((w for w in _atom_refinements(word, atoms)
+                           if not (all(l.loc == exit_loc for l in w) or movable(w))), None)
+            if chosen is None:
                 continue
-        chosen = candidates[0]
         locs = tuple(l.loc for l in chosen)
         if locs not in witnesses:
             witnesses[locs] = DeadlockWitness(

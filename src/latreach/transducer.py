@@ -61,7 +61,8 @@ class LetterOut:
     conds: identifier conditions (pos, expr): matched letter pos must have
         id equal to the expression; unsatisfiable conditions kill the whole
         rewrite, which encodes partner matching.
-    pid: ("keep",) | ("const", Fraction) | ("fresh",).
+    pid: ("fresh",) or ("const", Fraction) for a fresh letter; a base
+        letter keeps its identifier: ("keep",).
     """
 
     base: Optional[int]
@@ -71,6 +72,10 @@ class LetterOut:
     conds: tuple = ()
     pid: tuple = ("keep",)
     reset_zero: bool = False
+
+    def __post_init__(self):
+        if self.base is not None and self.pid != ("keep",):
+            raise ValueError(f"a base letter keeps its identifier, got pid {self.pid!r}")
 
 
 @frozen
@@ -138,15 +143,6 @@ def eval_letter_out(ctx: DomainContext, out: LetterOut, matched: tuple,
         resolved = tuple((var, _resolve_fresh(rhs, inst)) for var, rhs in out.updates)
         letter = relational_updates(ctx, letter, out.base, resolved, matched, sink,
                                     conds=out.conds)
-        if letter is None:
-            return None
-
-    if out.pid[0] == "const":
-        letter = letter.with_pid(Interval.point(out.pid[1]))
-        if letter is None:
-            return None
-    elif out.pid[0] == "fresh":
-        letter = letter.with_pid(_fresh_pid(matched[out.base], inst))
         if letter is None:
             return None
 

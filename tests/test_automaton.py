@@ -8,6 +8,7 @@ from latreach.automaton import (
     LatticeAutomaton,
     _length_bound,
     _raw_union,
+    _signature_quotient,
     includes,
     intersection,
     is_empty,
@@ -340,18 +341,52 @@ def test_widen_restricted_off_widening_points_joins():
     assert label.pid == Interval.range(0, 2)
 
 
+def test_widen_bounded_growth_returns_b():
+    """Shapes that differ while the longest word keeps its length: the
+    widening returns the larger operand, and the shapes settle by
+    themselves."""
+    a = normalize(LatticeAutomaton.from_word([iv(0, 0, "l0"), iv(0, 0, "l1")]))
+    b = union(a, LatticeAutomaton.from_word([iv(1, 1, "l2")]))
+    assert shape(a) != shape(b) and _length_bound(a) == _length_bound(b) == 2
+    assert widen_automata(a, b, widen_locs={"l0", "l1", "l2"}) == b
+
+
 def test_widen_growing_chains_quotients_to_loop():
     """Chain automata of lengths 2 and 3 (create-style growth) widen into
-    a loop accepting every length >= 2; checked by bounded enumeration."""
+    a loop accepting every length >= 2; checked by bounded enumeration.
+    The chains are not nested, so the second operand is their union."""
     l2 = normalize(LatticeAutomaton.from_word([iv(0, 0), iv(0, 0)]))
     l3 = normalize(LatticeAutomaton.from_word([iv(0, 0), iv(0, 0), iv(0, 0)]))
-    w = widen_automata(l2, l3, widen_locs=set())
+    w = widen_automata(l2, union(l2, l3), widen_locs=set())
     universe = [0]
     lang_w = bounded_language(CTX0, w, 5, universe)
     lang_union = bounded_language(CTX0, union(l2, l3), 5, universe)
     assert lang_union <= lang_w
     assert any(len(word) >= 4 for word in lang_w)  # the loop generalizes
     assert all(len(word) >= 2 for word in lang_w)  # finality kept precise
+    assert w == normalize(_signature_quotient(union(l2, l3), 1))
+
+
+def test_widen_iterated_on_a_growing_chain_stabilizes():
+    """Iterating s := widen(s, s | chain(n)) over chains 0 . 1 . ... . n-1
+    of growing length ends: the quotient folds the chain into a loop, and
+    the label widening then lets the loop's ids grow.  Each iterate
+    includes the last and the chain it took in, and the limit includes
+    every longer chain."""
+    def chain(n):
+        return LatticeAutomaton.from_word([iv(i, i) for i in range(n)])
+
+    s = normalize(chain(1))
+    for n in range(2, 12):
+        if includes(s, chain(n)):
+            break
+        w = widen_automata(s, union(s, chain(n)), widen_locs={"l0"})
+        assert includes(w, s) and includes(w, chain(n))
+        s = w
+    else:
+        pytest.fail("the widening did not stabilize")
+    assert n == 4
+    assert all(includes(s, chain(m)) for m in range(1, 40))
 
 
 def test_widen_upper_bounds_union_random():
@@ -374,6 +409,39 @@ def test_widen_upper_bounds_union_random():
         lb = bounded_language(CTX0, b, 3, universe)
         lw = bounded_language(CTX0, w, 3, universe)
         assert la | lb <= lw
+
+
+def test_quotient_shape_never_equals_the_smaller_operand():
+    """Why a quotient is never label-widened against a: canonical shapes
+    are minimal location-DFAs, the quotient's location language contains
+    b's, and b's strictly contains a's when the shapes differ.  Checked on
+    random canonical a and b = a | b0 with different shapes, each drawn
+    as a path from the initial to the final state plus random edges."""
+    rng = random.Random(4177)
+
+    def rnd():
+        def label():
+            lo = rng.randint(0, 2)
+            return iv(lo, rng.randint(lo, 2), f"l{rng.randint(0, 1)}")
+        edges = {(i, label(), i + 1) for i in range(3)}
+        edges |= {(rng.randrange(4), label(), rng.randrange(4))
+                  for _ in range(rng.randint(0, 3))}
+        return LatticeAutomaton(frozenset(range(4)), frozenset({0}),
+                                frozenset({rng.randint(1, 3)}), frozenset(edges))
+
+    checked = merged = 0
+    for _ in range(200):
+        a = normalize(rnd())
+        b = union(a, rnd())
+        if shape(a) == shape(b):
+            continue
+        for k in (1, 2, 3):
+            q = normalize(_signature_quotient(b, k))
+            assert includes(q, b)
+            assert shape(q) != shape(a)
+            merged += shape(q) != shape(b)
+        checked += 1
+    assert checked >= 150 and merged >= 100  # most quotients merge states
 
 
 # ---------------------------------------------------------------------------

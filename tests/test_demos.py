@@ -1,4 +1,5 @@
-"""Every demo script runs to completion without writing to stderr."""
+"""Every demo script runs to completion without writing to stderr, and
+prints the same under two string-hash seeds."""
 import os
 import subprocess
 import sys
@@ -12,8 +13,12 @@ DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    r = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
-                       capture_output=True, text=True, timeout=120)
-    assert r.returncode == 0, r.stderr
-    assert r.stderr == ""
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=seed)
+        r = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+                           capture_output=True, text=True, timeout=120)
+        assert r.returncode == 0, r.stderr
+        assert r.stderr == ""
+        outputs.append(r.stdout)
+    assert outputs[0] == outputs[1]

@@ -20,6 +20,7 @@ from latreach.domain import (
     IntervalEnv,
     NEG_INF,
     POS_INF,
+    eval_interval,
     leq_guard,
     letter_join,
     letter_leq,
@@ -392,6 +393,24 @@ def test_transfer_assign_power_cap_alarm():
     sink = AlarmSink()
     out = transfer_assign(CTX2, s, "x", parse_expr("2 ^ 4000"), sink)
     assert out.env.get("x") == Interval.point(2 ** 4000) and not sink.alarms
+
+
+def test_power_with_an_interval_exponent():
+    """A point base of at least 1 raised to an interval exponent spans
+    the powers at the exponent's ends; an end past the size cap gives top
+    with a power alarm."""
+    for base, y, want in [(2, Interval.range(0, 3), Interval.range(1, 8)),
+                          (2, Interval(F(1), POS_INF), Interval(F(2), POS_INF)),
+                          (3, Interval.range(-1, 2), Interval(F(1, 3), F(9)))]:
+        s = AbstractLocalState(Interval.point(0), "l0", IntervalEnv.make({"y": y}))
+        sink = AlarmSink()
+        assert eval_interval(CTX2, s, parse_expr(f"{base} ^ y"), sink) == want
+        assert not sink.alarms
+    s = AbstractLocalState(Interval.point(0), "l0",
+                           IntervalEnv.make({"y": Interval.range(0, 5000)}))
+    sink = AlarmSink()
+    assert eval_interval(CTX2, s, parse_expr("2 ^ y"), sink).is_top
+    assert sink.alarms == {("power", str(parse_expr("2 ^ y")))}
 
 
 def test_transfer_assign_caps_every_arithmetic_result():

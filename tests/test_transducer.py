@@ -77,6 +77,15 @@ def test_bottom_outputs_drop_rule_instance():
     assert is_empty(apply_transducer(CTX, t, a))
 
 
+def test_only_a_fresh_letter_sets_its_identifier():
+    """A base letter keeps the identifier of the letter it rewrites; a
+    recipe that asks otherwise is refused when it is built."""
+    for pid in (("fresh",), ("const", F(-1))):
+        with pytest.raises(ValueError, match="keeps its identifier"):
+            LetterOut(base=0, pid=pid)
+        assert LetterOut(base=None, loc="l0", pid=pid).pid == pid
+
+
 # ---------------------------------------------------------------------------
 # soundness against the direct word-level interpreter
 

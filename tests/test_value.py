@@ -51,6 +51,8 @@ SAMPLES = {
     "AbstractLocalState": [(Interval(1, 1), "a", IntervalEnv(())),
                            (Interval(0, 2), "b", IntervalEnv((("x", Interval(0, 1)),)))],
     "AnalysisConfig": [(2, 1, 500), (0, 3, 10)],
+    "LetterOut": [(0, "a", None, (), (), ("keep",), False),
+                  (None, "b", "i", (("x", 1),), ((0, 2),), ("keep",), True)],
     "RewriteRule": [("r", (None, None), (("w",),), (1, 2, 3), (None, None)),
                     ("s", ("a", "b"), (("v", "u"),), (4, 5, 6), ("h", "h"), True)],
 }
