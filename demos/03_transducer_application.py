@@ -14,6 +14,7 @@ from latreach.domain import (
     GuardElement,
     Interval,
     IntervalEnv,
+    TOP_GUARD,
 )
 from latreach.export import transducer_to_dot
 from latreach.syntax import Assign, parse_expr
@@ -30,7 +31,7 @@ bump = TransducerRule(
     "assign_x_plus_4",
     GuardElement.at("l7"),
     LetterOut(base=0, loc="l8", instr=Assign("x", parse_expr("x + 4"))))
-idle = TransducerRule("inactivity", GuardElement.top(), LetterOut(base=0))
+idle = TransducerRule("inactivity", TOP_GUARD, LetterOut(base=0))
 t = LatticeTransducer((bump, idle))
 print(transducer_to_dot(t))
 

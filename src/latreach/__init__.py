@@ -13,9 +13,7 @@ __version__ = "0.1.0"
 from .domain import (  # noqa: F401
     AbstractLocalState,
     AffineEnv,
-    Constraint,
     DomainContext,
-    GuardAtom,
     GuardElement,
     Interval,
     IntervalEnv,

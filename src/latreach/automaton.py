@@ -427,14 +427,11 @@ class MatchTriple:
 
 
 def _moves(a: LatticeAutomaton, q, g):
-    """The (letter, dst) moves from q whose location the guard element
-    names, in the order of a.out_by_src."""
-    if g.by_loc is None:
+    """The (letter, dst) moves from q at the guard element's location (all
+    of them when it reads any location), in the order of a.out_by_src."""
+    if g.loc is None:
         return a.out_by_src.get(q, ())
-    if len(g.by_loc) == 1:
-        return a.out_by_loc.get((q, g.by_loc[0][0]), ())
-    locs = {loc for loc, _ in g.by_loc}
-    return [(l, t) for (l, t) in a.out_by_src.get(q, ()) if l.loc in locs]
+    return a.out_by_loc.get((q, g.loc), ())
 
 
 def matches(ctx: DomainContext, w, a: LatticeAutomaton):
@@ -442,9 +439,10 @@ def matches(ctx: DomainContext, w, a: LatticeAutomaton):
     (q_b, v, q_e) with a path of length |w| whose pointwise meet with the
     guard word is non-bottom.
 
-    Paths grow one guard element at a time over the moves at the
-    locations it names, so a letter the guard cannot read is never met
-    and each prefix is met once; the triples come in the order of sorted
+    Paths grow one guard element at a time over the moves at its
+    location (every move, for a guard reading any location), so a letter
+    the guard cannot read is never met, and each prefix is met once with
+    the guard's comparisons; the triples come in the order of sorted
     start states, then of out_by_src along the path."""
     assert len(w) >= 1
     out = []

@@ -13,7 +13,7 @@ import re
 import signal
 import sys
 
-from .domain import Constraint, GuardAtom, GuardElement, Interval
+from .domain import GuardElement, TOP_GUARD
 from .engine import (
     AnalysisConfig,
     BudgetExhausted,
@@ -41,8 +41,11 @@ def parse_property(text: str) -> PropertyAutomaton:
     Lines: ``state NAME [initial] [final]`` declares a state, once;
     ``A -> B : items`` adds a transition where items are comma-separated:
     ``true`` (any letter), at most one ``loc=lN`` or ``loc=any``, and
-    constraints ``expr <op> expr`` over id, the letter's variables and
-    constants."""
+    comparisons ``expr <op> expr`` over id, the letter's variables and
+    constants.  Each label is one guard element: its location, or any
+    location, plus its comparisons.  An item is a location item when
+    ``loc`` is followed by a single ``=``, so ``loc == 3`` compares a
+    program variable named loc."""
     states = {}
     transitions = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -79,14 +82,13 @@ def parse_property(text: str) -> PropertyAutomaton:
 
 def _parse_label(label: str, lineno: int) -> GuardElement:
     if label == "true":
-        return GuardElement.top()
+        return TOP_GUARD
     loc = None  # the location item's value, "any" included
-    pid = Interval.top()
-    constraints = []
+    comparisons = []
     for item in _top_level_items(label):
         if not item:
             raise PropertyParseError(f"line {lineno}: empty label item")
-        if re.match(r"loc\s*=", item):
+        if re.match(r"loc\s*=(?!=)", item):
             value = item.partition("=")[2].strip()
             if not value:
                 raise PropertyParseError(f"line {lineno}: bad location item {item!r}")
@@ -100,11 +102,8 @@ def _parse_label(label: str, lineno: int) -> GuardElement:
             raise PropertyParseError(f"line {lineno}: {exc}") from exc
         if not is_comparison(e):
             raise PropertyParseError(f"line {lineno}: cannot parse label item {item!r}")
-        constraints.append(Constraint(e.left, e.op, e.right))
-    atom = GuardAtom(pid, None, tuple(constraints))
-    if loc in (None, "any"):
-        return GuardElement.anywhere(atom)
-    return GuardElement(((loc, atom),), None)
+        comparisons.append(e)
+    return GuardElement(None if loc == "any" else loc, tuple(comparisons))
 
 
 def _top_level_items(label: str):

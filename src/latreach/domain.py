@@ -750,75 +750,27 @@ def letter_widen(a: AbstractLocalState, b: AbstractLocalState) -> AbstractLocalS
 
 
 @frozen
-class Constraint:
-    """Symbolic side constraint of a guard: <lhs> <op> <rhs>.
-
-    Both sides are expressions over id, the letter's own variables and
-    constants.  Used by property automata and the broadcast and reduce
-    root guards.
-    """
-
-    lhs: object  # expr AST
-    op: str
-    rhs: object  # expr AST
-
-    def __str__(self) -> str:
-        return f"{self.lhs} {self.op} {self.rhs}"
-
-
-@frozen
-class GuardAtom:
-    """Per-location payload of a guard element."""
-
-    pid: Interval = Interval.top()  # one shared default: intervals are immutable
-    env: Optional[Env] = None  # None = top
-    constraints: tuple = ()
-
-    @cached_property
-    def is_trivial(self) -> bool:
-        """True when the atom constrains nothing, so that meeting a letter
-        with it gives the letter back."""
-        return self.pid.is_top and self.env is None and not self.constraints
-
-
-@frozen
 class GuardElement:
-    """Join of per-location constraints; unlike letters, a guard may span
-    several partition classes (or all of them).
+    """The letters at one location (any location when loc is None) that
+    satisfy every comparison in constraints.
 
-    by_loc None means "any location" with the shared default atom.
-    """
+    A label of a lattice automaton lives in one partition class; a guard
+    reads one class, or all of them.  The comparisons are expr.BinOp
+    nodes over id, the letter's own variables and constants, as in
+    property labels and the broadcast and reduce root guards."""
 
-    by_loc: Optional[tuple] = None  # tuple of (loc, GuardAtom)
-    default: Optional[GuardAtom] = None
-
-    @staticmethod
-    def top() -> "GuardElement":
-        return GuardElement(None, GuardAtom())
+    loc: Optional[str] = None
+    constraints: tuple = ()  # of comparison expr.BinOp
 
     @staticmethod
-    def at(loc: str, atom: GuardAtom = GuardAtom()) -> "GuardElement":
-        return GuardElement(((loc, atom),), None)
-
-    @staticmethod
-    def anywhere(atom: GuardAtom) -> "GuardElement":
-        return GuardElement(None, atom)
-
-    def atom_for(self, loc: str) -> Optional[GuardAtom]:
-        if self.by_loc is None:
-            return self.default
-        for l, atom in self.by_loc:
-            if l == loc:
-                return atom
-        return None
+    def at(loc: Optional[str], *comparisons) -> "GuardElement":
+        return GuardElement(loc, comparisons)
 
     def __str__(self) -> str:
-        if self.by_loc is None:
-            return "<any>" if self.default == GuardAtom() else f"<any:{self.default}>"
-        return "|".join(l for l, _ in self.by_loc)
+        return "<any>" if self.loc is None else self.loc
 
 
-TOP_GUARD = GuardElement.top()
+TOP_GUARD = GuardElement()
 
 
 # ---------------------------------------------------------------------------
@@ -882,6 +834,13 @@ def eval_interval(ctx: DomainContext, letter: AbstractLocalState, e, sink=None,
     resolver, when given, maps a PosVar to an interval; division by an
     interval containing zero, and an arithmetic result with a bound past
     the expr.MAX_POW_BITS size cap, yield top and record an alarm.
+
+    A power is bounded when its exponent is an integer point k: any k
+    over a point base; k >= 0 over an interval base, from the powers of
+    its ends (0 is the least value when k is even and 0 lies in the
+    base; an infinite end stays infinite).  Over a point base of at least
+    1, an interval exponent is bounded too.  A negative k or an interval
+    exponent over any other base gives top, without an alarm.
     """
 
     def too_big(node) -> Interval:
@@ -955,6 +914,14 @@ def eval_interval(ctx: DomainContext, letter: AbstractLocalState, e, sink=None,
                     if E.pow_too_big(base, k):
                         return too_big(node)
                     return Interval.point(base ** k)
+                if k >= 0 and not a.is_bottom:
+                    if any(is_finite(x) and E.pow_too_big(x, k) for x in (a.lo, a.hi)):
+                        return too_big(node)
+                    if k == 0:
+                        return Interval.point(1)
+                    ends = (a.lo ** k, a.hi ** k)
+                    low = 0 if k % 2 == 0 and a.contains(0) else min(ends)
+                    return Interval.range(low, max(ends))
             if a.is_point and is_finite(a.lo) and a.lo >= 1 and not b.is_bottom:
                 base = a.lo
                 lo = b.lo
@@ -1145,64 +1112,41 @@ def transfer_filter(ctx: DomainContext, s: AbstractLocalState, e, branch: str,
 # guard meets
 
 
-def _apply_constraint(ctx, s, con: Constraint, sink=None) -> Optional[AbstractLocalState]:
-    return _apply_comparison(ctx, s, E.BinOp(con.op, con.lhs, con.rhs), sink)
-
-
 def meet_guard(ctx: DomainContext, s: AbstractLocalState, g: GuardElement,
                sink=None) -> Optional[AbstractLocalState]:
-    """Greatest lower bound of a letter and a guard element (None = bottom).
+    """Greatest lower bound of a letter and a guard element (None = bottom):
+    bottom off the guard's location, else the letter refined by each of
+    its comparisons in turn.
 
-    Constraint refinement is only as strong as the letter's own domain, so
-    the result over-approximates the exact meet; that is the sound side for
-    every use (matching and property intersection).
-
-    A trivial atom (top id, no environment, no constraints), as in
-    TOP_GUARD or GuardElement.at(loc), gives back the letter itself:
-    meeting its id with top leaves the bounds as they are.  Rule
-    application also memoizes whole star images (rules.StarImages), so
-    most letters meet each star guard once per automaton."""
-    atom = g.atom_for(s.loc)
-    if atom is None:
+    Comparison refinement is only as strong as the letter's own domain,
+    so the result over-approximates the exact meet; that is the sound
+    side for every use (matching and property intersection).  A guard
+    without comparisons, as TOP_GUARD or GuardElement.at(loc), gives
+    back the letter itself.  Rule application also memoizes whole star
+    images (rules.StarImages), so most letters meet each star guard once
+    per automaton."""
+    if g.loc is not None and g.loc != s.loc:
         return None
-    if atom.is_trivial:
-        return s
-    pid = s.pid.meet(atom.pid)
-    if pid.is_bottom:
-        return None
-    out = s.with_pid(pid)
-    if atom.env is not None:
-        env = out.env.meet(atom.env)
-        if env is None:
+    for cmp_expr in g.constraints:
+        s = _apply_comparison(ctx, s, cmp_expr, sink)
+        if s is None:
             return None
-        out = out.with_env(env)
-    for con in atom.constraints:
-        out = _apply_constraint(ctx, out, con, sink)
-        if out is None:
-            return None
-    return out
+    return s
 
 
 def leq_guard(ctx: DomainContext, s: AbstractLocalState, g: GuardElement) -> bool:
     """True when every concretisation of the letter matches the guard (a
     sound under-approximation of the inclusion).
 
-    A constraint is entailed when meeting the letter with its negation
+    A comparison is entailed when meeting the letter with its negation
     gives bottom: the meet over-approximates, so no concretisation
-    violates the constraint.  That refining by the constraint leaves the
+    violates the comparison.  That refining by the comparison leaves the
     letter unchanged proves nothing: x in [0, 10] refined by x != 5 stays
     x in [0, 10]."""
-    atom = g.atom_for(s.loc)
-    if atom is None:
+    if g.loc is not None and g.loc != s.loc:
         return False
-    if atom.is_trivial:
-        return True
-    if not s.pid.leq(atom.pid):
-        return False
-    if atom.env is not None and not s.env.leq(atom.env):
-        return False
-    return all(_apply_constraint(ctx, s, Constraint(con.lhs, E.NEGATED[con.op], con.rhs)) is None
-               for con in atom.constraints)
+    return all(_apply_comparison(ctx, s, E.negate_comparison(c)) is None
+               for c in g.constraints)
 
 
 # ---------------------------------------------------------------------------

@@ -126,11 +126,7 @@ class PropertyAutomaton:
     transitions: frozenset  # (src, GuardElement, dst)
 
     def locations(self):
-        locs = set()
-        for (_, g, _) in self.transitions:
-            if g.by_loc is not None:
-                locs.update(l for l, _ in g.by_loc)
-        return locs
+        return {g.loc for (_, g, _) in self.transitions if g.loc is not None}
 
 
 @frozen

@@ -81,20 +81,19 @@ def to_dot(a: LatticeAutomaton, name="reach") -> str:
 # guards, rewriters and transducers
 
 
-def guard_atom_to_json(atom):
-    return {
-        "id": interval_to_json(atom.pid),
-        "env": None if atom.env is None else env_to_json(atom.env),
-        "constraints": [[E.to_source(c.lhs), c.op, E.to_source(c.rhs)]
-                        for c in atom.constraints],
-    }
-
-
 def guard_to_json(g: GuardElement):
-    return {
-        "by_loc": None if g.by_loc is None else [[loc, guard_atom_to_json(atom)] for loc, atom in g.by_loc],
-        "default": None if g.default is None else guard_atom_to_json(g.default),
+    """The two-level guard format: a per-location atom (an id interval, an
+    environment and comparisons) under by_loc, or the default atom that
+    reads any location.  A guard's atom has id top and no environment."""
+    atom = {
+        "id": interval_to_json(Interval.top()),
+        "env": None,
+        "constraints": [[E.to_source(c.left), c.op, E.to_source(c.right)]
+                        for c in g.constraints],
     }
+    if g.loc is None:
+        return {"by_loc": None, "default": atom}
+    return {"by_loc": [[g.loc, atom]], "default": None}
 
 
 def letter_out_to_json(out: LetterOut):

@@ -23,9 +23,7 @@ from .automaton import (
 )
 from .domain import (
     AlarmSink,
-    Constraint,
     DomainContext,
-    GuardAtom,
     GuardElement,
     TOP_GUARD,
     meet_guard,
@@ -481,10 +479,6 @@ def _shared_image(stars: StarImages, rule, combos):
 # rule generators (communication / create / reduce schemas)
 
 
-def _loc_guard(loc: str) -> GuardElement:
-    return GuardElement.at(loc)
-
-
 def make_send_receive_rule(edge_s, edge_r):
     """The two rules (sender before receiver in the word, and mirrored) for
     one send/receive instruction pair.  Partner conditions become id
@@ -515,8 +509,8 @@ def make_send_receive_rule(edge_s, edge_r):
         return RewriteRule(
             name=name,
             stars=(TOP_GUARD, TOP_GUARD, TOP_GUARD),
-            words=((_loc_guard(edge_s.src if sender_pos == 0 else edge_r.src),),
-                   (_loc_guard(edge_r.src if sender_pos == 0 else edge_s.src),)),
+            words=((GuardElement.at(edge_s.src if sender_pos == 0 else edge_r.src),),
+                   (GuardElement.at(edge_r.src if sender_pos == 0 else edge_s.src),)),
             f_specs=((), first, second, ()),
             h_specs=(IDENTITY_H, IDENTITY_H, IDENTITY_H),
         )
@@ -533,9 +527,8 @@ def make_broadcast_rule(edge) -> RewriteRule:
     every other letter copies it."""
     assert isinstance(edge.instr, Broadcast)
     bc = edge.instr
-    at_loc = _loc_guard(edge.src)
-    root_guard = GuardElement.at(
-        edge.src, GuardAtom(constraints=(Constraint(E.Var("id"), "==", bc.root),)))
+    at_loc = GuardElement.at(edge.src)
+    root_guard = GuardElement.at(edge.src, E.BinOp("==", E.Var("id"), bc.root))
     copy_h = HRewrite(kind="copy", loc=edge.dst,
                       updates=((bc.var, E.PosVar(0, bc.var)),))
     root_out = LetterOut(base=0, loc=edge.dst)
@@ -558,7 +551,7 @@ def make_create_rule(edge, entry_loc: str) -> RewriteRule:
     return RewriteRule(
         name=f"create[{edge.src}->{edge.dst}]",
         stars=(TOP_GUARD, TOP_GUARD),
-        words=((_loc_guard(edge.src),),),
+        words=((GuardElement.at(edge.src),),),
         f_specs=((), (creator,), (spawned,)),
         h_specs=(IDENTITY_H, IDENTITY_H),
         track_length=True,
@@ -604,7 +597,7 @@ def make_reduce_rules(edge):
                           updates=neutral_env)
     spawn = RewriteRule(
         name=f"reduce_spawn[{at}]",
-        stars=(_loc_guard(at),),
+        stars=(GuardElement.at(at),),
         words=(),
         f_specs=((collector,), ()),
         h_specs=(lock_h,),
@@ -613,8 +606,8 @@ def make_reduce_rules(edge):
     fold = E.BinOp(red.op, E.Var(red.acc), E.PosVar(1, red.src))
     swap = RewriteRule(
         name=f"reduce_swap[{at}]",
-        stars=(_loc_guard(locked), _loc_guard(locked)),
-        words=(( _loc_guard(coll), _loc_guard(locked)),),
+        stars=(GuardElement.at(locked), GuardElement.at(locked)),
+        words=((GuardElement.at(coll), GuardElement.at(locked)),),
         f_specs=((),
                  (LetterOut(base=1),
                   LetterOut(base=0, updates=((red.acc, fold),))),
@@ -622,14 +615,13 @@ def make_reduce_rules(edge):
         h_specs=(IDENTITY_H, IDENTITY_H),
     )
 
-    root_guard = GuardElement.at(
-        locked, GuardAtom(constraints=(Constraint(E.Var("id"), "==", red.root),)))
+    root_guard = GuardElement.at(locked, E.BinOp("==", E.Var("id"), red.root))
     deliver_root = LetterOut(base=0, loc=edge.dst,
                              updates=((red.acc, E.PosVar(1, red.acc)),))
     deliver = RewriteRule(
         name=f"reduce_deliver[{at}]",
-        stars=(_loc_guard(locked), _loc_guard(locked), None),
-        words=((root_guard,), (_loc_guard(coll),)),
+        stars=(GuardElement.at(locked), GuardElement.at(locked), None),
+        words=((root_guard,), (GuardElement.at(coll),)),
         f_specs=((), (deliver_root,), (), ()),
         h_specs=(unlock_h, unlock_h, IDENTITY_H),
     )

@@ -224,22 +224,20 @@ class LatticeTransducer:
 
     @cached_property
     def rule_index(self) -> tuple:
-        """(by_loc, anywhere), built once per transducer.
+        """(at_loc, anywhere), built once per transducer.
 
-        anywhere lists the rules whose guard reads every location (by_loc
-        None, with a default atom).  by_loc maps each location that some
-        guard names to the rules naming it, followed by anywhere's.  No
-        other rule can read a letter at that location.  Entries are
-        (number, rule); the number keys the rule's images in the memo."""
-        by_loc, anywhere = {}, []
+        anywhere lists the rules whose guard reads any location.  at_loc
+        maps each guard's location to the rules reading it, followed by
+        anywhere's.  No other rule can read a letter at that location.
+        Entries are (number, rule); the number keys the rule's images in
+        the memo."""
+        at_loc, anywhere = {}, []
         for number, rule in enumerate(self.rules):
-            g = rule.guard
-            if g.by_loc is not None:
-                for loc in dict.fromkeys(loc for loc, _ in g.by_loc):
-                    by_loc.setdefault(loc, []).append((number, rule))
-            elif g.default is not None:
+            if rule.guard.loc is None:
                 anywhere.append((number, rule))
-        return ({loc: tuple(rules + anywhere) for loc, rules in by_loc.items()},
+            else:
+                at_loc.setdefault(rule.guard.loc, []).append((number, rule))
+        return ({loc: tuple(rules + anywhere) for loc, rules in at_loc.items()},
                 tuple(anywhere))
 
     @cached_property
@@ -274,11 +272,11 @@ def apply_transducer(ctx: DomainContext, t: LatticeTransducer, a: LatticeAutomat
     matter: normalize joins labels exactly (interval join and affine
     hull) and names states canonically, and the alarms go to a set."""
     a = normalize(a)
-    by_loc, anywhere = t.rule_index
+    at_loc, anywhere = t.rule_index
     memo = t.images.setdefault(ctx, {})
     trans = set()
     for (q, letter, q2) in a.transitions:
-        for number, rule in by_loc.get(letter.loc, anywhere):
+        for number, rule in at_loc.get(letter.loc, anywhere):
             out = memo_image(memo, (number, letter), sink, _evaluate, ctx, rule, letter)
             if out is not None:
                 trans.add((q, out, q2))

@@ -73,33 +73,9 @@ def _eval(e, pid, rho, word=None, vtuple=None):
 
 def atom_matches_guard(a: Atom, g: GuardElement) -> bool:
     pid, loc, rho = a
-    gatom = g.atom_for(loc)
-    if gatom is None:
+    if g.loc is not None and g.loc != loc:
         return False
-    if not gatom.pid.contains(pid):
-        return False
-    if gatom.env is not None:
-        from latreach.domain import IntervalEnv
-
-        if isinstance(gatom.env, IntervalEnv):
-            for n, itv in gatom.env.items:
-                if not itv.contains(dict(rho).get(n, Fraction(0))):
-                    return False
-        else:
-            assignment = {n: v for n, v in rho}
-            assignment["id"] = Fraction(pid)
-            for v in gatom.env.vars:
-                assignment.setdefault(v, Fraction(0))
-            if not gatom.env.satisfies(assignment):
-                return False
-    for con in gatom.constraints:
-        lhs = _eval(con.lhs, pid, rho)
-        rhs = _eval(con.rhs, pid, rho)
-        holds = {"<": lhs < rhs, "<=": lhs <= rhs, "==": lhs == rhs,
-                 "!=": lhs != rhs, ">": lhs > rhs, ">=": lhs >= rhs}[con.op]
-        if not holds:
-            return False
-    return True
+    return all(_eval(c, pid, rho) == 1 for c in g.constraints)
 
 
 def eval_letter_out_concrete(out, vtuple, word, rat_vars=frozenset(), variables=()):

@@ -291,6 +291,23 @@ def test_property_constraint_sides_are_expressions(label, code, tmp_path, capsys
                        "--property", str(bad))[0] == code
 
 
+@pytest.mark.parametrize("label", ["loc=l1, loc == 3", "loc == 3"])
+def test_property_item_comparing_a_variable_named_loc(label, tmp_path, capsys):
+    """Only loc followed by a single = starts a location item: loc == 3
+    compares the program variable loc.  It used to be read as the
+    location '= 3', so the property exited 3 with an unknown location, or
+    with a second location item after loc=l1."""
+    prog = tmp_path / "loc.prog"
+    prog.write_text("loc := 3;\n", encoding="utf-8")
+    bad = tmp_path / "loc.bad"
+    bad.write_text("state s0 initial\nstate s1 final\ns0 -> s0 : true\n"
+                   f"s0 -> s1 : {label}\ns1 -> s1 : true\n", encoding="utf-8")
+    for domain in ("interval", "affine"):
+        code, out = run_cli(capsys, "analyze", str(prog), "--domain", domain,
+                            "--property", str(bad))
+        assert code == 1 and "property: ALARM" in out, domain
+
+
 def test_affine_decides_a_comparison_of_constant_sides(tmp_path, capsys):
     """A comparison with a side outside the affine domain is decided when
     both sides are constants on the letter, as under intervals; the affine

@@ -12,14 +12,13 @@ from latreach.domain import (
     AbstractLocalState,
     AffineEnv,
     AlarmSink,
-    Constraint,
     DomainContext,
-    GuardAtom,
     GuardElement,
     Interval,
     IntervalEnv,
     NEG_INF,
     POS_INF,
+    TOP_GUARD,
     eval_interval,
     leq_guard,
     letter_join,
@@ -132,8 +131,7 @@ def test_leq_location_mismatch():
 def test_leq_enumerated_oracle():
     # gamma-enumeration over integer points 0..5 shows non-inclusion
     a = iletter((0, 5), "l2", x=(0, 3))
-    b = GuardElement.at("l2", GuardAtom(Interval.range(0, 5),
-                                        IntervalEnv.make({"x": Interval.range(0, 2)})))
+    b = GuardElement.at("l2", *map(parse_expr, ("id >= 0", "id <= 5", "x >= 0", "x <= 2")))
     universe = range(0, 6)
     ga = concretize_bounded(CTX, a, universe)
     b_letter = iletter((0, 5), "l2", x=(0, 2))
@@ -143,8 +141,7 @@ def test_leq_enumerated_oracle():
 
 
 def _constraint_guard(loc, lhs, op, rhs):
-    con = Constraint(parse_expr(lhs), op, parse_expr(rhs))
-    return GuardElement.at(loc, GuardAtom(constraints=(con,)))
+    return GuardElement.at(loc, parse_expr(f"{lhs} {op} {rhs}"))
 
 
 def test_leq_guard_decides_constraint_entailment_interval():
@@ -413,6 +410,54 @@ def test_power_with_an_interval_exponent():
     assert sink.alarms == {("power", str(parse_expr("2 ^ y")))}
 
 
+def test_power_of_an_interval_base():
+    """An interval base raised to an integer point k >= 0 spans the powers
+    of its ends, with 0 the least value when k is even and 0 lies in the
+    base; infinite ends map through, and an end past the size cap gives
+    top with a power alarm.  A negative k, or an interval exponent, over
+    a non-point base stays top."""
+    for x, src, want in [((1, 3), "x ^ 2", Interval.range(1, 9)),
+                         ((-2, 3), "x ^ 2", Interval.range(0, 9)),
+                         ((-2, 3), "x ^ 3", Interval.range(-8, 27)),
+                         ((-3, -1), "x ^ 2", Interval.range(1, 9)),
+                         ((-2, 3), "x ^ 0", Interval.point(1)),
+                         ((1, POS_INF), "x ^ 2", Interval.range(1, POS_INF)),
+                         ((NEG_INF, 2), "x ^ 3", Interval.range(NEG_INF, 8)),
+                         ((NEG_INF, -1), "x ^ 2", Interval.range(1, POS_INF)),
+                         ((1, 3), "x ^ (-1)", Interval.top()),
+                         ((1, 3), "x ^ y", Interval.top())]:
+        s = AbstractLocalState(Interval.point(0), "l0", IntervalEnv.make({
+            "x": Interval.range(*x), "y": Interval.range(0, 3)}))
+        sink = AlarmSink()
+        assert eval_interval(CTX2, s, parse_expr(src), sink) == want, (x, src)
+        assert not sink.alarms
+    s = AbstractLocalState(Interval.point(0), "l0",
+                           IntervalEnv.make({"x": Interval.range(1, 2 ** 3000)}))
+    sink = AlarmSink()
+    assert eval_interval(CTX2, s, parse_expr("x ^ 2"), sink).is_top
+    assert sink.alarms == {("power", str(parse_expr("x ^ 2")))}
+
+
+def test_power_of_an_interval_base_contains_the_concrete_powers():
+    """x ^ k over a seeded base, with k from -2 to 6, contains the exact
+    power at points sampled from the base."""
+    from latreach.concrete import eval_expr
+
+    rng = random.Random(2207)
+    for _ in range(300):
+        lo = F(rng.randint(-6, 4), rng.randint(1, 3))
+        hi = lo + F(rng.randint(0, 12), rng.randint(1, 3))
+        base = Interval(NEG_INF if rng.random() < 0.15 else lo,
+                        POS_INF if rng.random() < 0.15 else hi)
+        e = parse_expr(f"x ^ {rng.randint(-2, 6)}")
+        s = AbstractLocalState(Interval.point(0), "l0", IntervalEnv.make({"x": base}))
+        out = eval_interval(CTX2, s, e)
+        for _ in range(6):
+            v = lo + (hi - lo) * F(rng.randint(0, 8), 8)
+            want = eval_expr(e, 0, {"x": v}, frozenset({"x"}))
+            assert want is None or out.contains(want), (base, str(e), v, out)
+
+
 def test_transfer_assign_caps_every_arithmetic_result():
     """A product, sum or quotient past the size cap is top with an alarm
     at the operator that crossed it; the cap does not depend on the
@@ -580,26 +625,24 @@ def test_meet_guard_refutes_disequality_under_affine():
     ctx = DomainContext("affine", ("x",))
     env = AffineEnv.from_rows(("id", "x"), [({"x": F(1), "id": F(-4)}, F(5))])
     s = AbstractLocalState(Interval.range(0, 9), "l6", env)
-    guard = GuardElement.at("l6", GuardAtom(
-        constraints=(Constraint(parse_expr("x"), "!=", parse_expr("5 + 4*id")),)))
+    guard = GuardElement.at("l6", parse_expr("x != 5 + 4*id"))
     assert meet_guard(ctx, s, guard) is None
 
 
 def test_meet_guard_keeps_disequality_under_intervals():
     s = iletter((0, 9), "l6", x=(5, 40))
-    guard = GuardElement.at("l6", GuardAtom(
-        constraints=(Constraint(parse_expr("x"), "!=", parse_expr("5 + 4*id")),)))
+    guard = GuardElement.at("l6", parse_expr("x != 5 + 4*id"))
     assert meet_guard(CTX, s, guard) is not None
 
 
 def test_meet_guard_location_filtering():
     s = iletter((0, 0), "l1", x=(0, 0))
     assert meet_guard(CTX, s, GuardElement.at("l2")) is None
-    assert meet_guard(CTX, s, GuardElement.top()) == s
+    assert meet_guard(CTX, s, TOP_GUARD) == s
 
 
 # ---------------------------------------------------------------------------
-# trivial-atom fast path of meet_guard and the cached letter hash
+# meet_guard without comparisons and the cached letter hash
 
 
 def _seeded_letters(seed=11, n=40):
@@ -621,34 +664,18 @@ def _seeded_letters(seed=11, n=40):
     return out
 
 
-def _slow(g: GuardElement) -> GuardElement:
-    """The same guard with every atom forced onto the general meet path."""
-    def force(atom):
-        if atom is None:
-            return None
-        copy = GuardAtom(atom.pid, atom.env, atom.constraints)
-        copy.__dict__["is_trivial"] = False  # preset the cached property
-        return copy
-    by_loc = None if g.by_loc is None else tuple((l, force(a)) for l, a in g.by_loc)
-    return GuardElement(by_loc, force(g.default))
-
-
-def test_meet_guard_trivial_atom_fast_path():
-    trivial = [GuardElement.top(), GuardElement.at("l0"), GuardElement.at("l1"),
-               GuardElement.anywhere(GuardAtom())]
-    assert all(atom.is_trivial for g in trivial
-               for atom in ([g.default] if g.by_loc is None else [a for _, a in g.by_loc]))
-    assert not GuardAtom(pid=Interval.range(0, 3)).is_trivial
-    assert not GuardAtom(env=IntervalEnv.top()).is_trivial
-    con = Constraint(parse_expr("x"), "<", parse_expr("3"))
-    assert not GuardAtom(constraints=(con,)).is_trivial
+def test_meet_guard_without_comparisons_gives_the_letter_back():
+    """A guard without comparisons reads its location (or every location)
+    and leaves the letters it reads as they are, object identity
+    included."""
+    plain = [TOP_GUARD, GuardElement.at("l0"), GuardElement.at("l1")]
     for s in _seeded_letters():
         ctx = CTX if isinstance(s.env, IntervalEnv) else DomainContext("affine", ("x",))
-        for g in trivial:
-            fast = meet_guard(ctx, s, g)
-            assert fast == meet_guard(ctx, s, _slow(g))
-            if g.atom_for(s.loc) is not None:
-                assert fast is s
+        for g in plain:
+            if g.loc in (None, s.loc):
+                assert meet_guard(ctx, s, g) is s
+            else:
+                assert meet_guard(ctx, s, g) is None
         assert meet_guard(ctx, s, GuardElement.at(s.loc)) is s
 
 

@@ -144,8 +144,9 @@ def test_no_local_rule_reads_a_blocking_location():
                 checked += 1
                 for rule in sem.transducer.rules:
                     if rule != INACTIVITY:
-                        locs = {loc for loc, _ in rule.guard.by_loc or ()}
-                        assert locs and not locs & sem.blocking_locs, (text, rule.name)
+                        loc = rule.guard.loc
+                        assert loc is not None and loc not in sem.blocking_locs, \
+                            (text, rule.name)
                 assert INACTIVITY in sem.transducer.rules
     assert checked >= 1000, checked
 

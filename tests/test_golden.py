@@ -1,5 +1,5 @@
 """Pinned report and --json bytes for ten analyses, and --dump-semantics
-bytes for three programs.
+bytes for four programs.
 
 The programs are named by paths relative to the repository root because
 the report's first line echoes the path.  Together these runs exercise
@@ -14,8 +14,9 @@ philosophers) rule application with many match instances per rule, and
 only the local-step transducer, joins and widening handle.
 
 The dumps cover send/receive rules with partner conditions (dining
-philosophers), reduce rules with a root-id constraint (sum_reduce) and
-the create rule with its fresh_id and @0.x updates (create_chain)."""
+philosophers), reduce rules with a root-id constraint (sum_reduce), the create rule
+with its fresh_id and @0.x updates (create_chain) and a broadcast rule
+with its root-id guard and copying star rewriters (BROADCAST_PROGRAM)."""
 import hashlib
 from pathlib import Path
 
@@ -117,3 +118,19 @@ def test_golden_semantics_dump(args, dump, tmp_path, capsys, monkeypatch):
     path = tmp_path / "sem.json"
     assert main(["analyze", *args, "--dump-semantics", str(path)]) == 0
     assert sha(path.read_bytes()) == dump
+
+
+BROADCAST_PROGRAM = """\
+x := id + 1;
+if (x > 2) { broadcast(nprocs - 1, x); }
+y := x;
+"""
+
+
+def test_golden_semantics_dump_broadcast(tmp_path):
+    prog = tmp_path / "broadcast.prog"
+    prog.write_text(BROADCAST_PROGRAM, encoding="utf-8")
+    path = tmp_path / "sem.json"
+    assert main(["analyze", str(prog), "--procs", "3", "--dump-semantics", str(path)]) == 0
+    assert sha(path.read_bytes()) == \
+        "8bde8fe4f5ffdf8cebea58387ef867c1848febcce87c79bc2cbfc7d297628db1"

@@ -9,7 +9,7 @@ import pytest
 
 from latreach import engine, rules, transducer
 from latreach.automaton import LatticeAutomaton, is_empty, normalize
-from latreach.domain import AlarmSink, GuardElement
+from latreach.domain import AlarmSink, GuardElement, TOP_GUARD
 from latreach.engine import AnalysisConfig, check_deadlock, fixpoint
 from latreach.export import to_json
 from latreach.frontend import compile_program
@@ -35,7 +35,7 @@ def _rules(seed):
     """The random rules of test_rules, and one whose inserted letter
     divides, so that f-image evaluation raises alarms."""
     divide = RewriteRule(
-        "divide_f", stars=(GuardElement.top(), GuardElement.top()),
+        "divide_f", stars=(TOP_GUARD, TOP_GUARD),
         words=((GuardElement.at("l0"),),),
         f_specs=((), (LetterOut(base=0, loc="l1", updates=(("x", parse_expr("1 / x")),)),),
                  ()),

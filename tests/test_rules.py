@@ -21,9 +21,7 @@ from latreach.domain import (
     AbstractLocalState,
     AffineEnv,
     AlarmSink,
-    Constraint,
     DomainContext,
-    GuardAtom,
     GuardElement,
     Interval,
     IntervalEnv,
@@ -89,8 +87,8 @@ def test_send_receive_schema_guard_shape(chain):
     fwd, mirror = make_send_receive_rule(send_e, recv_e)
     # forward ordering: top* . <_, send-loc, _> . top* . <_, recv-loc, _> . top*
     assert fwd.stars == (TOP_GUARD, TOP_GUARD, TOP_GUARD)
-    assert [w[0].by_loc[0][0] for w in fwd.words] == [send_e.src, recv_e.src]
-    assert [w[0].by_loc[0][0] for w in mirror.words] == [recv_e.src, send_e.src]
+    assert [w[0].loc for w in fwd.words] == [send_e.src, recv_e.src]
+    assert [w[0].loc for w in mirror.words] == [recv_e.src, send_e.src]
     assert all(h == IDENTITY_H for h in fwd.h_specs)
 
 
@@ -579,8 +577,7 @@ def _ref_rules(rng):
     out.append(make_create_rule(Edge("l0", Create("y"), "l1"), "l1"))
     op = rng.choice(REDUCE_OPS)
     out += make_reduce_rules(Edge("l0", Reduce("y", "x", op, parse_expr("0")), "l1"))
-    divides = GuardElement.anywhere(GuardAtom(constraints=(
-        Constraint(parse_expr("x"), ">=", parse_expr("1 / id")),)))
+    divides = GuardElement.at(None, parse_expr("x >= 1 / id"))
     div_copy = HRewrite(kind="copy", loc="l1",
                         updates=(("x", E.BinOp("/", E.PosVar(0, "x"), E.Var("x"))),))
     out.append(RewriteRule(

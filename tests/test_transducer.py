@@ -10,12 +10,11 @@ from latreach.domain import (
     AbstractLocalState,
     AffineEnv,
     AlarmSink,
-    Constraint,
     DomainContext,
-    GuardAtom,
     GuardElement,
     Interval,
     IntervalEnv,
+    TOP_GUARD,
     meet_guard,
 )
 from latreach.concrete import accepts_concrete, bounded_language
@@ -47,7 +46,12 @@ def add4_transducer():
     return LatticeTransducer((rule,))
 
 
-INACTIVE = TransducerRule("inactivity", GuardElement.top(), LetterOut(base=0))
+INACTIVE = TransducerRule("inactivity", TOP_GUARD, LetterOut(base=0))
+
+
+def id_range(loc, lo, hi):
+    """The guard reading the letters at loc whose id lies in [lo, hi]."""
+    return GuardElement.at(loc, parse_expr(f"id >= {lo}"), parse_expr(f"id <= {hi}"))
 
 
 def test_single_rule_application_golden():
@@ -97,7 +101,7 @@ def _random_transducer(rng):
         src = rng.choice(locs)
         dst = rng.choice(locs)
         lo = rng.randint(-2, 1)
-        guard = GuardElement.at(src, GuardAtom(pid=Interval.range(lo, rng.randint(lo, 2))))
+        guard = id_range(src, lo, rng.randint(lo, 2))
         if rng.random() < 0.4:
             out = LetterOut(base=0, loc=dst, instr=Assign("x", parse_expr(rng.choice(
                 ["x + 1", "x - 1", "0", "x"]))))
@@ -188,12 +192,11 @@ def naive_apply(ctx, t, a, sink=None):
 def _rich_transducer(rng):
     """Local rules at one location each (some dividing by a value that may
     be 0 or building a power past the size cap) and a rule reading any
-    location through a constraint that divides by id."""
+    location through a comparison that divides by id."""
     rules = []
     for i in range(rng.randint(2, 4)):
         lo = rng.randint(-1, 1)
-        guard = GuardElement.at(rng.choice(LOCS),
-                                GuardAtom(pid=Interval.range(lo, lo + rng.randint(0, 2))))
+        guard = id_range(rng.choice(LOCS), lo, lo + rng.randint(0, 2))
         kind = rng.random()
         if kind < 0.6:
             instr = Assign("x", parse_expr(rng.choice(
@@ -204,8 +207,7 @@ def _rich_transducer(rng):
             instr = None
         rules.append(TransducerRule(
             f"r{i}", guard, LetterOut(base=0, loc=rng.choice(LOCS), instr=instr)))
-    divides = Constraint(parse_expr("x"), ">=", parse_expr("1 / id"))
-    anywhere = TransducerRule("any", GuardElement.anywhere(GuardAtom(constraints=(divides,))),
+    anywhere = TransducerRule("any", GuardElement.at(None, parse_expr("x >= 1 / id")),
                               LetterOut(base=0, loc="l2"))
     return LatticeTransducer((anywhere, INACTIVE, *rules))
 
@@ -279,17 +281,16 @@ def test_memo_replays_alarms_into_every_sink(monkeypatch):
 
 
 def test_rule_index_by_first_location():
-    """A location lists the rules naming it in their guard, then the rules
-    reading any location; a rule whose guard reads nothing is in no list."""
+    """A location lists the rules reading it, then the rules reading any
+    location, with or without comparisons."""
     keep = LetterOut(base=0)
     at_l0 = TransducerRule("a", GuardElement.at("l0"), keep)
-    at_both = TransducerRule(
-        "b", GuardElement((("l1", GuardAtom()), ("l0", GuardAtom()), ("l1", GuardAtom())), None),
-        keep)
-    nothing = TransducerRule("c", GuardElement(None, None), keep)
-    t = LatticeTransducer((at_l0, at_both, nothing, INACTIVE))
+    at_l1 = TransducerRule("b", id_range("l1", 0, 2), keep)
+    odd = TransducerRule("c", GuardElement.at(None, parse_expr("x % 2 == 1")), keep)
+    t = LatticeTransducer((at_l0, at_l1, odd, INACTIVE))
     by_loc, anywhere = t.rule_index
     assert {loc: [(n, r.name) for n, r in rules] for loc, rules in by_loc.items()} == \
-        {"l0": [(0, "a"), (1, "b"), (3, "inactivity")], "l1": [(1, "b"), (3, "inactivity")]}
-    assert anywhere == ((3, INACTIVE),)
+        {"l0": [(0, "a"), (2, "c"), (3, "inactivity")],
+         "l1": [(1, "b"), (2, "c"), (3, "inactivity")]}
+    assert anywhere == ((2, odd), (3, INACTIVE))
     assert t.rule_index is t.rule_index

@@ -19,7 +19,6 @@ from latreach import value
 from latreach.automaton import LatticeAutomaton
 from latreach.domain import (
     AbstractLocalState,
-    GuardAtom,
     Interval,
     IntervalEnv,
     NEG_INF,
@@ -82,15 +81,13 @@ def _fields(obj, names):
 
 
 def test_every_value_class_is_found():
-    assert len(CLASSES) == 48
+    assert len(CLASSES) == 46
     hidden = [(c.__name__, f) for c in CLASSES for f in c._value_fields
               if f not in c._value_compared]
     assert hidden == [("LatticeAutomaton", "canonical")]
 
 
 def test_defaults_the_package_relies_on():
-    assert GuardAtom().pid == Interval(NEG_INF, POS_INF)
-    assert GuardAtom().pid.is_top
     empty = frozenset()
     plain, flagged = (LatticeAutomaton(empty, empty, empty, empty),
                       LatticeAutomaton(empty, empty, empty, empty, True))
