@@ -663,18 +663,6 @@ class AbstractLocalState:
     def __post_init__(self):
         assert not self.pid.is_bottom
 
-    def __hash__(self):
-        # the field-tuple hash that value.frozen would add, computed once:
-        # letters are rehashed whenever a transition set is built, and
-        # hashing Fractions is costly.  The cache lives outside the
-        # fields, so == and repr never see it.
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.pid, self.loc, self.env))
-            object.__setattr__(self, "_hash", h)
-            return h
-
     def with_env(self, env) -> Optional["AbstractLocalState"]:
         if env is None:
             return None

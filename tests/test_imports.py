@@ -1,7 +1,8 @@
 """Import structure of the package: every import runs at module top and
 is used, the syntax layer needs nothing of the analyzer but ``expr`` and
 the ``value`` leaf, only ``export`` holds the output writers, and
-start-up loads neither ``dataclasses`` nor ``inspect``."""
+start-up loads neither ``dataclasses`` nor ``inspect`` and compiles no
+source of its own."""
 import ast
 import os
 import re
@@ -42,12 +43,10 @@ def _unused_imports(path):
 
 
 def test_no_unused_imports():
-    """Every module but the package's ``__init__``, whose imports are
-    re-exports, reads each name it imports."""
+    """Every module reads each name it imports."""
     found = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name != "__init__.py":
-            found += _unused_imports(path)
+        found += _unused_imports(path)
     assert found == []
 
 
@@ -79,13 +78,41 @@ def test_value_imports_only_the_standard_library():
     assert other <= STDLIB
 
 
-def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
+def _fresh(code):
+    """Standard output of ``code`` run by a fresh interpreter that finds
+    the package in this checkout."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, latreach.cli; "
-         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
-        env=env, capture_output=True, text=True, check=True).stdout
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
+    """Nor the bounded interpreter, which only tests and demos use."""
+    out = _fresh("import sys, latreach.cli; print(sorted("
+                 "{'dataclasses', 'inspect', 'latreach.concrete'} & set(sys.modules)))")
     assert out.strip() == "[]"
+
+
+COMPILES = """
+import sys
+callers = []
+
+def hook(event, args):
+    if event == "compile" and args[1] == "<string>":
+        callers.append(sys._getframe(1).f_code.co_filename)
+
+sys.addaudithook(hook)
+import latreach.cli
+print(*callers, sep="\\n")
+"""
+
+
+def test_cli_start_up_compiles_no_source_of_the_package():
+    """Importing the driver compiles no source that the package builds at
+    run time (code that no bytecode cache can hold); the standard
+    library's own, such as a namedtuple, is not the package's."""
+    callers = _fresh(COMPILES).splitlines()
+    assert [c for c in callers if Path(c).resolve().is_relative_to(SRC.resolve())] == []
 
 
 WRITER = re.compile(r"(.+_)?to_(json|dot)|dump_semantics")

@@ -3,9 +3,10 @@
 Every class that ``value.frozen`` decorates in the package gets a frozen
 dataclass twin with the same fields, defaults and compared fields.  On
 sample instances the two must agree on ``repr``, ``==`` (both ways and
-across classes), the exact ``hash``, defaults, ``replace`` and refusing
-assignment and deletion: the hash orders set iteration and the repr
-orders rule groups, so both feed the analyzer's output.
+across classes), the exact ``hash``, defaults, ``replace``, refusing
+assignment and deletion, and which calls construct and which raise
+TypeError: the hash orders set iteration and the repr orders rule
+groups, so both feed the analyzer's output.
 """
 import dataclasses
 import importlib
@@ -145,6 +146,65 @@ def test_value_class_matches_its_frozen_dataclass_twin(cls):
                 op(t1)
             assert str(got.value) == str(want.value)
     assert _fields(r1, names) == _fields(t1, names)
+
+
+def _raise_type_error(make, *args, **kwargs):
+    with pytest.raises(TypeError):
+        make(*args, **kwargs)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__qualname__)
+def test_value_class_constructor_binds_like_its_dataclass_twin(cls):
+    names = cls._value_fields
+    twin = _twin(cls)
+    args = _samples(cls)[0]
+    positional = cls(*args)
+    for k in range(len(names) + 1):
+        # the first k fields by position, the rest by keyword
+        real = cls(*args[:k], **dict(zip(names[k:], args[k:])))
+        assert type(real) is cls
+        assert real == positional and _fields(real, names) == _fields(positional, names)
+
+    full = _fields(positional, names)
+    required = [f for f in names if f not in vars(cls)]
+    for make in (cls, twin):
+        _raise_type_error(make, *full, 0)
+        _raise_type_error(make, *full, no_such_field=0)
+        if names:
+            _raise_type_error(make, *full, **{names[0]: full[0]})
+        if required:
+            _raise_type_error(make, **{f: a for f, a in zip(names, full) if f != required[-1]})
+
+
+@pytest.mark.parametrize("cls", [c for c in CLASSES if hasattr(c, "__post_init__")],
+                         ids=lambda c: c.__qualname__)
+def test_post_init_runs_last(cls, monkeypatch):
+    names = cls._value_fields
+    post_init, seen = cls.__post_init__, []
+
+    def spy(self):
+        seen.append({f: vars(self).get(f, "unset") for f in names})
+        post_init(self)
+
+    monkeypatch.setattr(cls, "__post_init__", spy)
+    args = _samples(cls)[0]
+    required = [f for f in names if f not in vars(cls)]
+    calls = [cls(*args), cls(**dict(zip(names, args))), cls(*args[:len(required)])]
+    assert len(seen) == len(calls)
+    for got, obj in zip(seen, calls):
+        assert list(got) == list(names) and "unset" not in got.values()
+        # __post_init__ may normalize a field (the empty interval), but
+        # only from what it saw
+        assert type(obj)(*got.values()) == obj
+
+
+def test_a_field_without_a_default_after_one_with_a_default_is_refused():
+    class Bad:
+        lo: int = 0
+        hi: int
+
+    with pytest.raises(TypeError):
+        value.frozen(Bad)
 
 
 def test_cached_hash_of_a_letter_is_the_field_tuple_hash():
