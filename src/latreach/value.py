@@ -48,10 +48,6 @@ def _bind(cls, names, tail, args, kwargs):
     """The field values, in order, of a call with keywords or defaults;
     ``tail`` holds the defaults of the last fields."""
     first = len(names) - len(tail)
-    if not kwargs and first <= len(args) <= len(names):
-        return args + tail[len(args) - first:]
-    if kwargs and tuple(kwargs) == names[len(args):]:  # the last fields, in order
-        return args + tuple(kwargs.values())
     values = list(args)
     for i in range(len(args), len(names)):
         if names[i] in kwargs:
@@ -99,7 +95,7 @@ def frozen(cls):
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return other is self or key(self) == key(other)
+            return key(self) == key(other)
         return NotImplemented
 
     def __hash__(self):

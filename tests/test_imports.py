@@ -98,7 +98,7 @@ import sys
 callers = []
 
 def hook(event, args):
-    if event == "compile" and args[1] == "<string>":
+    if event == "compile":
         callers.append(sys._getframe(1).f_code.co_filename)
 
 sys.addaudithook(hook)

@@ -164,9 +164,15 @@ def test_value_class_constructor_binds_like_its_dataclass_twin(cls):
         real = cls(*args[:k], **dict(zip(names[k:], args[k:])))
         assert type(real) is cls
         assert real == positional and _fields(real, names) == _fields(positional, names)
+        # the same keywords in reversed order
+        real = cls(*args[:k], **dict(reversed(list(zip(names[k:], args[k:])))))
+        assert real == positional and _fields(real, names) == _fields(positional, names)
 
     full = _fields(positional, names)
     required = [f for f in names if f not in vars(cls)]
+    # the required fields by keyword, in reversed order, and the defaults
+    partial = dict(reversed(list(zip(required, args))))
+    assert _fields(cls(**partial), names) == _fields(cls(*args[:len(required)]), names)
     for make in (cls, twin):
         _raise_type_error(make, *full, 0)
         _raise_type_error(make, *full, no_such_field=0)
