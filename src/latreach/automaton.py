@@ -2,13 +2,22 @@
 
 Transitions carry non-bottom letters; every label lives in a single
 partition class (its location).  normalize() produces the canonical form
-used everywhere: deterministic over partition keys, minimized over keys
-by Hopcroft's partition refinement, one transition per (state, key,
-target), states renamed by BFS discovery order.  Canonical forms make
-structural equality meaningful, which the widening relies on.
+used everywhere: deterministic over partition keys, minimized over keys,
+one transition per (state, key, target), states renamed by BFS discovery
+order.  Canonical forms make structural equality meaningful, which the
+widening relies on.
 
-Being canonical is a property of the automaton: only normalize() sets
-the ``canonical`` flag, and normalize() and trim() return a flagged
+Two paths produce the canonical form and share its tail (_canonical):
+normalize() determinizes any automaton by the subset construction,
+trimming as it goes, and union_all() takes the product of two canonical
+operands, whose pairs are the subsets that determinizing their
+juxtaposition would visit.  The tail minimizes an acyclic automaton by
+one signature pass (Revuz 1992) and any other by Hopcroft's partition
+refinement; both give the coarsest key bisimulation, so the bytes do not
+depend on the path.
+
+Being canonical is a property of the automaton: only the canonical tail
+sets the ``canonical`` flag, and normalize() and trim() return a flagged
 automaton unchanged, so a consumer may normalize its inputs without
 paying twice.  Every other constructor leaves the flag off.  The flag
 takes no part in ``==``, ``hash`` or ``repr``.
@@ -98,7 +107,7 @@ class LatticeAutomaton:
 class Builder:
     """Accumulates transitions, label paths and epsilon links, then builds
     an automaton without epsilon links.  The result may keep dead states:
-    every caller normalizes it, and normalize trims first."""
+    every caller normalizes it, and normalize drops them."""
 
     def __init__(self):
         self.trans = set()
@@ -192,77 +201,123 @@ def normalize(a: LatticeAutomaton) -> LatticeAutomaton:
 
     An automaton that is already canonical is returned as it is; the
     result of any other input carries the canonical flag.  Determinization
-    works over partition keys (locations), joining labels that share a
-    key; minimization is Hopcroft's partition refinement (see
-    _key_bisimulation), and the labels of merged transitions are joined.
-    The atom language is preserved or enlarged, and normalize is
-    idempotent.
+    is the subset construction over partition keys (locations), joining
+    labels that share a key.  It trims as it goes: one backward pass finds
+    the states that reach a final state, and a subset keeps only those;
+    the subsets met are all reachable.  That is exactly the subset
+    construction of the trimmed automaton, so no separate trim runs.
+    _canonical then minimizes (see _key_bisimulation), joins the labels of
+    merged transitions and renames the states.  The atom language is
+    preserved or enlarged, and normalize is idempotent.
     """
     if a.canonical:
         return a
-    a = trim(a)
-    if not a.states:
-        return LatticeAutomaton(a.states, a.initial, a.final, a.transitions, canonical=True)
+    back = {}
+    for (s, _, t) in a.transitions:
+        back.setdefault(t, []).append(s)
+    coreach = reachable(a.final & a.states, back)
+    start = frozenset(a.initial & coreach)
+    if not start:
+        return LatticeAutomaton(frozenset(), frozenset(), frozenset(), frozenset(), True)
 
     # subset construction over keys; subsets are numbered as discovered
-    subsets = [frozenset(a.initial)]
-    index = {subsets[0]: 0}
+    subsets = [start]
+    index = {start: 0}
     by_src = a.out_by_src
-    det_trans = {}  # (i, key) -> (label, j)
-    queue = [0]
-    while queue:
-        cur = queue.pop()
+    rows = []  # per subset: key -> (label, subset number)
+    for subset in subsets:
         grouped = {}
-        for q in subsets[cur]:
+        for q in subset:
             for (l, t) in by_src.get(q, ()):
-                key = l.loc
-                if key in grouped:
-                    lbl, tgt = grouped[key]
-                    grouped[key] = (letter_join(lbl, l), tgt | {t})
-                else:
-                    grouped[key] = (l, {t})
+                if t in coreach:
+                    hit = grouped.get(l.loc)
+                    if hit is None:
+                        grouped[l.loc] = (l, {t})
+                    else:
+                        hit[1].add(t)
+                        grouped[l.loc] = (letter_join(hit[0], l), hit[1])
+        row = {}
         for key, (lbl, tgt) in grouped.items():
             tgt = frozenset(tgt)
             j = index.get(tgt)
             if j is None:
                 j = index[tgt] = len(subsets)
                 subsets.append(tgt)
-                queue.append(j)
-            det_trans[(cur, key)] = (lbl, j)
-    final = [bool(S & a.final) for S in subsets]
-    class_of = _key_bisimulation(final, det_trans)
+            row[key] = (lbl, j)
+        rows.append(row)
+    return _canonical(rows, [not a.final.isdisjoint(s) for s in subsets])
 
-    # merge classes; join labels of merged transitions
-    merged_trans = {}
-    for (i, key), (lbl, j) in det_trans.items():
-        edge = (class_of[i], key, class_of[j])
-        if edge in merged_trans:
-            merged_trans[edge] = letter_join(merged_trans[edge], lbl)
+
+def _canonical(rows, final) -> LatticeAutomaton:
+    """The canonical automaton of a trimmed key-deterministic one whose
+    states 0..n-1 are all reachable from the initial state 0.  rows[i]
+    maps each key state i moves on to (label, target); final[i] says
+    whether i is final.
+
+    The states are partitioned by _signature_classes when the automaton
+    is acyclic and by _key_bisimulation otherwise: both give the coarsest
+    key bisimulation.  The transitions of merged states are merged too,
+    their labels joined.  States are then renamed by BFS over keys in
+    loc_sort_key order, so the names do not depend on how the input or
+    the partition numbered them."""
+    class_of = _signature_classes(rows, final)
+    if class_of is None:
+        class_of = _key_bisimulation(final, {(i, key): move for i, row in enumerate(rows)
+                                             for key, move in row.items()})
+    merged = {}  # class -> {key: (label, class)}
+    for i, row in enumerate(rows):
+        moves = merged.get(class_of[i])
+        if moves is None:
+            merged[class_of[i]] = {key: (lbl, class_of[j]) for key, (lbl, j) in row.items()}
         else:
-            merged_trans[edge] = lbl
+            for key, (lbl, j) in row.items():
+                moves[key] = (letter_join(moves[key][0], lbl), moves[key][1])
 
-    # canonical renaming by BFS over sorted keys; the names do not depend
-    # on how the refinement numbered its blocks
-    adj = {}
-    for (c1, key, c2) in merged_trans:
-        adj.setdefault(c1, []).append((key, c2))
-    order = {class_of[0]: 0}
+    keys = {key for moves in merged.values() for key in moves}
+    rank = {key: loc_sort_key(key) for key in keys}
+    name = {class_of[0]: 0}
     bfs = [class_of[0]]
-    for cur in bfs:
-        for key, nxt in sorted(adj.get(cur, ()), key=lambda kv: loc_sort_key(kv[0])):
-            if nxt not in order:
-                order[nxt] = len(order)
+    for c in bfs:
+        moves = merged[c]
+        for key in sorted(moves, key=rank.__getitem__):
+            nxt = moves[key][1]
+            if nxt not in name:
+                name[nxt] = len(name)
                 bfs.append(nxt)
-    transitions = frozenset(
-        (order[c1], lbl, order[c2]) for (c1, key, c2), lbl in merged_trans.items()
-    )
-    return LatticeAutomaton(
-        frozenset(order.values()),
-        frozenset({0}),
-        frozenset(order[class_of[i]] for i, f in enumerate(final) if f),
-        transitions,
-        canonical=True,
-    )
+    transitions = frozenset((name[c], lbl, name[d]) for c, moves in merged.items()
+                            for (lbl, d) in moves.values())
+    return LatticeAutomaton(frozenset(range(len(name))), frozenset({0}),
+                            frozenset(name[class_of[i]] for i, f in enumerate(final) if f),
+                            transitions, True)
+
+
+def _signature_classes(rows, final):
+    """The coarsest key bisimulation of an acyclic automaton given as for
+    _canonical, or None when it has a cycle.
+
+    Revuz's pass (1992): in reverse topological order (Kahn's), each state
+    gets the class of its signature, its finality and the set of (key,
+    class of target) pairs.  On an acyclic automaton two states are
+    bisimilar exactly when their signatures are equal, by induction on the
+    longest path from them, so one pass gives Hopcroft's partition."""
+    indeg = [0] * len(rows)
+    for row in rows:
+        for (_, j) in row.values():
+            indeg[j] += 1
+    order = [i for i, d in enumerate(indeg) if d == 0]
+    for i in order:
+        for (_, j) in rows[i].values():
+            indeg[j] -= 1
+            if not indeg[j]:
+                order.append(j)
+    if len(order) < len(rows):
+        return None
+    class_of = [0] * len(rows)
+    classes = {}
+    for i in reversed(order):
+        sig = (final[i], frozenset((key, class_of[j]) for key, (_, j) in rows[i].items()))
+        class_of[i] = classes.setdefault(sig, len(classes))
+    return class_of
 
 
 def _key_bisimulation(final, moves) -> list:
@@ -276,7 +331,10 @@ def _key_bisimulation(final, moves) -> list:
     Hopcroft's partition refinement (Hopcroft 1971) in the form Valmari
     (2012) gives for partial automata: every initial block splits by every
     key, and of a block that splits, only the smaller half is queued, so a
-    state is scanned O(log n) times per key.
+    state is scanned O(log n) times per key.  _canonical runs it only on
+    automata with a cycle (under --procs any or unbounded, and on
+    quotient-widened iterates); an acyclic one gets the same partition
+    from one signature pass (_signature_classes).
     """
     pre = {}  # (key, dst) -> sources
     keys = {}
@@ -318,27 +376,56 @@ def _key_bisimulation(final, moves) -> list:
 # boolean operations
 
 
-def _raw_union(a: LatticeAutomaton, b: LatticeAutomaton) -> LatticeAutomaton:
-    bld = Builder()
-    bld.initial = {("a", q) for q in a.initial} | {("b", q) for q in b.initial}
-    bld.final = {("a", q) for q in a.final} | {("b", q) for q in b.final}
-    bld.include(a, lambda q: ("a", q))
-    bld.include(b, lambda q: ("b", q))
-    return bld.build()
+def _product_union(a: LatticeAutomaton, b: LatticeAutomaton) -> LatticeAutomaton:
+    """The canonical union of two canonical, non-empty automata, by a
+    direct product.
+
+    A state is a pair (p, q) of a state of each, where None stands for a
+    side that has no move left.  The pair moves on every key either side
+    moves on, with the label of the side that moves, or the join of both
+    labels when both do; it is final when either side is.  Each reachable
+    pair is exactly a subset that the determinization of the two
+    juxtaposed automata visits, since key-deterministic operands put at
+    most one state of each into a subset, with the same moves, labels and
+    finality.  Every pair reaches a final pair along the path of a side
+    that is not None, so the product is trim, and _canonical gives the
+    bytes that normalizing the juxtaposition gave."""
+    a_out, b_out = a.out_by_src, b.out_by_src
+    start = (0, 0)  # a canonical automaton starts in state 0
+    pairs = [start]
+    index = {start: 0}
+    rows = []  # per pair: key -> (label, pair number)
+    for (p, q) in pairs:
+        moves = {}
+        for (l, t) in a_out.get(p, ()):
+            moves[l.loc] = (l, t, None)
+        for (l, t) in b_out.get(q, ()):
+            hit = moves.get(l.loc)
+            moves[l.loc] = (l, None, t) if hit is None else (letter_join(hit[0], l), hit[1], t)
+        row = {}
+        for key, (lbl, s, t) in moves.items():
+            j = index.get((s, t))
+            if j is None:
+                j = index[(s, t)] = len(pairs)
+                pairs.append((s, t))
+            row[key] = (lbl, j)
+        rows.append(row)
+    return _canonical(rows, [p in a.final or q in b.final for (p, q) in pairs])
 
 
 def union_all(autos) -> LatticeAutomaton:
     """Union of many automata.
 
     Each argument is canonicalized first and duplicates are dropped; the
-    union then folds pairwise so the determinization always runs on small
-    canonical inputs instead of one huge juxtaposition.
+    union then folds pairwise, smallest first, each step the product of
+    two canonical operands (_product_union), so no step determinizes a
+    juxtaposition of its operands.
 
     A fold whose operand already includes the other takes the including
-    one as it is.  That is exact: when nxt simulates out, every subset of
-    the determinization holds one state of nxt, with its keys, finality
-    and, since letter_leq(x, y) makes letter_join(x, y) == y, its labels,
-    so normalize would give back nxt itself.  The larger operand nxt is
+    one as it is.  That is exact: when nxt simulates out, every pair of
+    the product holds a state of nxt, with its keys, finality and, since
+    letter_leq(x, y) makes letter_join(x, y) == y, its labels, so the
+    product would give back nxt itself.  The larger operand nxt is
     asked first, the likely hit; two canonical automata that include
     each other are equal, and equal operands were dropped, so the order
     does not change the result."""
@@ -358,7 +445,7 @@ def union_all(autos) -> LatticeAutomaton:
         if includes(nxt, out):
             out = nxt
         elif not includes(out, nxt):
-            out = normalize(_raw_union(out, nxt))
+            out = _product_union(out, nxt)
     return out
 
 

@@ -32,6 +32,7 @@ from .domain import (
 from .graph import live, path_lengths, reachable
 from .syntax import Broadcast, Create, Receive, Reduce, Send
 from .transducer import (
+    PLAIN_INSTANCE,
     InstanceInfo,
     LetterOut,
     eval_outputs,
@@ -397,7 +398,7 @@ def _f_images(ctx, rule, flat, lengths, sink=None):
     their letters is bottom, from the rule's memo.  lengths[i] is the
     (shortest, static) length of segment i; only rules that track length
     read it, and only through the InstanceInfo that keys the memo."""
-    inst = InstanceInfo()
+    inst = PLAIN_INSTANCE
     if rule.track_length:
         later_words = sum(len(w) for w in rule.words[1:])
         statics = [l[1] for l in lengths[1:]]

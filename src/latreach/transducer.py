@@ -92,6 +92,11 @@ class InstanceInfo:
     min_len: int = 1
 
 
+# The facts of every instance of a rule that does not track length, and
+# of every local step.
+PLAIN_INSTANCE = InstanceInfo()
+
+
 def _fresh_pid(base: Optional[AbstractLocalState], inst: InstanceInfo) -> Interval:
     if inst.suffix_len is not None and base is not None:
         return base.pid.shift(1 + inst.suffix_len)
@@ -99,7 +104,7 @@ def _fresh_pid(base: Optional[AbstractLocalState], inst: InstanceInfo) -> Interv
 
 
 def eval_letter_out(ctx: DomainContext, out: LetterOut, matched: tuple,
-                    inst: InstanceInfo = InstanceInfo(), sink: AlarmSink = None,
+                    inst: InstanceInfo = PLAIN_INSTANCE, sink: AlarmSink = None,
                     refined: bool = False) -> Optional[AbstractLocalState]:
     """Evaluate one output recipe on a matched letter tuple (None = bottom).
     refined says that the tuple is already refined by out.conds."""
@@ -165,7 +170,7 @@ def _resolve_fresh(rhs, inst: InstanceInfo):
 
 
 def eval_outputs(ctx: DomainContext, outs, matched: tuple,
-                 inst: InstanceInfo = InstanceInfo(), sink: AlarmSink = None
+                 inst: InstanceInfo = PLAIN_INSTANCE, sink: AlarmSink = None
                  ) -> Optional[tuple]:
     """The letters of a sequence of output recipes on one matched tuple,
     or None when one of them is bottom.  Recipes with the same identifier
@@ -255,7 +260,7 @@ def _evaluate(ctx: DomainContext, rule: TransducerRule, letter: AbstractLocalSta
     matched = meet_guard(ctx, letter, rule.guard, sink)
     if matched is None:
         return None
-    return eval_letter_out(ctx, rule.output, (matched,), InstanceInfo(), sink)
+    return eval_letter_out(ctx, rule.output, (matched,), PLAIN_INSTANCE, sink)
 
 
 def apply_transducer(ctx: DomainContext, t: LatticeTransducer, a: LatticeAutomaton,

@@ -5,9 +5,12 @@ from fractions import Fraction
 import pytest
 
 from latreach.automaton import (
+    Builder,
     LatticeAutomaton,
+    _key_bisimulation,
     _length_bound,
-    _raw_union,
+    _product_union,
+    _signature_classes,
     _signature_quotient,
     includes,
     intersection,
@@ -27,8 +30,11 @@ from latreach.domain import (
     GuardElement,
     Interval,
     IntervalEnv,
+    letter_join,
+    loc_sort_key,
 )
 from latreach.export import to_dot, to_json
+from latreach.graph import live
 
 from helpers import path_labels
 
@@ -167,7 +173,7 @@ def test_normalize_is_deterministic_minimal_and_language_preserving():
                          ids=["interval", "affine"])
 def test_union_of_a_covered_operand_is_the_full_union(letter):
     """union_all takes an operand that includes the other as it is, with
-    no determinization; the full construction gives the same automaton,
+    no product; determinizing the juxtaposition gives the same automaton,
     to the byte."""
     rng = random.Random(53)
     locs = ["l0", "l1", "l2"]
@@ -180,12 +186,165 @@ def test_union_of_a_covered_operand_is_the_full_union(letter):
             continue
         hits += 1
         shortcuts += not includes(a, b)
-        full = normalize(_raw_union(a, b))
+        full = _reference_normalize(_raw_union(a, b))
         for got in (union_all([a, b]), union_all([b, a])):
             assert got == full
             assert got.sorted_transitions() == full.sorted_transitions()
             assert json.dumps(to_json(got)) == json.dumps(to_json(full))
     assert hits >= 60 and shortcuts >= 40
+
+
+# The canonical form as it was built before the product union and the
+# signature pass: trim, then the subset construction, Hopcroft's
+# partition, merged labels and the BFS renaming.  union_all's fold then
+# determinized the juxtaposition of its operands (_raw_union).
+
+
+def _reference_trim(a):
+    keep = live(a.transitions, a.initial, a.final)
+    return LatticeAutomaton(frozenset(keep), frozenset(a.initial & keep),
+                            frozenset(a.final & keep),
+                            frozenset((s, l, t) for (s, l, t) in a.transitions
+                                      if s in keep and t in keep))
+
+
+def _reference_normalize(a):
+    a = _reference_trim(a)
+    if not a.states:
+        return LatticeAutomaton.empty()
+    subsets = [frozenset(a.initial)]
+    index = {subsets[0]: 0}
+    det = {}  # (i, key) -> (label, j)
+    queue = [0]
+    while queue:
+        cur = queue.pop()
+        grouped = {}
+        for (s, l, t) in a.transitions:
+            if s in subsets[cur]:
+                lbl, tgt = grouped.get(l.loc, (l, frozenset()))
+                grouped[l.loc] = (letter_join(lbl, l), tgt | {t})
+        for key, (lbl, tgt) in grouped.items():
+            if tgt not in index:
+                index[tgt] = len(subsets)
+                subsets.append(tgt)
+                queue.append(index[tgt])
+            det[(cur, key)] = (lbl, index[tgt])
+    final = [bool(S & a.final) for S in subsets]
+    class_of = _key_bisimulation(final, det)
+    merged = {}
+    for (i, key), (lbl, j) in det.items():
+        edge = (class_of[i], key, class_of[j])
+        merged[edge] = letter_join(merged[edge], lbl) if edge in merged else lbl
+    adj = {}
+    for (c1, key, c2) in merged:
+        adj.setdefault(c1, []).append((key, c2))
+    order = {class_of[0]: 0}
+    bfs = [class_of[0]]
+    for cur in bfs:
+        for key, nxt in sorted(adj.get(cur, ()), key=lambda kv: loc_sort_key(kv[0])):
+            if nxt not in order:
+                order[nxt] = len(order)
+                bfs.append(nxt)
+    return LatticeAutomaton(
+        frozenset(order.values()), frozenset({0}),
+        frozenset(order[class_of[i]] for i, f in enumerate(final) if f),
+        frozenset((order[c1], lbl, order[c2]) for (c1, _, c2), lbl in merged.items()))
+
+
+def _raw_union(a, b):
+    bld = Builder()
+    bld.initial = {("a", q) for q in a.initial} | {("b", q) for q in b.initial}
+    bld.final = {("a", q) for q in a.final} | {("b", q) for q in b.final}
+    bld.include(a, lambda q: ("a", q))
+    bld.include(b, lambda q: ("b", q))
+    return bld.build()
+
+
+def _assert_same_bytes(got, want):
+    assert got == want
+    assert got.sorted_transitions() == want.sorted_transitions()
+    assert json.dumps(to_json(got)) == json.dumps(to_json(want))
+
+
+def _oracle_automaton(rng, letter, acyclic):
+    """A random automaton over three locations with several initial
+    states, parallel edges on one key (to one target and to two), a dead
+    state n (reached, never final) and an unreachable state n + 1."""
+    n = rng.randint(2, 6)
+    edges = set()
+    for _ in range(rng.randint(1, 12)):
+        s, t = rng.randrange(n), rng.randrange(n)
+        if acyclic:
+            if s == t:
+                continue
+            s, t = min(s, t), max(s, t)
+        l = letter(rng, ["l0", "l1", "l2"])
+        edges.add((s, l, t))
+        if rng.random() < 0.3:
+            edges.add((s, letter(rng, [l.loc]), rng.choice([t, rng.randint(t, n - 1)])))
+    edges.add((rng.randrange(n), letter(rng, ["l0", "l1", "l2"]), n))
+    edges.add((n + 1, letter(rng, ["l0", "l1", "l2"]), rng.randrange(n)))
+    final = {q for q in range(n) if rng.random() < 0.3} or {n - 1}
+    return LatticeAutomaton(frozenset(range(n + 2)),
+                            frozenset(rng.sample(range(n), rng.randint(1, min(3, n)))),
+                            frozenset(final), frozenset(edges))
+
+
+@pytest.mark.parametrize("letter", [_interval_letter, _affine_letter],
+                         ids=["interval", "affine"])
+def test_canonical_forms_match_the_subset_construction_reference(letter):
+    """normalize and the product union give, to the byte, what trimming,
+    determinizing and minimizing by Hopcroft's refinement gave, on
+    acyclic and cyclic automata; union_all and the product are tried in
+    both orders."""
+    rng = random.Random(83)
+    products = 0
+    shapes = [0, 0]  # non-empty unions: acyclic, cyclic
+    for trial in range(150):
+        a, b = (_oracle_automaton(rng, letter, acyclic=trial % 3 == 0) for _ in range(2))
+        ca, cb = normalize(a), normalize(b)
+        _assert_same_bytes(ca, _reference_normalize(a))
+        _assert_same_bytes(cb, _reference_normalize(b))
+        want = _reference_normalize(_raw_union(ca, cb))
+        for got in (union_all([a, b]), union_all([cb, ca])):
+            _assert_same_bytes(got, want)
+        if not (ca.is_trivially_empty or cb.is_trivially_empty):
+            products += 1
+            for got in (_product_union(ca, cb), _product_union(cb, ca)):
+                _assert_same_bytes(got, want)
+        if not want.is_trivially_empty:
+            shapes[_length_bound(want) is None] += 1
+    assert products >= 80 and min(shapes) >= 40, (products, shapes)
+
+
+def _partition(class_of):
+    blocks = {}
+    for q, c in enumerate(class_of):
+        blocks.setdefault(c, set()).add(q)
+    return sorted(sorted(b) for b in blocks.values())
+
+
+def test_signature_pass_and_hopcroft_agree_on_acyclic_automata():
+    """On random acyclic key-deterministic automata the signature pass
+    and Hopcroft's refinement give the same partition; on a cycle the
+    signature pass declines."""
+    rng = random.Random(89)
+    merged = 0
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        rows = [{} for _ in range(n)]
+        for i in range(n - 1):
+            for key in rng.sample(["l0", "l1", "l2"], rng.randint(0, 2)):
+                rows[i][key] = (None, rng.randint(max(i + 1, n - 3), n - 1))
+        final = [not rows[i] or rng.random() < 0.2 for i in range(n)]
+        moves = {(i, key): move for i, row in enumerate(rows) for key, move in row.items()}
+        signature = _partition(_signature_classes(rows, final))
+        assert signature == _partition(_key_bisimulation(final, moves))
+        merged += n - len(signature)
+        loop = rng.randrange(n)
+        rows[loop]["l0"] = (None, loop)
+        assert _signature_classes(rows, final) is None
+    assert merged >= 400, merged
 
 
 def _two_copies(a):

@@ -325,20 +325,21 @@ def test_deadlock_check_builds_no_rule_image(monkeypatch):
 def test_union_of_a_covered_operand_runs_no_determinization(domain, monkeypatch):
     """A step folds the transducer image and the rule images, and a rule
     folds its instance images: union_all takes an including operand as it
-    is and determinizes only a union in which neither operand covers the
-    other.  On dining_philosophers with four processes the folds do
-    determinize, and none of those unions had a covering operand."""
-    real_raw_union = automaton._raw_union
+    is and builds the product only of a union in which neither operand
+    covers the other.  On dining_philosophers with four processes the
+    folds do build products, and none of those unions had a covering
+    operand."""
+    real_product_union = automaton._product_union
     covered = []
     raw = []
 
-    def counted_raw_union(a, b):
+    def counted_product_union(a, b):
         raw.append((a, b))
         if includes(a, b) or includes(b, a):
             covered.append((a, b))
-        return real_raw_union(a, b)
+        return real_product_union(a, b)
 
-    monkeypatch.setattr(automaton, "_raw_union", counted_raw_union)
+    monkeypatch.setattr(automaton, "_product_union", counted_product_union)
     _, _, res = analyze(load_program("dining_philosophers.prog"), domain=domain, procs=4)
     monkeypatch.undo()
     _, _, expected = analyze(load_program("dining_philosophers.prog"), domain=domain, procs=4)
