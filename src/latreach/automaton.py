@@ -73,12 +73,14 @@ class LatticeAutomaton:
         return out
 
     @cached_property
-    def out_by_loc(self) -> dict:
-        """(state, location) -> [(letter, dst)], built once, each list in
-        the order of out_by_src."""
+    def by_loc(self) -> dict:
+        """location -> {state: [(letter, dst)]}, built once, each list in
+        the order of out_by_src: the moves at one location, by source.
+        Matching and star images read only the locations their guards
+        name (rules.StarImages)."""
         out = {}
         for (s, l, t) in self.transitions:
-            out.setdefault((s, l.loc), []).append((l, t))
+            out.setdefault(l.loc, {}).setdefault(s, []).append((l, t))
         return out
 
     @cached_property
@@ -417,9 +419,14 @@ def union_all(autos) -> LatticeAutomaton:
     """Union of many automata.
 
     Each argument is canonicalized first and duplicates are dropped; the
-    union then folds pairwise, smallest first, each step the product of
-    two canonical operands (_product_union), so no step determinizes a
-    juxtaposition of its operands.
+    union then folds pairwise, smallest first by (states, transitions)
+    and in input order among equal sizes, each step the product of two
+    canonical operands (_product_union), so no step determinizes a
+    juxtaposition of its operands.  A step gives what determinizing its
+    two operands side by side gives, but the fold as a whole need not
+    equal one determinization of all of them: each step minimizes, which
+    joins the labels of the states it merges, so which operands meet
+    first shows in the labels, and the fold order is part of the result.
 
     A fold whose operand already includes the other takes the including
     one as it is.  That is exact: when nxt simulates out, every pair of
@@ -513,30 +520,27 @@ class MatchTriple:
     end: object
 
 
-def _moves(a: LatticeAutomaton, q, g):
-    """The (letter, dst) moves from q at the guard element's location (all
-    of them when it reads any location), in the order of a.out_by_src."""
-    if g.loc is None:
-        return a.out_by_src.get(q, ())
-    return a.out_by_loc.get((q, g.loc), ())
-
-
 def matches(ctx: DomainContext, w, a: LatticeAutomaton):
     """Matching sequences of a guard word against the automaton: every
     (q_b, v, q_e) with a path of length |w| whose pointwise meet with the
     guard word is non-bottom.
 
-    Paths grow one guard element at a time over the moves at its
-    location (every move, for a guard reading any location), so a letter
-    the guard cannot read is never met, and each prefix is met once with
-    the guard's comparisons; the triples come in the order of sorted
-    start states, then of out_by_src along the path."""
+    Paths start only from the states that have a move at the first guard
+    element's location (every state with a move, for a guard reading any
+    location) and grow one guard element at a time over the moves at its
+    location (a.by_loc), so a letter the guard cannot read is never met,
+    and each prefix is met once with the guard's comparisons.  The
+    triples come in the order of the start states sorted by repr, then
+    of out_by_src along the path: a state with no move at the first
+    location starts no triple, so this is the order of a scan of every
+    state."""
     assert len(w) >= 1
+    rows = [a.out_by_src if g.loc is None else a.by_loc.get(g.loc, {}) for g in w]
     out = []
-    for q in sorted(a.states, key=repr):
+    for q in sorted(rows[0], key=repr):
         acc = [((), q)]
-        for g in w:
-            acc = [(vs + (m,), t) for vs, cur in acc for (l, t) in _moves(a, cur, g)
+        for g, row in zip(w, rows):
+            acc = [(vs + (m,), t) for vs, cur in acc for (l, t) in row.get(cur, ())
                    for m in (meet_guard(ctx, l, g),) if m is not None]
         out.extend(MatchTriple(q, vs, end) for vs, end in acc)
     return out

@@ -162,6 +162,8 @@ def _shortest_witness(product: LatticeAutomaton) -> Optional[str]:
     product = trim(product)
     if product.is_trivially_empty:
         return None
+    edges = sorted(product.transitions,
+                   key=lambda e: (repr(e[0]), e[1].sort_key(), repr(e[2])))
     best = {}
     frontier = {q: () for q in sorted(product.initial, key=repr)}
     for q, path in frontier.items():
@@ -172,8 +174,7 @@ def _shortest_witness(product: LatticeAutomaton) -> Optional[str]:
             word = min(hits, key=lambda w: [loc_sort_key(l.loc) for l in w])
             return " . ".join(str(letter) for letter in word)
         nxt = {}
-        for (s, l, t) in sorted(product.transitions,
-                                key=lambda e: (repr(e[0]), e[1].sort_key(), repr(e[2]))):
+        for (s, l, t) in edges:
             if s in best:
                 cand = best[s] + (l,)
                 if t not in nxt or [loc_sort_key(x.loc) for x in cand] < \
@@ -326,28 +327,37 @@ def check_deadlock(sem: CompiledSemantics, result: AnalysisResult) -> List[Deadl
     with no automaton built: the rule's guard words are placed on the
     word's positions, and a placement whose segments fit their stars and
     whose f-images have no bottom letter is an instance (rules.fires).
-    The rules share one WordFits per word.
+    A rule whose guard words read a location that no letter of the
+    candidate sits at does not fire on it, so only the other rules are
+    asked; a refinement keeps the candidate's locations, and so its
+    rules.  The rules share one WordFits per word.
 
     At most CANDIDATE_CAP candidate paths are decided; when the reach
     automaton has more, DeadlockCheckIncomplete is raised with the
     witnesses found among them."""
 
-    def movable(word) -> bool:
+    def movable(word, rules) -> bool:
         fits = WordFits(sem.ctx, word)
-        return any(fires(sem.ctx, rule, word, fits) for rule in sem.rules)
+        return any(fires(sem.ctx, rule, word, fits) for rule in rules)
 
     witnesses = {}
     atoms = {}
+    asked = {}  # the locations of a word -> the rules that may fire on it
     blocking = sem.blocking_locs
     exit_loc = sem.cfg.exit
     words = _candidate_paths(result.reach, blocking, CANDIDATE_CAP + 1)
     for word in words[:CANDIDATE_CAP]:
         if all(l.loc == exit_loc for l in word):
             continue
+        locs = frozenset(l.loc for l in word)
+        rules = asked.get(locs)
+        if rules is None:
+            rules = asked[locs] = [r for r in sem.rules if r.guard_locs <= locs]
         chosen = word
-        if movable(word):
+        if movable(word, rules):
             chosen = next((w for w in _atom_refinements(word, atoms)
-                           if not (all(l.loc == exit_loc for l in w) or movable(w))), None)
+                           if not (all(l.loc == exit_loc for l in w) or movable(w, rules))),
+                          None)
             if chosen is None:
                 continue
         locs = tuple(l.loc for l in chosen)

@@ -8,7 +8,7 @@ collector sweep are all instances.
 """
 from __future__ import annotations
 
-import itertools
+import math
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
@@ -29,7 +29,7 @@ from .domain import (
     meet_guard,
     relational_updates,
 )
-from .graph import live, path_lengths, reachable
+from .graph import path_lengths, reachable
 from .syntax import Broadcast, Create, Receive, Reduce, Send
 from .transducer import (
     PLAIN_INSTANCE,
@@ -107,6 +107,13 @@ class RewriteRule:
         the deadlock check's rule tests."""
         return {}
 
+    @cached_property
+    def guard_locs(self) -> frozenset:
+        """The locations its guard words read: a word that lacks one of
+        them has no letter for that guard element, so the rule does not
+        fire on it (fires)."""
+        return frozenset(g.loc for w in self.words for g in w if g.loc is not None)
+
 
 # ---------------------------------------------------------------------------
 # star images and segment extraction
@@ -121,15 +128,19 @@ class StarImages:
     """Memo of the rule applications to one normalized automaton.
 
     The star image of (g, h) is the automaton's transitions whose letters
-    meet g to non-bottom, rewritten by h.  It depends on the matched tuple
-    only when h assigns from it (the broadcast copy), so only then is the
-    tuple part of the key.  Images are built on first use, so the meets
-    that run (and the alarms they raise, into the sink given here) are
-    those of building every segment afresh, each run once.  The states
-    reachable from a start over an image are memoized too, so once a
-    start has been seen, deciding whether a segment is viable costs set
-    lookups.  The match set of each guard word, and each segment by its
-    star key and state sets, are memoized as well.  One fixpoint step
+    meet g to non-bottom, rewritten by h.  A guard that reads one location
+    is met only with the transitions at that location (a.by_loc); one
+    that reads any location scans them all.  The image depends on the
+    matched tuple only when h assigns from it (the broadcast copy), so
+    only then is the tuple part of the key.  Images are built on first
+    use, so the meets that run (and the alarms they raise, into the sink
+    given here) are those of building every segment afresh, each run
+    once.  Each image keeps its successor and predecessor maps, and the
+    states reachable from a state over it, forwards and backwards, are
+    memoized per state: deciding whether a segment is viable, or which
+    states lie on its start-to-end paths, then costs set lookups and one
+    intersection.  The match set of each guard word, and each segment by
+    its star key and state sets, are memoized as well.  One fixpoint step
     builds one StarImages and hands it to every rule, so rules that read
     the same guard words or stars (a send/receive pair and its mirror,
     every TOP star) share that work."""
@@ -138,8 +149,9 @@ class StarImages:
         self.ctx = ctx
         self.a = a
         self.sink = sink
-        self._memo = {}  # key -> (transitions, successor sets)
-        self._reach = {}  # (key, start) -> states reachable from start
+        self._memo = {}  # key -> (transitions, successor sets, predecessor sets)
+        self._reach = {}  # (key, state) -> states reachable from it
+        self._coreach = {}  # (key, state) -> states that reach it
         self._matches = {}  # guard word -> match triples
         self._segments = {}  # (key, starts, ends) -> segment transitions
 
@@ -147,9 +159,14 @@ class StarImages:
         hit = self._memo.get(key)
         if hit is None:
             guard, h, matched = key
+            if guard.loc is None:
+                moves = self.a.transitions
+            else:
+                moves = [(s, l, t) for s, out in self.a.by_loc.get(guard.loc, {}).items()
+                         for (l, t) in out]
             trans = []
-            succ = {}
-            for (s, l, t) in self.a.transitions:
+            succ, pred = {}, {}
+            for (s, l, t) in moves:
                 m = meet_guard(self.ctx, l, guard, self.sink)
                 if m is None:
                     continue
@@ -157,8 +174,16 @@ class StarImages:
                 if img is not None:
                     trans.append((s, img, t))
                     succ.setdefault(s, set()).add(t)
-            hit = self._memo[key] = (trans, succ)
+                    pred.setdefault(t, set()).add(s)
+            hit = self._memo[key] = (trans, succ, pred)
         return hit
+
+    def _closure(self, memo, key, adj, q):
+        """The states reachable from q over adj, memoized by (key, q)."""
+        seen = memo.get((key, q))
+        if seen is None:
+            seen = memo[(key, q)] = reachable({q}, adj)
+        return seen
 
     def match_set(self, w):
         """automaton.matches of the guard word w on the automaton."""
@@ -182,26 +207,23 @@ class StarImages:
         succ = self._entry(key)[1]
         if starts & ends:
             return True
-        for s in starts:
-            seen = self._reach.get((key, s))
-            if seen is None:
-                seen = self._reach[(key, s)] = reachable({s}, succ)
-            if not seen.isdisjoint(ends):
-                return True
-        return False
+        return any(not self._closure(self._reach, key, succ, s).isdisjoint(ends)
+                   for s in starts)
 
     def segment(self, guard, h: HRewrite, starts: frozenset, ends: frozenset, matched):
         """The transitions of a viable (g)* segment between two state sets:
         the star image restricted to states lying on some start-to-end
-        path."""
+        path, those reachable from a start that reach an end."""
         if guard is None:  # segment that must stay empty
             return ()
-        key = (_star_key(guard, h, matched), starts, ends)
-        hit = self._segments.get(key)
+        key = _star_key(guard, h, matched)
+        hit = self._segments.get((key, starts, ends))
         if hit is None:
-            trans = self.image(guard, h, matched)
-            keep = live(trans, starts, ends)
-            hit = self._segments[key] = tuple(
+            trans, succ, pred = self._entry(key)
+            fwd = set().union(*(self._closure(self._reach, key, succ, s) for s in starts))
+            bwd = set().union(*(self._closure(self._coreach, key, pred, t) for t in ends))
+            keep = fwd & bwd
+            hit = self._segments[(key, starts, ends)] = tuple(
                 (s, l, t) for (s, l, t) in trans if s in keep and t in keep)
         return hit
 
@@ -232,19 +254,23 @@ def apply_rule(ctx: DomainContext, rule: RewriteRule, a: LatticeAutomaton,
     instance with a segment that no word fits is skipped before its
     f-images are evaluated; one whose f-image contains a bottom letter
     contributes nothing, which is what enforces communication partner
-    conditions.
+    conditions.  Instances grow match by match (_instances): a prefix of
+    matches whose segments no word fits is not extended, so the
+    combinations that die at an early segment are never formed.
 
     The rule decides how instances are assembled.  When no f-image
     depends on another instance's match (at most one guard word, no
-    suffix lengths, and f0 and f(n+1) empty or a single instance: reduce
-    spawn and swap, broadcast), every instance writes into one automaton,
-    the product-free construction: segment i runs on the states (i, q),
+    suffix lengths, and f0 and f(n+1) empty or a single combination of
+    matches, counted before any is pruned: reduce spawn and swap,
+    broadcast), every instance writes into one automaton, the
+    product-free construction: segment i runs on the states (i, q),
     tagged with the matched tuple where h copies from it, each star image
     is added once, an instance adds only its f-bridges, and the rule's
     image is normalized once.  Otherwise (send/receive and reduce
     delivery match two guard words, create resolves fresh identifiers
     from suffix lengths) each instance is its own automaton on the
-    automaton's states, and the instances are unioned.
+    automaton's states, and the instances are unioned in the order they
+    come.
 
     Every assembly takes an instance's f-images from the rule's memo
     (rule.images), so each (matched tuple, InstanceInfo) is evaluated
@@ -259,12 +285,11 @@ def apply_rule(ctx: DomainContext, rule: RewriteRule, a: LatticeAutomaton,
     match_sets = [stars.match_set(w) for w in rule.words]
     if any(not ms for ms in match_sets):
         return LatticeAutomaton.empty()
-    combos = list(itertools.product(*match_sets))
+    instances = _instances(stars, rule, match_sets)
     if len(rule.words) <= 1 and not rule.track_length and \
-            (len(combos) == 1 or not (rule.f_specs[0] or rule.f_specs[-1])):
-        return _shared_image(stars, rule, combos)
-    return union_all([_instance_image(stars, rule, *inst)
-                      for inst in _instances(stars, rule, combos)])
+            (math.prod(map(len, match_sets)) == 1 or not (rule.f_specs[0] or rule.f_specs[-1])):
+        return _shared_image(stars, rule, instances)
+    return union_all([_instance_image(stars, rule, *inst) for inst in instances])
 
 
 class WordFits:
@@ -318,9 +343,11 @@ def fires(ctx: DomainContext, rule: RewriteRule, word, fits: WordFits = None) ->
     every letter of a starred segment meets its star and has an h-image
     (a None star admits only the empty segment), and the f-images, with
     the segment lengths as suffix lengths, have no bottom letter.  On the
-    chain these placements are exactly apply_rule's instances.  fits,
-    when given, is the word's WordFits that the rules tested on the word
-    share; the f-images come from the rule's memo, as in apply_rule."""
+    chain these placements are exactly apply_rule's instances, and there
+    are none when a location of rule.guard_locs is missing from the word.
+    fits, when given, is the word's WordFits that the rules tested on the
+    word share; the f-images come from the rule's memo, as in
+    apply_rule."""
     if fits is None:
         fits = WordFits(ctx, word)
     n = len(word)
@@ -354,13 +381,15 @@ def fires(ctx: DomainContext, rule: RewriteRule, word, fits: WordFits = None) ->
     return False
 
 
-def _final_groups(stars: StarImages, rule, combo):
-    """Final-state grouping: rules that resolve fresh identifiers get one
-    instance per static-suffix class (the suffix length feeds the
-    identifier); everything else takes all final states at once."""
-    if not rule.track_length or not combo:
+def _final_groups(stars: StarImages, rule, last):
+    """Final-state grouping for a combination whose last match is last
+    (None when the rule has no guard word): rules that resolve fresh
+    identifiers get one instance per static-suffix class (the suffix
+    length feeds the identifier); everything else takes all final states
+    at once."""
+    if not rule.track_length or last is None:
         return [stars.a.final]
-    last_end = frozenset({combo[-1].end})
+    last_end = frozenset({last.end})
     groups = {}
     for qf in sorted(stars.a.final, key=repr):
         qfs = frozenset({qf})
@@ -372,18 +401,38 @@ def _final_groups(stars: StarImages, rule, combo):
     return [frozenset(g) for _, g in sorted(groups.items(), key=lambda kv: repr(kv))]
 
 
-def _instances(stars: StarImages, rule, combos):
+def _instances(stars: StarImages, rule, match_sets):
     """The instances whose segments are all viable and whose f-images
     have no bottom letter, as (combo, matched tuple, segment bounds,
-    f-images); bounds[i] is the (starts, ends) pair of segment i."""
+    f-images), in the lexicographic order of the combinations of the
+    match sets; bounds[i] is the (starts, ends) pair of segment i.
+
+    The instances are those of checking every combination's segments in
+    order (segment i ends at the begin of match i + 1, the last one runs
+    to a group of final states) up to the first that no word fits.
+    Segment i reads only the first i + 1 matches, so it is decided once
+    on that prefix, and a prefix with a segment that no word fits is not
+    extended.  A segment whose rewriter copies from the matched tuple
+    reads all of it, so it, and every segment after it, is checked on the
+    complete combination.  The star images built and the f-images
+    evaluated are thus those of checking each combination in full.  For
+    rules that track length, a combination's final groups come before its
+    checks: the groups of every last match are formed first, and a last
+    match without one completes no combination."""
     a = stars.a
-    for combo in combos:
-        flat = tuple(v for m in combo for v in m.labels)
-        for qfs in _final_groups(stars, rule, combo):
+    n = len(rule.words)
+    copies_from = next((i for i, h in enumerate(rule.h_specs) if h.updates), n)
+    groups = {m: _final_groups(stars, rule, m) for m in match_sets[-1]} if n else {}
+    levels = match_sets[:-1] + [[m for m in match_sets[-1] if groups[m]]] if n else []
+
+    def viable(i, starts, ends, flat):
+        return stars.viable(rule.stars[i], rule.h_specs[i], starts, ends, flat)
+
+    def complete(combo, flat):
+        for qfs in groups[combo[-1]] if n else [a.final]:
             bounds = tuple(zip((a.initial, *(frozenset({m.end}) for m in combo)),
                                (*(frozenset({m.begin}) for m in combo), qfs)))
-            if all(stars.viable(g, h, starts, ends, flat) for g, h, (starts, ends)
-                   in zip(rule.stars, rule.h_specs, bounds)):
+            if all(viable(i, *bounds[i], flat) for i in range(copies_from, n + 1)):
                 lengths = [
                     _path_lengths(stars.segment(g, h, starts, ends, flat), starts, ends)
                     for g, h, (starts, ends) in zip(rule.stars, rule.h_specs, bounds)
@@ -391,6 +440,18 @@ def _instances(stars: StarImages, rule, combos):
                 f_words = _f_images(stars.ctx, rule, flat, lengths, stars.sink)
                 if f_words is not None:
                     yield combo, flat, bounds, f_words
+
+    def extend(combo, flat):
+        i = len(combo)
+        if i == n:
+            yield from complete(combo, flat)
+            return
+        starts = a.initial if i == 0 else frozenset({combo[-1].end})
+        for m in levels[i]:
+            if i >= copies_from or viable(i, starts, frozenset({m.begin}), ()):
+                yield from extend(combo + (m,), flat + m.labels)
+
+    return extend((), ())
 
 
 def _f_images(ctx, rule, flat, lengths, sink=None):
@@ -453,7 +514,7 @@ def _instance_image(stars: StarImages, rule, combo, flat, bounds, f_words):
     return bld.build()
 
 
-def _shared_image(stars: StarImages, rule, combos):
+def _shared_image(stars: StarImages, rule, instances):
     """Every instance in one automaton on the segment states (i, q), or
     (i, q, matched tuple) where h copies from the tuple.  Each star image
     is added whole, once; trimming leaves exactly the states that lie on
@@ -462,7 +523,7 @@ def _shared_image(stars: StarImages, rule, combos):
     bld.initial = {START}
     bld.final = {END}
     added = set()
-    for combo, flat, bounds, f_words in _instances(stars, rule, combos):
+    for combo, flat, bounds, f_words in instances:
         def at(i, q, flat=flat):
             return (i, q, flat) if rule.h_specs[i].updates else (i, q)
 

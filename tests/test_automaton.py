@@ -648,3 +648,35 @@ def test_accepts_concrete():
     assert accepts_concrete(CTX, a, ((0, "l0", (("x", F(1)),)),))
     assert not accepts_concrete(CTX, a, ((0, "l1", (("x", F(1)),)),))
     assert not accepts_concrete(CTX, a, ((5, "l0", (("x", F(1)),)),))
+
+
+def test_union_all_fold_order_is_part_of_the_result():
+    """union_all folds its operands smallest first, by (states,
+    transitions), and in input order among equal sizes; the order shows in
+    the result.  Each fold minimizes, which merges states whose keys agree
+    and joins their labels, so which operands meet first decides which
+    labels are joined.  Of three chains of one size, A = l1(v=0).l3(v=1),
+    B = l2(v=0).l3(v=2) and C = l1(v=0).l4(v=0): folding A with B first
+    merges the two l3 states, and the l1 branch reads l3 {v=[1,2]};
+    folding A with C first keeps v=[1,1] there.  Only the union of two
+    operands equals the determinization of their juxtaposition."""
+    def chain(*letters):
+        return LatticeAutomaton.from_word([iv(0, 0, loc, v=(x, x)) for loc, x in letters])
+
+    a = chain(("l1", 0), ("l3", 1))
+    b = chain(("l2", 0), ("l3", 2))
+    c = chain(("l1", 0), ("l4", 0))
+
+    def l3_after_l1(u):
+        q = u.out_by_key[(0, "l1")][1]
+        return dict(u.out_by_key[(q, "l3")][0].env.items)["v"]
+
+    abc, acb = union_all([a, b, c]), union_all([a, c, b])
+    assert l3_after_l1(abc) == Interval.range(1, 2)
+    assert l3_after_l1(acb) == Interval.point(1)
+    assert abc != acb and to_json(abc) != to_json(acb)
+    assert abc == union_all([union_all([a, b]), c]) == union_all([b, a, c])
+    assert acb == union_all([union_all([a, c]), b]) == union_all([c, a, b])
+    # a larger operand is folded last wherever it stands
+    big = chain(("l1", 0), ("l3", 5), ("l3", 5))
+    assert union_all([big, a, c, b]) == union_all([acb, big])

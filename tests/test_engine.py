@@ -15,7 +15,7 @@ from latreach.concrete import (
     reach_bounded,
 )
 from latreach.automaton import LatticeAutomaton
-from latreach.domain import POS_INF, AbstractLocalState, Interval, IntervalEnv
+from latreach.domain import POS_INF, AbstractLocalState, Interval, IntervalEnv, loc_sort_key
 from latreach.engine import (
     AnalysisConfig,
     AnalysisResult,
@@ -561,3 +561,101 @@ def test_escalation_cuts_a_chain_the_widening_locations_do_not(monkeypatch):
     monkeypatch.setattr(engine, "ESCALATION_DELAY", 60)
     with pytest.raises(BudgetExhausted):
         fixpoint(bare, AnalysisConfig(step_budget=60))
+
+
+def _every_rule_deadlocks(sem, res):
+    """check_deadlock asking every rule about every candidate and refinement."""
+    def movable(word):
+        return any(fires(sem.ctx, rule, word) for rule in sem.rules)
+
+    def at_exit(word):
+        return all(l.loc == sem.cfg.exit for l in word)
+
+    witnesses = {}
+    for word in engine._candidate_paths(res.reach, sem.blocking_locs):
+        if at_exit(word):
+            continue
+        chosen = word
+        if movable(word):
+            chosen = next((w for w in engine._atom_refinements(word, {})
+                           if not (at_exit(w) or movable(w))), None)
+            if chosen is None:
+                continue
+        locs = tuple(l.loc for l in chosen)
+        witnesses.setdefault(locs, " . ".join(str(l) for l in chosen))
+    return sorted(witnesses.items(), key=lambda kv: [loc_sort_key(l) for l in kv[0]])
+
+
+@pytest.mark.parametrize("domain", ["interval", "affine"])
+def test_deadlock_check_asks_the_rules_that_read_the_candidates_locations(domain):
+    """check_deadlock, which asks a candidate only the rules whose guard
+    words read locations among its letters, against asking every rule: the
+    same witnesses on the demo deadlock runs and create_chain under --procs
+    any.  A rule left out never fires on the word or its refinements."""
+    runs = DEADLOCK_RUNS + (("create_chain.prog", "any"), ("deadlock_random.prog", 3))
+    witnessed = skipped = 0
+    for name, procs in runs:
+        _, sem, res = analyze(load_program(name), domain=domain, procs=procs,
+                              shape_k=2 if procs == "any" else 1)
+        got = [(w.locations, w.description) for w in check_deadlock(sem, res)]
+        assert got == _every_rule_deadlocks(sem, res), name
+        witnessed += len(got)
+        for word in _deadlock_words(sem, res):
+            locs = {l.loc for l in word}
+            for rule in sem.rules:
+                if not rule.guard_locs <= locs:
+                    assert not fires(sem.ctx, rule, word), (name, rule.name)
+                    skipped += 1
+    assert witnessed >= 40 and skipped >= 1000, (witnessed, skipped)
+
+
+def _per_layer_witness(product):
+    """_shortest_witness sorting the transitions again in every BFS layer."""
+    product = automaton.trim(product)
+    if product.is_trivially_empty:
+        return None
+    best = {q: () for q in sorted(product.initial, key=repr)}
+    for _ in range(len(product.states) + 1):
+        hits = [best[q] for q in best if q in product.final]
+        if hits:
+            word = min(hits, key=lambda w: [loc_sort_key(l.loc) for l in w])
+            return " . ".join(str(letter) for letter in word)
+        nxt = {}
+        for (s, l, t) in sorted(product.transitions,
+                                key=lambda e: (repr(e[0]), e[1].sort_key(), repr(e[2]))):
+            if s in best:
+                cand = best[s] + (l,)
+                if t not in nxt or [loc_sort_key(x.loc) for x in cand] < \
+                        [loc_sort_key(x.loc) for x in nxt[t]]:
+                    nxt[t] = cand
+        best = nxt
+        if not best:
+            return None
+    return None
+
+
+def test_shortest_witness_sorts_once_as_per_layer():
+    """_shortest_witness, which sorts the transitions once, against the
+    per-layer sort, on seeded random products with tuple states, cycles,
+    several initial and final states and ties between equal-length words,
+    and on the property product of create_chain."""
+    rng = random.Random(1901)
+    found = 0
+    for _ in range(300):
+        states = [(rng.randint(0, 3), rng.choice("ab")) for _ in range(rng.randint(2, 6))]
+        trans = frozenset((rng.choice(states),
+                           AbstractLocalState(Interval.point(rng.randint(0, 2)),
+                                              rng.choice(("l0", "l1", "l2", "l10")),
+                                              IntervalEnv.make({})),
+                           rng.choice(states)) for _ in range(rng.randint(1, 9)))
+        product = LatticeAutomaton(frozenset(states),
+                                   frozenset(rng.sample(states, rng.randint(1, 2))),
+                                   frozenset(rng.sample(states, rng.randint(1, 2))), trans)
+        want = _per_layer_witness(product)
+        assert engine._shortest_witness(product) == want
+        found += want is not None
+    assert found >= 150
+    _, sem, res = analyze(load_program("create_chain.prog"), procs="unbounded")
+    product = engine._product_with_property(sem, res.reach, parse_property(CHAIN_BAD))
+    want = _per_layer_witness(product)
+    assert want is not None and engine._shortest_witness(product) == want

@@ -30,6 +30,7 @@ from latreach.domain import (
 )
 from latreach.graph import live, path_lengths
 from latreach.concrete import accepts_concrete, bounded_language
+from latreach.engine import step
 from latreach.frontend import Edge, build_cfg, compile_program
 from latreach.syntax import Broadcast, Create, Receive, Reduce, Send, parse, parse_expr
 from latreach.rules import (
@@ -677,3 +678,179 @@ def test_apply_rule_untagged_reference_on_fixed_length_words(ctx):
     automaton's own states q serve for every rule."""
     _check_against_reference(ctx, random.Random(717 if ctx is REF_INTERVAL else 718),
                              _layered_automaton, False, 120)
+
+
+# ---------------------------------------------------------------------------
+# Location-indexed matching, instances by viable prefix and memoized
+# segment reach, against the full scans they replace
+
+
+def _scan_matches(ctx, w, a):
+    """matches started from every state, each step scanning every move of
+    the current state."""
+    out = []
+    for q in sorted(a.states, key=repr):
+        acc = [((), q)]
+        for g in w:
+            acc = [(vs + (m,), t) for vs, cur in acc for (l, t) in a.out_by_src.get(cur, ())
+                   for m in (meet_guard(ctx, l, g),) if m is not None]
+        out.extend(MatchTriple(q, vs, end) for vs, end in acc)
+    return out
+
+
+def _product_instances(stars, rule, match_sets):
+    """The instances of apply_rule as the full product of the match sets,
+    every combination's segments checked in order up to the first that
+    no word fits, its final groups formed before the first check."""
+    a = stars.a
+    out = []
+    for combo in itertools.product(*match_sets):
+        flat = tuple(v for m in combo for v in m.labels)
+        for qfs in rules._final_groups(stars, rule, combo[-1] if combo else None):
+            bounds = tuple(zip((a.initial, *(frozenset({m.end}) for m in combo)),
+                               (*(frozenset({m.begin}) for m in combo), qfs)))
+            if all(stars.viable(g, h, starts, ends, flat) for g, h, (starts, ends)
+                   in zip(rule.stars, rule.h_specs, bounds)):
+                lengths = [
+                    rules._path_lengths(stars.segment(g, h, starts, ends, flat), starts, ends)
+                    for g, h, (starts, ends) in zip(rule.stars, rule.h_specs, bounds)
+                ] if rule.track_length else None
+                f_words = rules._f_images(stars.ctx, rule, flat, lengths, stars.sink)
+                if f_words is not None:
+                    out.append((combo, flat, bounds, f_words))
+    return out, len(match_sets) <= 1 and not rule.track_length and \
+        (len(list(itertools.product(*match_sets))) == 1
+         or not (rule.f_specs[0] or rule.f_specs[-1]))
+
+
+def _product_apply(ctx, rule, a, sink):
+    """apply_rule by the full product: (image, instances, star keys built)."""
+    stars = rules.StarImages(ctx, normalize(a), sink)
+    match_sets = [_scan_matches(ctx, w, stars.a) for w in rule.words]
+    if stars.a.is_trivially_empty or any(not ms for ms in match_sets):
+        return LatticeAutomaton.empty(), [], set()
+    instances, shared = _product_instances(stars, rule, match_sets)
+    if shared:
+        image = rules._shared_image(stars, rule, instances)
+    else:
+        image = union_all([rules._instance_image(stars, rule, *inst) for inst in instances])
+    return image, instances, set(stars._memo)
+
+
+def _demo_automata():
+    """(context, automaton, rules) of compiled demos: the initial automaton
+    and the images of the first four steps from it, whose letters sit at
+    the rules' send, receive, create and reduce locations."""
+    out = []
+    for name, domain, procs in (("dining_philosophers.prog", "interval", 4),
+                                ("dining_philosophers.prog", "affine", 3),
+                                ("create_chain.prog", "interval", "any"),
+                                ("create_chain.prog", "affine", 3),
+                                ("sum_reduce.prog", "interval", 3),
+                                ("deadlock_random.prog", "affine", 3)):
+        sem = compile_program(parse(load_program(name)), domain, procs)
+        a = normalize(sem.initial)
+        for _ in range(5):
+            out.append((sem.ctx, a, sem.rules))
+            a = step(sem, a)
+    return out
+
+
+@pytest.fixture(scope="module")
+def demo_automata():
+    return _demo_automata()
+
+
+def _random_cases(ctx, seed, trials):
+    rng = random.Random(seed)
+    for trial in range(trials):
+        make = _ref_automaton if trial % 2 else _layered_automaton
+        yield ctx, make(rng, ctx), _ref_rules(rng)
+
+
+def _all_cases(demo_automata):
+    yield from demo_automata
+    for ctx, seed in ((REF_INTERVAL, 727), (REF_AFFINE, 728)):
+        yield from _random_cases(ctx, seed, 60)
+
+
+def test_matches_start_only_where_the_first_guard_reads(demo_automata):
+    """matches against a scan from every state, on seeded random automata
+    of both domains and on the iterates of the compiled demos: the same
+    triples in the same order, for every guard word of the rules, every
+    single location guard and the any-location guard."""
+    found = 0
+    for ctx, a, rule_list in _all_cases(demo_automata):
+        for b in (a, normalize(a)):
+            words = {w for r in rule_list for w in r.words}
+            words |= {(g,) for r in rule_list for g in r.stars if g is not None}
+            words |= {(GuardElement.at(l.loc),) for (_, l, _) in b.transitions}
+            words |= {(TOP_GUARD, TOP_GUARD)}
+            for w in sorted(words, key=repr):
+                want = _scan_matches(ctx, w, b)
+                assert matches(ctx, w, b) == want, w
+                found += len(want)
+    assert found >= 1000
+
+
+def test_apply_rule_by_viable_prefix_equals_the_full_product(demo_automata):
+    """apply_rule, whose instances grow match by match, against the full
+    product of the match sets checked combination by combination: the
+    same instances in the same order, the same image (== and to_json),
+    the same alarms and the same star images built, for every rule kind
+    (a broadcast copy rewriter and a create rule among them), on seeded
+    random automata of both domains and the compiled demos' iterates."""
+    from latreach.export import to_json
+    kinds = set()
+    pruned = images = alarmed = 0
+    for ctx, a, rule_list in _all_cases(demo_automata):
+        for rule in rule_list:
+            want_sink, sink = AlarmSink(), AlarmSink()
+            want, want_instances, want_keys = _product_apply(ctx, rule, a, want_sink)
+            stars = rules.StarImages(ctx, normalize(a), sink)
+            got = apply_rule(ctx, rule, a, stars=stars)
+            assert got == want and to_json(got) == to_json(want), rule.name
+            assert sink.alarms == want_sink.alarms, rule.name
+            assert set(stars._memo) == want_keys, rule.name
+            if not stars.a.is_trivially_empty:
+                match_sets = [stars.match_set(w) for w in rule.words]
+                if all(match_sets):
+                    got_instances = list(rules._instances(stars, rule, match_sets))
+                    assert got_instances == want_instances, rule.name
+                    combos = len(list(itertools.product(*match_sets)))
+                    pruned += combos > len({inst[0] for inst in want_instances})
+            if not is_empty(got):
+                images += 1
+                kinds.add(rule.name.split("[")[0])
+            alarmed += bool(sink.alarms)
+    assert images >= 300 and alarmed >= 10 and pruned >= 100
+    assert kinds >= {"send_recv", "recv_send", "broadcast", "create", "reduce_spawn",
+                     "reduce_swap", "reduce_deliver", "divide", "frame", "rnd"}
+
+
+def test_segments_from_memoized_reach_equal_live_on_the_star_image(demo_automata):
+    """StarImages.segment, from memoized forward and backward reach, against
+    graph.live on the star image; viable against the same; and each star
+    image, built from the transitions at the guard's location, against a
+    scan of every transition."""
+    segments = 0
+    for ctx, a, rule_list in _all_cases(demo_automata):
+        stars = rules.StarImages(ctx, a)
+        guards = {(g, h) for r in rule_list for g, h in zip(r.stars, r.h_specs)
+                  if g is not None and not h.updates}
+        guards |= {(GuardElement.at(l.loc), IDENTITY_H) for (_, l, _) in a.transitions}
+        sets = [a.initial, a.final] + [frozenset({q}) for q in sorted(a.states, key=repr)]
+        for g, h in sorted(guards, key=repr):
+            image = stars.image(g, h, ())
+            scan = [(s, img, t) for (s, l, t) in a.transitions
+                    for m in (meet_guard(ctx, l, g),) if m is not None
+                    for img in (h.apply(ctx, m, ()),) if img is not None]
+            assert sorted(image, key=repr) == sorted(scan, key=repr)
+            for starts in sets:
+                for ends in sets:
+                    keep = live(image, starts, ends)
+                    want = tuple(e for e in image if e[0] in keep and e[2] in keep)
+                    assert stars.segment(g, h, starts, ends, ()) == want
+                    assert stars.viable(g, h, starts, ends, ()) == bool(want or starts & ends)
+                    segments += bool(want)
+    assert segments >= 1000
