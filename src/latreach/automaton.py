@@ -520,7 +520,7 @@ class MatchTriple:
     end: object
 
 
-def matches(ctx: DomainContext, w, a: LatticeAutomaton):
+def matches(ctx: DomainContext, w, a: LatticeAutomaton, sink=None):
     """Matching sequences of a guard word against the automaton: every
     (q_b, v, q_e) with a path of length |w| whose pointwise meet with the
     guard word is non-bottom.
@@ -533,7 +533,8 @@ def matches(ctx: DomainContext, w, a: LatticeAutomaton):
     triples come in the order of the start states sorted by repr, then
     of out_by_src along the path: a state with no move at the first
     location starts no triple, so this is the order of a scan of every
-    state."""
+    state.  The meets raise their alarms (a division in a broadcast or
+    reduce root expression) into sink."""
     assert len(w) >= 1
     rows = [a.out_by_src if g.loc is None else a.by_loc.get(g.loc, {}) for g in w]
     out = []
@@ -541,7 +542,7 @@ def matches(ctx: DomainContext, w, a: LatticeAutomaton):
         acc = [((), q)]
         for g, row in zip(w, rows):
             acc = [(vs + (m,), t) for vs, cur in acc for (l, t) in row.get(cur, ())
-                   for m in (meet_guard(ctx, l, g),) if m is not None]
+                   for m in (meet_guard(ctx, l, g, sink),) if m is not None]
         out.extend(MatchTriple(q, vs, end) for vs, end in acc)
     return out
 

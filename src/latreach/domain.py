@@ -192,9 +192,6 @@ class Interval:
             return Interval(lo, hi)
         return Interval.top()
 
-    def shift(self, q) -> "Interval":
-        return self.add(Interval.point(q))
-
     def truncate(self) -> "Interval":
         """Image under C-style truncation toward zero (monotone)."""
         if self.is_bottom:
@@ -202,8 +199,10 @@ class Interval:
         return Interval(bound_trunc(self.lo), bound_trunc(self.hi))
 
     def integral_tighten(self) -> "Interval":
-        """Shrink to the hull of the contained integers."""
-        if self.is_bottom:
+        """Shrink to the hull of the contained integers: the interval
+        itself when its bounds are integers or infinite."""
+        if self.is_bottom or all(isinstance(b, float) or b.denominator == 1
+                                 for b in (self.lo, self.hi)):
             return self
         lo = self.lo if isinstance(self.lo, float) else Fraction(math.ceil(self.lo))
         hi = self.hi if isinstance(self.hi, float) else Fraction(math.floor(self.hi))
@@ -562,15 +561,8 @@ class AffineEnv:
 
     def assign_affine(self, name: str, coeffs: dict, const: Fraction) -> "AffineEnv":
         """name := sum(coeffs) + const, exact Karr assignment."""
-        tmp = "\x00tmp"
-        sys = _LinSys()
-        sys.rows = list(self.pivots.values())
-        row = dict(coeffs)
-        row[tmp] = row.get(tmp, Fraction(0)) - 1
-        sys.add_row(row, -const)
-        sys.project_out(name)
-        sys.rename(tmp, name)
-        return sys.to_env(self.vars)
+        rows = _assign_column(self.pivots.values(), name, (coeffs, Fraction(const)))
+        return AffineEnv._from_form(self.vars, _rref(rows))
 
     def havoc(self, name: str) -> "AffineEnv":
         return self.project_out(name)
@@ -590,55 +582,36 @@ class AffineEnv:
         return "{" + "; ".join(parts) + "}"
 
 
-class _LinSys:
-    """Mutable helper for relational computations over several letters:
-    integer rows over tagged columns ("0.x" is x of letter 0)."""
+def _assign_column(rows, col: str, rhs) -> list:
+    """Integer rows after col := rhs, where rhs is a rational affine form
+    (coeffs, const) standing for coeffs . x + const and may read col:
+    Karr's exact assignment, that is, the row tmp = rhs joins the rows,
+    col is projected out and tmp renamed col.  With rhs None col is only
+    projected out.  Inconsistent rows stay inconsistent."""
+    tmp = "\x00tmp"  # sorts before every column name
+    rows = list(rows)
+    if rhs is not None:
+        coeffs, const = rhs
+        rows.append(_int_row({**coeffs, tmp: Fraction(-1)}, -const))
+    form = _project(rows, {col})
+    if form is not None:
+        rows = list(form.values())
+    return [({(col if n == tmp else n): k for n, k in coeffs.items()}, c) for coeffs, c in rows]
 
-    def __init__(self):
-        self.rows = []  # integer rows (coeffs, const); never modified in place
 
-    def add_row(self, coeffs: dict, const) -> None:
-        self.rows.append(_int_row(coeffs, Fraction(const)))
-
-    def add_env(self, tag: str, env: AffineEnv) -> None:
-        for coeffs, c in env.pivots.values():
-            self.rows.append(({f"{tag}.{n}": k for n, k in coeffs.items()}, c))
-
-    def reduce(self) -> bool:
-        form = _rref(self.rows)
-        if form is None:
-            return False
-        self.rows = list(form.values())
-        return True
-
-    def project_out(self, name: str) -> None:
-        form = _project(self.rows, {name})
-        if form is not None:  # inconsistent rows stay inconsistent
-            self.rows = list(form.values())
-
-    def rename(self, old: str, new: str) -> None:
-        self.rows = [
-            ({(new if n == old else n): k for n, k in coeffs.items()}, c)
-            for coeffs, c in self.rows
-        ]
-
-    def to_env(self, vars) -> Optional[AffineEnv]:
-        form = _rref(self.rows)
-        if form is None:
-            return None
-        return AffineEnv._from_form(vars, form)
-
-    def project_to_tag(self, tag: str, vars) -> Optional[AffineEnv]:
-        """Existentially eliminate every column outside tag, then untag."""
-        prefix = f"{tag}."
-        foreign = {n for coeffs, _ in self.rows for n in coeffs if not n.startswith(prefix)}
-        form = _project(self.rows, foreign)
-        if form is None:
-            return None
-        cut = len(prefix)  # untagging keeps the sorted order
-        return AffineEnv._from_form(vars, {
-            p[cut:]: ({n[cut:]: k for n, k in coeffs.items()}, c)
-            for p, (coeffs, c) in form.items()})
+def _project_to_tag(rows, tag: str, vars) -> Optional[AffineEnv]:
+    """The environment over vars of integer rows over tagged columns ("0.x"
+    is x of letter 0): every column outside tag existentially eliminated,
+    then untagged; None when the rows are inconsistent."""
+    prefix = f"{tag}."
+    foreign = {n for coeffs, _ in rows for n in coeffs if not n.startswith(prefix)}
+    form = _project(rows, foreign)
+    if form is None:
+        return None
+    cut = len(prefix)  # untagging keeps the sorted order
+    return AffineEnv._from_form(vars, {
+        p[cut:]: ({n[cut:]: k for n, k in coeffs.items()}, c)
+        for p, (coeffs, c) in form.items()})
 
 
 Env = Union[IntervalEnv, AffineEnv]
@@ -936,20 +909,19 @@ def eval_interval(ctx: DomainContext, letter: AbstractLocalState, e, sink=None,
 
 def guaranteed_integral(ctx: DomainContext, e) -> bool:
     """Syntactic check that an expression always evaluates to an integer
-    (division and rational variables may introduce fractions)."""
-    if isinstance(e, E.Const):
-        return e.value.denominator == 1
-    if isinstance(e, (E.Var, E.PosVar)):
-        return ctx.is_int(e.name)
-    if isinstance(e, (E.NProcs, E.FreshId, E.IntervalConst)):
-        return True
-    if isinstance(e, E.Neg):
-        return guaranteed_integral(ctx, e.arg)
-    if isinstance(e, E.BinOp):
-        if e.op in ("/", "^"):
+    (division, powers and rational variables may introduce fractions)."""
+    for node, _ in E.nodes(e):
+        if isinstance(node, E.Const):
+            ok = node.value.denominator == 1
+        elif isinstance(node, (E.Var, E.PosVar)):
+            ok = ctx.is_int(node.name)
+        elif isinstance(node, E.BinOp):
+            ok = node.op not in ("/", "^")
+        else:
+            ok = isinstance(node, (E.Neg, E.NProcs, E.FreshId, E.IntervalConst))
+        if not ok:
             return False
-        return guaranteed_integral(ctx, e.left) and guaranteed_integral(ctx, e.right)
-    return False
+    return True
 
 
 def store_interval(ctx: DomainContext, var: str, val: Interval) -> Interval:
@@ -1139,15 +1111,25 @@ def leq_guard(ctx: DomainContext, s: AbstractLocalState, g: GuardElement) -> boo
 
 # ---------------------------------------------------------------------------
 # relational rewrites over matched letter tuples
+#
+# Under the affine domain a rewrite works on one list of integer rows
+# (as in the kernel above) over tagged columns: "0.x" is x of letter 0.
+# The rows hold every matched letter's environment and point identifier
+# and the identifier conditions; an update is _assign_column, the same
+# Karr assignment as AffineEnv.assign_affine; _project_to_tag reads one
+# letter's environment back.
 
 
-def _letters_linsys(letters) -> _LinSys:
-    sys = _LinSys()
+def _letters_rows(letters) -> list:
+    """The integer rows of each letter's environment over its tagged
+    columns, and of its identifier when that is a point."""
+    rows = []
     for i, letter in enumerate(letters):
-        sys.add_env(str(i), letter.env)
+        rows += [({f"{i}.{n}": k for n, k in coeffs.items()}, c)
+                 for coeffs, c in letter.env.pivots.values()]
         if letter.pid.is_point:
-            sys.add_row({f"{i}.id": Fraction(1)}, letter.pid.lo)
-    return sys
+            rows.append(_int_row({f"{i}.id": Fraction(1)}, letter.pid.lo))
+    return rows
 
 
 def _posvar_resolver(ctx, letters, sink):
@@ -1159,25 +1141,27 @@ def _posvar_resolver(ctx, letters, sink):
     return resolve
 
 
-def _add_cond_rows(sys: _LinSys, conds: tuple) -> None:
-    """Encode id conditions (pos, rhs) as rows of a tagged combined system;
-    non-affine right-hand sides are skipped (handled on the interval side)."""
+def _tagged(aff, tag) -> Optional[dict]:
+    """The coefficients of an affine form (expr.to_affine) over tagged
+    columns: PosVar(i, x) is "i.x" and Var(x) is "tag.x"; None when the
+    form is None or has a Var and no tag."""
+    if aff is None or (tag is None and any(isinstance(a, E.Var) for a in aff[0])):
+        return None
+    return {f"{a.pos if isinstance(a, E.PosVar) else tag}.{a.name}": k for a, k in aff[0].items()}
+
+
+def _cond_rows(conds: tuple) -> list:
+    """Integer rows of the id conditions (pos, rhs) over tagged columns;
+    a right-hand side that is not affine over PosVar atoms gives no row
+    (the interval side handles it)."""
+    rows = []
     for pos, rhs in conds:
         aff = E.to_affine(rhs)
-        if aff is None:
-            continue
-        coeffs = {}
-        ok = True
-        for atom, k in aff[0].items():
-            if isinstance(atom, E.PosVar):
-                name = f"{atom.pos}.{atom.name}"
-                coeffs[name] = coeffs.get(name, Fraction(0)) + k
-            else:
-                ok = False
-        if not ok:
-            continue
-        coeffs[f"{pos}.id"] = coeffs.get(f"{pos}.id", Fraction(0)) - 1
-        sys.add_row(coeffs, -aff[1])
+        coeffs = _tagged(aff, None)
+        if coeffs is not None:
+            coeffs[f"{pos}.id"] = coeffs.get(f"{pos}.id", Fraction(0)) - 1
+            rows.append(_int_row(coeffs, -aff[1]))
+    return rows
 
 
 def joint_refine(ctx: DomainContext, letters: tuple, conds: tuple, sink=None):
@@ -1192,17 +1176,14 @@ def joint_refine(ctx: DomainContext, letters: tuple, conds: tuple, sink=None):
     resolver = _posvar_resolver(ctx, letters, sink)
     for pos, rhs in conds:
         rng = eval_interval(ctx, letters[pos], rhs, sink, resolver=resolver).integral_tighten()
-        pid = letters[pos].pid.meet(rng)
-        if pid.is_bottom:
-            return None
-        letters[pos] = letters[pos].with_pid(pid)
+        if rng != letters[pos].pid:  # an equal range leaves the letter as it is
+            letters[pos] = letters[pos].with_pid(letters[pos].pid.meet(rng))
+            if letters[pos] is None:
+                return None
     if ctx.kind == "affine" and conds:
-        sys = _letters_linsys(letters)
-        _add_cond_rows(sys, conds)
-        if not sys.reduce():
-            return None
+        rows = _letters_rows(letters) + _cond_rows(conds)
         for i, letter in enumerate(letters):
-            env = sys.project_to_tag(str(i), letter.env.vars)
+            env = _project_to_tag(rows, str(i), letter.env.vars)
             if env is None:
                 return None
             if env.too_big():  # keep the letter unrefined, which is sound
@@ -1241,37 +1222,21 @@ def relational_updates(ctx: DomainContext, target: AbstractLocalState, target_po
                 return None
         return target.with_env(env)
 
-    sys = _letters_linsys(letters)
-    _add_cond_rows(sys, conds)
+    rows = _letters_rows(letters) + _cond_rows(conds)
     tag = str(target_pos)
-    for k, (var, rhs) in enumerate(updates):
-        tmp = f"\x00tmp{k}"
+    for var, rhs in updates:
+        col = f"{tag}.{var}"
         aff = E.to_affine(rhs)
-        affine_ok = aff is not None and (not ctx.is_int(var) or guaranteed_integral(ctx, rhs))
-        coeffs = {}
-        if affine_ok:
-            for atom, kk in aff[0].items():
-                if isinstance(atom, E.PosVar):
-                    coeffs[f"{atom.pos}.{atom.name}"] = kk
-                elif isinstance(atom, E.Var):
-                    coeffs[f"{tag}.{atom.name}"] = kk
-                else:
-                    affine_ok = False
-        if affine_ok:
-            row = dict(coeffs)
-            row[tmp] = Fraction(-1)
-            sys.add_row(row, -aff[1])
-        sys.project_out(f"{tag}.{var}")
-        if affine_ok:
-            sys.rename(tmp, f"{tag}.{var}")
-        else:
-            resolver = _posvar_resolver(ctx, letters, sink)
-            rhs_self = E.at_position(rhs, target_pos)
-            val = eval_interval(ctx, target, rhs_self, sink, resolver=resolver)
-            if val.is_point:
-                sys.add_row({f"{tag}.{var}": Fraction(1)},
-                            store_interval(ctx, var, val).lo)
-    env = sys.project_to_tag(tag, target.env.vars)
+        coeffs = _tagged(aff, tag)
+        if coeffs is not None and (not ctx.is_int(var) or guaranteed_integral(ctx, rhs)):
+            rows = _assign_column(rows, col, (coeffs, aff[1]))
+            continue
+        rows = _assign_column(rows, col, None)
+        val = eval_interval(ctx, target, E.at_position(rhs, target_pos), sink,
+                            resolver=_posvar_resolver(ctx, letters, sink))
+        if val.is_point:
+            rows.append(_int_row({col: Fraction(1)}, store_interval(ctx, var, val).lo))
+    env = _project_to_tag(rows, tag, target.env.vars)
     if env is None:
         return None
     if env.too_big():

@@ -2,7 +2,10 @@
 
 The same small AST is shared by the program parser, the concrete
 interpreter and the abstract domains.  Expressions are pure data; every
-evaluator lives with its own number representation.
+evaluator lives with its own number representation.  Walks that only
+read a tree go through nodes(), which needs no recursion; rewrites that
+replace leaves (nprocs, partner frames, fresh identifiers) go through
+substitute().
 """
 from __future__ import annotations
 
@@ -148,24 +151,29 @@ def negate_comparison(e: BinOp) -> BinOp:
     return BinOp(NEGATED[e.op], e.left, e.right)
 
 
-def substitute_nprocs(e, n: int):
-    if isinstance(e, NProcs):
-        return Const(Fraction(n))
-    if isinstance(e, Neg):
-        return Neg(substitute_nprocs(e.arg, n))
-    if isinstance(e, BinOp):
-        return BinOp(e.op, substitute_nprocs(e.left, n), substitute_nprocs(e.right, n))
-    return e
+def nodes(e):
+    """Every node of e with its depth, the root at depth 1, in pre-order
+    (a node, then its left operand's nodes, then its right's).  Iterative,
+    so a tree of any height is walked without recursion."""
+    stack = [(e, 1)]
+    while stack:
+        node, depth = stack.pop()
+        yield node, depth
+        if isinstance(node, BinOp):
+            stack += [(node.right, depth + 1), (node.left, depth + 1)]
+        elif isinstance(node, Neg):
+            stack.append((node.arg, depth + 1))
 
 
-def uses_nprocs(e) -> bool:
-    if isinstance(e, NProcs):
-        return True
+def substitute(e, leaf):
+    """e with every leaf node x (one that is neither Neg nor BinOp)
+    replaced by leaf(x).  Recursive, so it is for parsed expressions,
+    whose height the parser caps, and the rules built from them."""
     if isinstance(e, Neg):
-        return uses_nprocs(e.arg)
+        return Neg(substitute(e.arg, leaf))
     if isinstance(e, BinOp):
-        return uses_nprocs(e.left) or uses_nprocs(e.right)
-    return False
+        return BinOp(e.op, substitute(e.left, leaf), substitute(e.right, leaf))
+    return leaf(e)
 
 
 def to_affine(e):
@@ -234,13 +242,7 @@ def _within_cap(coeffs: dict, const: Fraction):
 
 def at_position(e, pos: int):
     """Move every Var of e into the frame of the letter matched at pos."""
-    if isinstance(e, Var):
-        return PosVar(pos, e.name)
-    if isinstance(e, Neg):
-        return Neg(at_position(e.arg, pos))
-    if isinstance(e, BinOp):
-        return BinOp(e.op, at_position(e.left, pos), at_position(e.right, pos))
-    return e
+    return substitute(e, lambda x: PosVar(pos, x.name) if isinstance(x, Var) else x)
 
 
 def to_source(e) -> str:

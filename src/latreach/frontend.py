@@ -188,7 +188,8 @@ def compile_program(ast: Ast, domain: str, procs) -> CompiledSemantics:
 
     if procs in ("unbounded", "any"):
         for e in cfg.edges:
-            if any(E.uses_nprocs(ex) for ex in instr_exprs(e.instr).values()):
+            if any(isinstance(node, E.NProcs) for ex in instr_exprs(e.instr).values()
+                   for node, _ in E.nodes(ex)):
                 raise CompileError("nprocs is only available under a fixed --procs n")
         edges = cfg.edges
     else:
@@ -248,5 +249,6 @@ def compile_program(ast: Ast, domain: str, procs) -> CompiledSemantics:
 
 
 def _substitute_nprocs(instr, n: int):
-    return replace(instr, **{f: E.substitute_nprocs(ex, n)
-                             for f, ex in instr_exprs(instr).items()})
+    def leaf(x):
+        return E.Const(Fraction(n)) if isinstance(x, E.NProcs) else x
+    return replace(instr, **{f: E.substitute(ex, leaf) for f, ex in instr_exprs(instr).items()})

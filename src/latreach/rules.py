@@ -35,7 +35,7 @@ from .transducer import (
     PLAIN_INSTANCE,
     InstanceInfo,
     LetterOut,
-    eval_outputs,
+    eval_letter_out,
     memo_image,
 )
 from .value import frozen
@@ -189,7 +189,7 @@ class StarImages:
         """automaton.matches of the guard word w on the automaton."""
         hit = self._matches.get(w)
         if hit is None:
-            hit = self._matches[w] = matches(self.ctx, w, self.a)
+            hit = self._matches[w] = matches(self.ctx, w, self.a, self.sink)
         return hit
 
     def image(self, guard, h: HRewrite, matched):
@@ -474,17 +474,18 @@ def _f_images(ctx, rule, flat, lengths, sink=None):
 
 
 def _evaluate_f(ctx, rule, flat, inst, sink):
-    """The f-words of an instance, evaluated; None when a letter is
-    bottom.  The letters of all f-specs are evaluated in order, in one
-    eval_outputs call."""
-    letters = eval_outputs(ctx, [out for spec in rule.f_specs for out in spec],
-                           flat, inst, sink)
-    if letters is None:
-        return None
-    f_words, i = [], 0
+    """The f-words of an instance: their letters evaluated one at a time by
+    eval_letter_out, in spec order, each on the matched tuple flat.  None
+    at the first bottom letter, whose successors are not evaluated."""
+    f_words = []
     for spec in rule.f_specs:
-        f_words.append(letters[i:i + len(spec)])
-        i += len(spec)
+        word = []
+        for out in spec:
+            letter = eval_letter_out(ctx, out, flat, inst, sink)
+            if letter is None:
+                return None
+            word.append(letter)
+        f_words.append(tuple(word))
     return tuple(f_words)
 
 

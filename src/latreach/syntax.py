@@ -261,7 +261,7 @@ class _Parser:
         comparison, so x == e is allowed wherever x := e is."""
         e = self._cmp()
         sides = (e.left, e.right) if E.is_comparison(e) else (e,)
-        if max(map(_height, sides)) > MAX_NESTING:
+        if max(depth for side in sides for _, depth in E.nodes(side)) > MAX_NESTING:
             self.error(f"expressions nested deeper than {MAX_NESTING} levels")
         return e
 
@@ -451,19 +451,6 @@ class _Parser:
             self.expect(";")
             return Assign(var, e)
         self.error(f"expected a statement, found {t.text or t.kind!r}")
-
-
-def _height(e) -> int:
-    """Height of an expression tree, found without recursion."""
-    height, stack = 0, [(e, 1)]
-    while stack:
-        node, h = stack.pop()
-        height = max(height, h)
-        if isinstance(node, E.BinOp):
-            stack += [(node.left, h + 1), (node.right, h + 1)]
-        elif isinstance(node, E.Neg):
-            stack.append((node.arg, h + 1))
-    return height
 
 
 def parse(text: str) -> Ast:

@@ -35,6 +35,7 @@ from .domain import (
     GuardElement,
     Interval,
     POS_INF,
+    eval_interval,
     joint_refine,
     meet_guard,
     relational_updates,
@@ -97,18 +98,16 @@ class InstanceInfo:
 PLAIN_INSTANCE = InstanceInfo()
 
 
-def _fresh_pid(base: Optional[AbstractLocalState], inst: InstanceInfo) -> Interval:
-    if inst.suffix_len is not None and base is not None:
-        return base.pid.shift(1 + inst.suffix_len)
-    return Interval(Fraction(inst.min_len), POS_INF)
-
-
 def eval_letter_out(ctx: DomainContext, out: LetterOut, matched: tuple,
-                    inst: InstanceInfo = PLAIN_INSTANCE, sink: AlarmSink = None,
-                    refined: bool = False) -> Optional[AbstractLocalState]:
+                    inst: InstanceInfo = PLAIN_INSTANCE, sink: AlarmSink = None
+                    ) -> Optional[AbstractLocalState]:
     """Evaluate one output recipe on a matched letter tuple (None = bottom).
-    refined says that the tuple is already refined by out.conds."""
-    if out.conds and not refined:
+
+    The tuple is first refined by out.conds (joint_refine).  A fresh
+    letter with pid ("fresh",) gets the identifier its creator, the first
+    matched letter, hands out: the creator's interval of the same FreshId
+    expression that a creator's update stores (_resolve_fresh)."""
+    if out.conds:
         matched = joint_refine(ctx, matched, out.conds, sink)
         if matched is None:
             return None
@@ -117,8 +116,7 @@ def eval_letter_out(ctx: DomainContext, out: LetterOut, matched: tuple,
         if out.pid[0] == "const":
             pid = Interval.point(out.pid[1])
         else:
-            creator = matched[0] if matched else None
-            pid = _fresh_pid(creator, inst)
+            pid = eval_interval(ctx, matched[0], _resolve_fresh(E.FreshId(), inst), sink)
         if pid.is_bottom:
             return None
         assert out.loc is not None
@@ -157,38 +155,13 @@ def eval_letter_out(ctx: DomainContext, out: LetterOut, matched: tuple,
 
 
 def _resolve_fresh(rhs, inst: InstanceInfo):
-    """Rewrite FreshId into the identifier handed out for this instance."""
-    if isinstance(rhs, E.FreshId):
-        if inst.suffix_len is not None:
-            return E.BinOp("+", E.Var("id"), E.Const(Fraction(1 + inst.suffix_len)))
-        return E.IntervalConst(Fraction(inst.min_len), POS_INF)
-    if isinstance(rhs, E.Neg):
-        return E.Neg(_resolve_fresh(rhs.arg, inst))
-    if isinstance(rhs, E.BinOp):
-        return E.BinOp(rhs.op, _resolve_fresh(rhs.left, inst), _resolve_fresh(rhs.right, inst))
-    return rhs
-
-
-def eval_outputs(ctx: DomainContext, outs, matched: tuple,
-                 inst: InstanceInfo = PLAIN_INSTANCE, sink: AlarmSink = None
-                 ) -> Optional[tuple]:
-    """The letters of a sequence of output recipes on one matched tuple,
-    or None when one of them is bottom.  Recipes with the same identifier
-    conditions, such as the two letters a send/receive inserts, share one
-    joint refinement of the tuple; each letter is the one eval_letter_out
-    gives on its own."""
-    refined = {(): matched}
-    letters = []
-    for out in outs:
-        if out.conds not in refined:
-            refined[out.conds] = joint_refine(ctx, matched, out.conds, sink)
-        base = refined[out.conds]
-        letter = None if base is None else \
-            eval_letter_out(ctx, out, base, inst, sink, refined=True)
-        if letter is None:
-            return None
-        letters.append(letter)
-    return tuple(letters)
+    """Rewrite FreshId into the identifier handed out for this instance:
+    id + 1 + the static suffix length, else [min_len, +inf]."""
+    if inst.suffix_len is not None:
+        fresh = E.BinOp("+", E.Var("id"), E.Const(Fraction(1 + inst.suffix_len)))
+    else:
+        fresh = E.IntervalConst(Fraction(inst.min_len), POS_INF)
+    return E.substitute(rhs, lambda x: fresh if isinstance(x, E.FreshId) else x)
 
 
 def memo_image(memo: dict, key, sink: AlarmSink, evaluate, *args):

@@ -209,6 +209,20 @@ def test_remainder_by_zero_is_top_with_alarm(tmp_path, capsys):
         assert "alarm[division]: (7 % y)" in out
 
 
+@pytest.mark.parametrize("domain", ["interval", "affine"])
+@pytest.mark.parametrize("collective", ["broadcast(10 / x, v);", "reduce(t, v, +, 10 / x);"],
+                         ids=["broadcast", "reduce"])
+def test_division_in_a_root_expression_is_reported(collective, domain, tmp_path, capsys):
+    """The root expression of a broadcast or reduce is met while its guard
+    word is matched; a division by a range containing 0 there reports an
+    alarm, as the same division in a send target does."""
+    prog = tmp_path / "root.prog"
+    prog.write_text(f"x := id;\nv := 7;\n{collective}\n", encoding="utf-8")
+    code, out = run_cli(capsys, "analyze", str(prog), "--procs", "3", "--domain", domain)
+    assert code == 0
+    assert "alarm[division]: (10 / x)" in out.splitlines()
+
+
 def test_product_of_powers_is_top_with_alarm(tmp_path, capsys):
     """The size cap holds for the result of every arithmetic operator, not
     only a power: products of allowed powers or of long literals give top
@@ -399,6 +413,25 @@ def test_nesting_cap_applies_to_each_side_of_a_comparison():
     for cond in (f"x == {deep} + 1", f"1 + {deep} < x"):
         with pytest.raises(ParseError, match=f"nested deeper than {MAX_NESTING} levels"):
             parse(f"if ({cond}) x := 1;")
+
+
+def test_long_sum_is_refused_without_recursion(tmp_path, capsys):
+    """A sum of 100,000 terms parses into a tree 100,000 levels high; its
+    height is measured without recursion, so it is refused with exit 3 as
+    nested too deep, as an assignment and as a property constraint, never
+    with a RecursionError."""
+    long_sum = " + ".join(["1"] * 100_000)
+    prog = tmp_path / "sum.prog"
+    bad = tmp_path / "sum.bad"
+    bad.write_text("state a initial\nstate b final\na -> b : x == 1\n", encoding="utf-8")
+    for prog_text, bad_text in [
+            (f"x := {long_sum};\n", None),
+            ("x := 1;\n", f"state a initial\nstate b final\na -> b : x == {long_sum}\n")]:
+        prog.write_text(prog_text, encoding="utf-8")
+        if bad_text is not None:
+            bad.write_text(bad_text, encoding="utf-8")
+        assert main(["analyze", str(prog), "--property", str(bad)]) == 3
+        assert f"nested deeper than {MAX_NESTING} levels" in capsys.readouterr().err
 
 
 def test_exit_three_property_location_mismatch(chain_prog, tmp_path, capsys):

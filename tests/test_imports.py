@@ -132,3 +132,25 @@ def test_only_export_defines_writers():
             importers.append(path.name)
     assert writers == []
     assert importers == ["cli.py"]
+
+
+def test_every_private_helper_has_a_caller():
+    """Every module-level ``_name`` function or class of the package is
+    referenced somewhere in the package outside its own definition, so a
+    refactoring leaves no helper behind."""
+    defined, used = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = _tree(path)
+        for top in tree.body:
+            own = None
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = top.name
+                if own.startswith("_") and not own.startswith("__"):
+                    defined[own] = path.name
+            for node in ast.walk(top):
+                name = node.id if isinstance(node, ast.Name) else \
+                    node.attr if isinstance(node, ast.Attribute) else None
+                if name is not None and name != own:
+                    used.add(name)
+    assert sorted(f"{module}: {name}" for name, module in defined.items()
+                  if name not in used) == []

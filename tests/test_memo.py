@@ -126,9 +126,9 @@ def test_f_image_memo_replays_alarms_into_every_sink(monkeypatch):
 def test_dining_evaluates_each_instance_once_per_analysis(monkeypatch):
     """On dining philosophers (four processes, with the deadlock check),
     each f-image key is evaluated once over the fixpoint and the deadlock
-    check together, with one joint refinement for the two letters a
-    send/receive inserts, and each guard word is matched at most once per
-    step, however many rules read it."""
+    check together, with one joint refinement per evaluated f-letter that
+    carries partner conditions, and each guard word is matched at most
+    once per step, however many rules read it."""
     keys = []
     real_eval = rules._evaluate_f
 
@@ -146,9 +146,16 @@ def test_dining_evaluates_each_instance_once_per_analysis(monkeypatch):
     matched = []
     real_matches = rules.matches
 
-    def counted_matches(ctx, w, a):
+    def counted_matches(ctx, w, a, *rest):
         matched.append((steps[0], w))
-        return real_matches(ctx, w, a)
+        return real_matches(ctx, w, a, *rest)
+
+    with_conds = []
+    real_letter = rules.eval_letter_out
+
+    def counted_letter(ctx, out, *rest):
+        with_conds.append(bool(out.conds))
+        return real_letter(ctx, out, *rest)
 
     refines = []
     real_refine = transducer.joint_refine
@@ -161,10 +168,11 @@ def test_dining_evaluates_each_instance_once_per_analysis(monkeypatch):
     monkeypatch.setattr(engine, "step", counted_step)
     monkeypatch.setattr(rules, "matches", counted_matches)
     monkeypatch.setattr(transducer, "joint_refine", counted_refine)
+    monkeypatch.setattr(rules, "eval_letter_out", counted_letter)
     sem, res = analyze(load_program("dining_philosophers.prog"), procs=4)
     assert check_deadlock(sem, res) != []
     assert len(keys) == len(set(keys)) > 100
-    assert len(refines) == len(keys)
+    assert len(refines) == sum(with_conds)
     assert steps[0] == res.iterations
     assert len(matched) == len(set(matched))
     # mirrored send/receive rules read the same guard words
