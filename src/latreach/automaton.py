@@ -11,10 +11,11 @@ Two paths produce the canonical form and share its tail (_canonical):
 normalize() determinizes any automaton by the subset construction,
 trimming as it goes, and union_all() takes the product of two canonical
 operands, whose pairs are the subsets that determinizing their
-juxtaposition would visit.  The tail minimizes an acyclic automaton by
-one signature pass (Revuz 1992) and any other by Hopcroft's partition
-refinement; both give the coarsest key bisimulation, so the bytes do not
-depend on the path.
+juxtaposition would visit.  The tail minimizes by signatures: an
+acyclic automaton in one pass in reverse topological order (Revuz 1992),
+any other in Moore's rounds (Moore 1956).  Either gives the coarsest key
+bisimulation, and the states are renamed by BFS, so the bytes depend on
+neither the path nor the algorithm.
 
 Being canonical is a property of the automaton: only the canonical tail
 sets the ``canonical`` flag, and normalize() and trim() return a flagged
@@ -35,7 +36,7 @@ from .domain import (
     loc_sort_key,
     meet_guard,
 )
-from .graph import live, path_lengths, reachable
+from .graph import live, path_lengths, reachable, topological_order
 from .value import frozen, hidden
 
 
@@ -208,7 +209,7 @@ def normalize(a: LatticeAutomaton) -> LatticeAutomaton:
     the states that reach a final state, and a subset keeps only those;
     the subsets met are all reachable.  That is exactly the subset
     construction of the trimmed automaton, so no separate trim runs.
-    _canonical then minimizes (see _key_bisimulation), joins the labels of
+    _canonical then minimizes (see _key_classes), joins the labels of
     merged transitions and renames the states.  The atom language is
     preserved or enlarged, and normalize is idempotent.
     """
@@ -256,16 +257,12 @@ def _canonical(rows, final) -> LatticeAutomaton:
     maps each key state i moves on to (label, target); final[i] says
     whether i is final.
 
-    The states are partitioned by _signature_classes when the automaton
-    is acyclic and by _key_bisimulation otherwise: both give the coarsest
-    key bisimulation.  The transitions of merged states are merged too,
+    The states are partitioned by the coarsest key bisimulation
+    (_key_classes).  The transitions of merged states are merged too,
     their labels joined.  States are then renamed by BFS over keys in
     loc_sort_key order, so the names do not depend on how the input or
     the partition numbered them."""
-    class_of = _signature_classes(rows, final)
-    if class_of is None:
-        class_of = _key_bisimulation(final, {(i, key): move for i, row in enumerate(rows)
-                                             for key, move in row.items()})
+    class_of = _key_classes(rows, final)
     merged = {}  # class -> {key: (label, class)}
     for i, row in enumerate(rows):
         moves = merged.get(class_of[i])
@@ -293,85 +290,32 @@ def _canonical(rows, final) -> LatticeAutomaton:
                             transitions, True)
 
 
-def _signature_classes(rows, final):
-    """The coarsest key bisimulation of an acyclic automaton given as for
-    _canonical, or None when it has a cycle.
+def _key_classes(rows, final) -> list:
+    """Each state's class in the coarsest key bisimulation of an automaton
+    given as for _canonical (states of a class agree on finality and on
+    their keys, and move on each into one class), by signatures: a state's
+    finality or current class and its set of (key, class of target) pairs.
+    An acyclic automaton takes one pass in reverse topological order with
+    finality (Revuz 1992), exact by induction on the longest path from a
+    state; any other takes Moore's rounds (Moore 1956) from the split by
+    finality, until a round leaves the number of classes as it was."""
+    def signature(i, head):
+        return head, frozenset((key, class_of[j]) for key, (_, j) in rows[i].items())
 
-    Revuz's pass (1992): in reverse topological order (Kahn's), each state
-    gets the class of its signature, its finality and the set of (key,
-    class of target) pairs.  On an acyclic automaton two states are
-    bisimilar exactly when their signatures are equal, by induction on the
-    longest path from them, so one pass gives Hopcroft's partition."""
-    indeg = [0] * len(rows)
-    for row in rows:
-        for (_, j) in row.values():
-            indeg[j] += 1
-    order = [i for i, d in enumerate(indeg) if d == 0]
-    for i in order:
-        for (_, j) in rows[i].values():
-            indeg[j] -= 1
-            if not indeg[j]:
-                order.append(j)
-    if len(order) < len(rows):
-        return None
-    class_of = [0] * len(rows)
-    classes = {}
-    for i in reversed(order):
-        sig = (final[i], frozenset((key, class_of[j]) for key, (_, j) in rows[i].items()))
-        class_of[i] = classes.setdefault(sig, len(classes))
-    return class_of
-
-
-def _key_bisimulation(final, moves) -> list:
-    """Coarsest partition of the states 0..n-1 of a key-deterministic
-    automaton that separates final from non-final states and in which the
-    states of a block either all move on a key into one block or all have
-    no move on it (a missing move goes to an implicit dead state, which no
-    state of a trimmed automaton equals).  moves maps (state, key) to
-    (label, state); the result gives each state's block number.
-
-    Hopcroft's partition refinement (Hopcroft 1971) in the form Valmari
-    (2012) gives for partial automata: every initial block splits by every
-    key, and of a block that splits, only the smaller half is queued, so a
-    state is scanned O(log n) times per key.  _canonical runs it only on
-    automata with a cycle (under --procs any or unbounded, and on
-    quotient-widened iterates); an acyclic one gets the same partition
-    from one signature pass (_signature_classes).
-    """
-    pre = {}  # (key, dst) -> sources
-    keys = {}
-    for (s, key), (_, t) in moves.items():
-        pre.setdefault((key, t), []).append(s)
-        keys[key] = None
-    blocks = [b for b in ({q for q, f in enumerate(final) if f},
-                          {q for q, f in enumerate(final) if not f}) if b]
-    block_of = [0] * len(final)
-    for b, members in enumerate(blocks):
-        for q in members:
-            block_of[q] = b
-    work = [(b, key) for b in range(len(blocks)) for key in keys]
-    while work:
-        b, key = work.pop()
-        hits = {}
-        for t in blocks[b]:
-            for s in pre.get((key, t), ()):
-                hits.setdefault(block_of[s], []).append(s)
-        for c, hit in hits.items():
-            members = blocks[c]
-            if len(hit) == len(members):
-                continue
-            if 2 * len(hit) <= len(members):
-                part = set(hit)
-            else:
-                part = members.difference(hit)
-            members -= part
-            for q in part:
-                block_of[q] = len(blocks)
-            # queued or not, block c keeps its role; the new, smaller
-            # block is queued for every key
-            work.extend((len(blocks), k) for k in keys)
-            blocks.append(part)
-    return block_of
+    order = topological_order([[j for (_, j) in row.values()] for row in rows])
+    if order is not None:
+        class_of = [0] * len(rows)
+        classes = {}
+        for i in reversed(order):
+            class_of[i] = classes.setdefault(signature(i, final[i]), len(classes))
+        return class_of
+    class_of = list(final)
+    while True:
+        classes = {}
+        finer = [classes.setdefault(signature(i, c), len(classes)) for i, c in enumerate(class_of)]
+        if len(classes) == len(set(class_of)):
+            return finer
+        class_of = finer
 
 
 # ---------------------------------------------------------------------------
@@ -565,26 +509,42 @@ def _length_bound(a: LatticeAutomaton):
 
 
 def _signature_quotient(a: LatticeAutomaton, k: int) -> LatticeAutomaton:
-    """Merge states with the same bounded incoming-key history, initiality
-    and finality; the quotient's language contains the original's."""
+    """Merge states with the same k-bounded incoming-key history,
+    initiality and finality; the quotient's language contains the
+    original's.
+
+    A history is the set of the last k keys of every path into a state
+    set, or the whole key word of a shorter path from an initial state.
+    After r rounds it is named by whether the set meets an initial state
+    and, per key, the name after r - 1 rounds of the key-predecessors'
+    history (never empty in a trim automaton), so no word is built."""
     a = trim(a)
     if not a.states:
         return a
-    preds = {q: set() for q in a.states}
+    preds = {}  # state -> {key: its key-predecessors}
     for (s, l, t) in a.transitions:
-        preds[t].add((s, l.loc))
-
-    # after round d, history[q] holds the last d keys of every path into q,
-    # or the whole key word of a shorter path from an initial state
-    history = dict.fromkeys(a.states, frozenset({()}))
+        preds.setdefault(t, {}).setdefault(l.loc, set()).add(s)
+    level = {frozenset({q}) for q in a.states}
+    layers = []  # from the last round back: state set -> {key: key-predecessors}
     for _ in range(k):
-        history = {
-            q: frozenset({h + (key,) for (p, key) in preds[q] for h in history[p]}
-                         | ({()} if q in a.initial else set()))
-            for q in a.states
-        }
+        layer = {}
+        for group in level:
+            below = {}
+            for q in group:
+                for key, ps in preds.get(q, {}).items():
+                    below.setdefault(key, set()).update(ps)
+            layer[group] = {key: frozenset(ps) for key, ps in below.items()}
+        layers.append(layer)
+        level = {ps for below in layer.values() for ps in below.values()}
+    history = dict.fromkeys(level, 0)  # after 0 rounds, {()} for every set
+    for layer in reversed(layers):
+        names = {}
+        history = {group: names.setdefault(
+            (not group.isdisjoint(a.initial),
+             frozenset((key, history[ps]) for key, ps in below.items())), len(names))
+            for group, below in layer.items()}
     sig = {
-        q: (q in a.initial, q in a.final, history[q])
+        q: (q in a.initial, q in a.final, history[frozenset({q})])
         for q in a.states
     }
     classes = {}

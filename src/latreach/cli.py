@@ -25,10 +25,11 @@ from .engine import (
     check_safety,
     fixpoint,
 )
-from .expr import is_comparison
+from .expr import bind_nprocs, is_comparison
 from .export import dump_semantics, to_dot, to_json
 from .frontend import CompileError, compile_program
 from .syntax import ParseError, parse, parse_expr
+from .value import replace
 
 
 class PropertyParseError(Exception):
@@ -104,6 +105,19 @@ def _parse_label(label: str, lineno: int) -> GuardElement:
             raise PropertyParseError(f"line {lineno}: cannot parse label item {item!r}")
         comparisons.append(e)
     return GuardElement(None if loc == "any" else loc, tuple(comparisons))
+
+
+def _bind_nprocs(bad: PropertyAutomaton, procs) -> PropertyAutomaton:
+    """bad with nprocs bound in its labels as in a program (bind_nprocs);
+    a property that does not read nprocs comes back as it is."""
+    trans = set()
+    for (s, g, t) in bad.transitions:
+        try:
+            constraints = tuple(bind_nprocs(c, procs) for c in g.constraints)
+        except ValueError as exc:
+            raise PropertyParseError(str(exc)) from None
+        trans.add((s, GuardElement(g.loc, constraints), t))
+    return bad if trans == bad.transitions else replace(bad, transitions=frozenset(trans))
 
 
 def _top_level_items(label: str):
@@ -189,7 +203,7 @@ def main(argv=None) -> int:
     if args.property_file:
         try:
             with open(args.property_file, "r", encoding="utf-8") as fh:
-                bad = parse_property(fh.read())
+                bad = _bind_nprocs(parse_property(fh.read()), args.procs)
             check_property_locations(sem, bad)
         except (OSError, UnicodeDecodeError, PropertyParseError, PropertyLocationError) as exc:
             print(f"error: {exc}", file=sys.stderr)

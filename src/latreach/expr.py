@@ -176,6 +176,16 @@ def substitute(e, leaf):
     return leaf(e)
 
 
+def bind_nprocs(e, procs):
+    """e with nprocs replaced by procs, a fixed process count; under
+    'unbounded' or 'any', e itself, or a ValueError if e reads nprocs."""
+    if isinstance(procs, int):
+        return substitute(e, lambda x: Const(Fraction(procs)) if isinstance(x, NProcs) else x)
+    if any(isinstance(node, NProcs) for node, _ in nodes(e)):
+        raise ValueError("nprocs is only available under a fixed --procs n")
+    return e
+
+
 def to_affine(e):
     """Write e as sum(coeff * atom) + const, or None if that is impossible.
 

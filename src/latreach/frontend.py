@@ -186,15 +186,8 @@ def compile_program(ast: Ast, domain: str, procs) -> CompiledSemantics:
     variables = tuple(v for v in ast.variables)
     ctx = DomainContext(domain, variables, frozenset(ast.rat_vars))
 
-    if procs in ("unbounded", "any"):
-        for e in cfg.edges:
-            if any(isinstance(node, E.NProcs) for ex in instr_exprs(e.instr).values()
-                   for node, _ in E.nodes(ex)):
-                raise CompileError("nprocs is only available under a fixed --procs n")
-        edges = cfg.edges
-    else:
-        edges = tuple(replace(e, instr=_substitute_nprocs(e.instr, procs)) for e in cfg.edges)
-        cfg = replace(cfg, edges=edges)
+    edges = tuple(replace(e, instr=_bind_nprocs(e.instr, procs)) for e in cfg.edges)
+    cfg = replace(cfg, edges=edges)
 
     local_rules = []
     comm_rules = []
@@ -248,7 +241,9 @@ def compile_program(ast: Ast, domain: str, procs) -> CompiledSemantics:
                              frozenset(widen_locs), frozenset(blocking), procs)
 
 
-def _substitute_nprocs(instr, n: int):
-    def leaf(x):
-        return E.Const(Fraction(n)) if isinstance(x, E.NProcs) else x
-    return replace(instr, **{f: E.substitute(ex, leaf) for f, ex in instr_exprs(instr).items()})
+def _bind_nprocs(instr, procs):
+    try:
+        exprs = {f: E.bind_nprocs(ex, procs) for f, ex in instr_exprs(instr).items()}
+    except ValueError as exc:
+        raise CompileError(str(exc)) from None
+    return replace(instr, **exprs)

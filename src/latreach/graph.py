@@ -30,22 +30,39 @@ def live(edges, starts, ends) -> set:
     return reachable(starts, fwd) & reachable(ends, bwd)
 
 
+def topological_order(succ):
+    """The nodes 0..n-1 in an order in which every edge goes forward
+    (Kahn's), or None when the edges have a cycle.  succ[q] lists the
+    successors of node q."""
+    indeg = [0] * len(succ)
+    for nexts in succ:
+        for t in nexts:
+            indeg[t] += 1
+    order = [q for q, d in enumerate(indeg) if d == 0]
+    for q in order:
+        for t in succ[q]:
+            indeg[t] -= 1
+            if not indeg[t]:
+                order.append(t)
+    return order if len(order) == len(succ) else None
+
+
 def path_lengths(edges, starts, ends):
     """(shortest, longest) length of a path from the state set starts to
     the state set ends.
 
     longest is None when a cycle lies on such a path, so that lengths are
-    unbounded; the cycle shows up as states left over by Kahn's
-    topological order.  Both are 0 when no end is reachable."""
-    keep = live(edges, starts, ends)
-    succ = {q: set() for q in keep}
-    indeg = dict.fromkeys(keep, 0)
+    unbounded.  Both are 0 when no end is reachable."""
+    keep = list(live(edges, starts, ends))
+    num = {q: i for i, q in enumerate(keep)}
+    succ = [set() for _ in keep]
     for (s, _, t) in edges:
-        if s in keep and t in keep and t not in succ[s]:
-            succ[s].add(t)
-            indeg[t] += 1
+        if s in num and t in num:
+            succ[num[s]].add(num[t])
+    first = [num[q] for q in starts if q in num]
+    last = [num[q] for q in ends if q in num]
 
-    dist = dict.fromkeys(starts & keep, 0)
+    dist = dict.fromkeys(first, 0)
     layer = list(dist)
     while layer:
         nxt = []
@@ -55,19 +72,13 @@ def path_lengths(edges, starts, ends):
                     dist[t] = dist[q] + 1
                     nxt.append(t)
         layer = nxt
-    shortest = min((dist[q] for q in ends & keep), default=0)
+    shortest = min((dist[q] for q in last), default=0)
 
-    longest = dict.fromkeys(starts & keep, 0)
-    ready = [q for q, d in indeg.items() if d == 0]
-    done = 0
-    while ready:
-        q = ready.pop()
-        done += 1
+    order = topological_order(succ)
+    if order is None:
+        return shortest, None
+    longest = dict.fromkeys(first, 0)
+    for q in order:
         for t in succ[q]:  # every kept state is reached from a start
             longest[t] = max(longest.get(t, 0), longest[q] + 1)
-            indeg[t] -= 1
-            if indeg[t] == 0:
-                ready.append(t)
-    if done < len(keep):
-        return shortest, None
-    return shortest, max((longest[q] for q in ends & keep), default=0)
+    return shortest, max((longest[q] for q in last), default=0)

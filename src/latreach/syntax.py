@@ -274,17 +274,22 @@ class _Parser:
         return left
 
     def _add(self):
-        out = self._mul()
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
-            out = E.BinOp(op, out, self._mul())
-        return out
+        return self._chain(("+", "-"), self._mul)
 
     def _mul(self):
-        out = self._unary()
-        while self.peek().kind in ("*", "/", "%"):
+        return self._chain(("*", "/", "%"), self._unary)
+
+    def _chain(self, ops, operand):
+        """operand (ops operand)*, left-associated; each operator puts the
+        first operand a level deeper, so past MAX_NESTING it is refused."""
+        out = operand()
+        levels = 1
+        while self.peek().kind in ops:
+            levels += 1
+            if levels > MAX_NESTING:
+                self.error(f"expressions nested deeper than {MAX_NESTING} levels")
             op = self.next().kind
-            out = E.BinOp(op, out, self._unary())
+            out = E.BinOp(op, out, operand())
         return out
 
     def _unary(self):

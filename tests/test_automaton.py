@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,10 +8,9 @@ import pytest
 from latreach.automaton import (
     Builder,
     LatticeAutomaton,
-    _key_bisimulation,
+    _key_classes,
     _length_bound,
     _product_union,
-    _signature_classes,
     _signature_quotient,
     includes,
     intersection,
@@ -18,6 +18,7 @@ from latreach.automaton import (
     matches,
     normalize,
     shape,
+    trim,
     union,
     union_all,
     widen_automata,
@@ -34,7 +35,7 @@ from latreach.domain import (
     loc_sort_key,
 )
 from latreach.export import to_dot, to_json
-from latreach.graph import live
+from latreach.graph import live, topological_order
 
 from helpers import path_labels
 
@@ -195,9 +196,59 @@ def test_union_of_a_covered_operand_is_the_full_union(letter):
 
 
 # The canonical form as it was built before the product union and the
-# signature pass: trim, then the subset construction, Hopcroft's
+# signature partition: trim, then the subset construction, Hopcroft's
 # partition, merged labels and the BFS renaming.  union_all's fold then
 # determinized the juxtaposition of its operands (_raw_union).
+
+
+def _key_bisimulation(final, moves) -> list:
+    """Coarsest partition of the states 0..n-1 of a key-deterministic
+    automaton that separates final from non-final states and in which the
+    states of a block either all move on a key into one block or all have
+    no move on it (a missing move goes to an implicit dead state, which no
+    state of a trimmed automaton equals).  moves maps (state, key) to
+    (label, state); the result gives each state's block number.
+
+    Hopcroft's partition refinement (Hopcroft 1971) in the form Valmari
+    (2012) gives for partial automata: every initial block splits by every
+    key, and of a block that splits, only the smaller half is queued, so a
+    state is scanned O(log n) times per key.  An algorithm independent
+    of _key_classes, which must give the same partition.
+    """
+    pre = {}  # (key, dst) -> sources
+    keys = {}
+    for (s, key), (_, t) in moves.items():
+        pre.setdefault((key, t), []).append(s)
+        keys[key] = None
+    blocks = [b for b in ({q for q, f in enumerate(final) if f},
+                          {q for q, f in enumerate(final) if not f}) if b]
+    block_of = [0] * len(final)
+    for b, members in enumerate(blocks):
+        for q in members:
+            block_of[q] = b
+    work = [(b, key) for b in range(len(blocks)) for key in keys]
+    while work:
+        b, key = work.pop()
+        hits = {}
+        for t in blocks[b]:
+            for s in pre.get((key, t), ()):
+                hits.setdefault(block_of[s], []).append(s)
+        for c, hit in hits.items():
+            members = blocks[c]
+            if len(hit) == len(members):
+                continue
+            if 2 * len(hit) <= len(members):
+                part = set(hit)
+            else:
+                part = members.difference(hit)
+            members -= part
+            for q in part:
+                block_of[q] = len(blocks)
+            # queued or not, block c keeps its role; the new, smaller
+            # block is queued for every key
+            work.extend((len(blocks), k) for k in keys)
+            blocks.append(part)
+    return block_of
 
 
 def _reference_trim(a):
@@ -324,27 +375,30 @@ def _partition(class_of):
     return sorted(sorted(b) for b in blocks.values())
 
 
-def test_signature_pass_and_hopcroft_agree_on_acyclic_automata():
-    """On random acyclic key-deterministic automata the signature pass
-    and Hopcroft's refinement give the same partition; on a cycle the
-    signature pass declines."""
+def test_signature_partition_and_hopcroft_agree():
+    """On random key-deterministic automata, acyclic and with cycles, the
+    signature partition (one pass or Moore's rounds) and Hopcroft's
+    refinement give the same partition."""
     rng = random.Random(89)
-    merged = 0
-    for _ in range(400):
+    seen = [0, 0]  # automata: acyclic, cyclic
+    merged = [0, 0]  # states merged in them
+    for trial in range(800):
         n = rng.randint(1, 12)
         rows = [{} for _ in range(n)]
         for i in range(n - 1):
             for key in rng.sample(["l0", "l1", "l2"], rng.randint(0, 2)):
                 rows[i][key] = (None, rng.randint(max(i + 1, n - 3), n - 1))
+        if trial % 2:
+            for i in rng.sample(range(n), rng.randint(1, n)):
+                rows[i][rng.choice(["l0", "l1", "l2"])] = (None, rng.choice([0, i]))
         final = [not rows[i] or rng.random() < 0.2 for i in range(n)]
         moves = {(i, key): move for i, row in enumerate(rows) for key, move in row.items()}
-        signature = _partition(_signature_classes(rows, final))
+        signature = _partition(_key_classes(rows, final))
         assert signature == _partition(_key_bisimulation(final, moves))
-        merged += n - len(signature)
-        loop = rng.randrange(n)
-        rows[loop]["l0"] = (None, loop)
-        assert _signature_classes(rows, final) is None
-    assert merged >= 400, merged
+        cyclic = topological_order([[j for (_, j) in row.values()] for row in rows]) is None
+        seen[cyclic] += 1
+        merged[cyclic] += n - len(signature)
+    assert min(seen) >= 300 and min(merged) >= 300, (seen, merged)
 
 
 def _two_copies(a):
@@ -568,6 +622,54 @@ def test_widen_upper_bounds_union_random():
         lb = bounded_language(CTX0, b, 3, universe)
         lw = bounded_language(CTX0, w, 3, universe)
         assert la | lb <= lw
+
+
+def _explicit_history_quotient(a, k):
+    """_signature_quotient with each state's history an explicit set of
+    key words: the last k keys of every path into the state, or the whole
+    key word of a shorter path from an initial state."""
+    a = _reference_trim(a)
+    history = dict.fromkeys(a.states, frozenset({()}))
+    for _ in range(k):
+        history = {q: frozenset({h + (l.loc,) for (p, l, t) in a.transitions if t == q
+                                 for h in history[p]} | ({()} if q in a.initial else set()))
+                   for q in a.states}
+    first = {}
+    rep = {q: first.setdefault((q in a.initial, q in a.final, history[q]), q)
+           for q in sorted(a.states, key=repr)}
+    return LatticeAutomaton(frozenset(rep.values()), frozenset(rep[q] for q in a.initial),
+                            frozenset(rep[q] for q in a.final),
+                            frozenset((rep[s], l, rep[t]) for (s, l, t) in a.transitions))
+
+
+def test_signature_quotient_matches_explicit_histories():
+    """Naming each history by its initiality and its key-predecessors'
+    histories one round before merges exactly the states that explicit
+    sets of key words merge."""
+    rng = random.Random(97)
+    merged = 0
+    for _ in range(1000):
+        locs = ["l0", "l1", "l2"][:rng.randint(1, 3)]
+        a = _random_automaton(rng, rng.randint(2, 7), rng.randint(1, 20), locs)
+        k = rng.randint(1, 4)
+        got, want = _signature_quotient(a, k), _explicit_history_quotient(a, k)
+        assert got == want
+        merged += len(got.states) < len(trim(a).states)
+    assert merged >= 100, merged
+
+
+def test_signature_quotient_of_a_deep_history_is_fast():
+    """With every state moving to every state on each of three keys, a
+    history after 40 rounds has 3 ** 40 words; named, it takes a few
+    rounds over three state sets.  The histories stop changing after two
+    rounds, so the explicit quotient at k = 3 is the same."""
+    a = auto([(s, iv(0, 0, key), t) for s in range(3) for key in ("l0", "l1", "l2")
+              for t in range(3)], final={1, 2})
+    start = time.perf_counter()
+    q = _signature_quotient(a, 40)
+    assert time.perf_counter() - start < 1.0
+    assert q == _explicit_history_quotient(a, 3)
+    assert q.states == {0, 1}
 
 
 def test_quotient_shape_never_equals_the_smaller_operand():

@@ -415,11 +415,21 @@ def test_nesting_cap_applies_to_each_side_of_a_comparison():
             parse(f"if ({cond}) x := 1;")
 
 
+@pytest.mark.parametrize("op", ["+", "*"])
+def test_operator_chain_is_refused_at_the_operator_past_the_cap(op):
+    """A chain of MAX_NESTING operands parses; one more is refused at the
+    operator that would add it, before the tree is built further."""
+    parse("x := " + f" {op} ".join(["1"] * MAX_NESTING) + ";")
+    text = "x := " + f" {op} ".join(["1"] * (MAX_NESTING + 1)) + ";"
+    with pytest.raises(ParseError, match=f"nested deeper than {MAX_NESTING} levels") as exc:
+        parse(text)
+    assert str(exc.value).startswith(f"1:{text.rindex(op) + 1}: ")
+
+
 def test_long_sum_is_refused_without_recursion(tmp_path, capsys):
-    """A sum of 100,000 terms parses into a tree 100,000 levels high; its
-    height is measured without recursion, so it is refused with exit 3 as
-    nested too deep, as an assignment and as a property constraint, never
-    with a RecursionError."""
+    """A sum of 100,000 terms is refused with exit 3 as nested too deep,
+    as an assignment and as a property constraint, never with a
+    RecursionError."""
     long_sum = " + ".join(["1"] * 100_000)
     prog = tmp_path / "sum.prog"
     bad = tmp_path / "sum.bad"
@@ -432,6 +442,29 @@ def test_long_sum_is_refused_without_recursion(tmp_path, capsys):
             bad.write_text(bad_text, encoding="utf-8")
         assert main(["analyze", str(prog), "--property", str(bad)]) == 3
         assert f"nested deeper than {MAX_NESTING} levels" in capsys.readouterr().err
+
+
+def test_nprocs_in_a_property_label(tmp_path, capsys):
+    """nprocs in a property label is the process count under --procs n,
+    as in a program; under unbounded or any it is an error, exit 3 before
+    the analysis, not a traceback after it."""
+    bad = tmp_path / "n.bad"
+
+    def analyze(label, procs):
+        bad.write_text("state a initial\nstate b final\na -> a : true\n"
+                       f"a -> b : {label}\nb -> b : true\n", encoding="utf-8")
+        code = main(["analyze", str(PROGRAMS / "sum_reduce.prog"), "--procs", procs,
+                     "--property", str(bad)])
+        return code, capsys.readouterr()
+
+    code, out = analyze("loc=l1, nprocs == 2", "2")
+    assert code == 1 and "property: ALARM" in out.out
+    code, out = analyze("loc=l1, nprocs == 3", "2")
+    assert code == 0 and "property: SAFE" in out.out
+    for procs in ("unbounded", "any"):
+        code, out = analyze("loc=l1, nprocs == 2", procs)
+        assert code == 3 and out.out == ""
+        assert "nprocs is only available under a fixed --procs n" in out.err
 
 
 def test_exit_three_property_location_mismatch(chain_prog, tmp_path, capsys):
